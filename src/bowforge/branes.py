@@ -27,9 +27,8 @@ from .diagram import (
     NodeKind,
     SubtractArrowArc,
     arc_segments,
-    separated_view,
 )
-from .rewrite import apply_entry
+from .rewrite import apply_entry, arc_increment
 
 # ---------------------------------------------------------------------------
 # branes and ledgers
@@ -216,17 +215,6 @@ def _transport_hw(
     return out
 
 
-def _subtract_key(d: BowDiagram) -> Brane:
-    sep = separated_view(d)
-    assert sep is not None and sep.w >= 1
-    return Brane(
-        start=sep.x_ids[0],
-        end=sep.x_ids[-1],
-        direction=Direction.CW,
-        laps=1 if sep.w == 1 else 0,
-    )
-
-
 def ledger_apply_move(
     ledger: BraneLedger, entry: MoveEntry, inverse: bool = False
 ) -> BraneLedger:
@@ -237,6 +225,8 @@ def ledger_apply_move(
     """
 
     d = ledger.diagram
+    if isinstance(entry, SubtractArrowArc):
+        entry, inverse = arc_increment(d, entry), not inverse
     host = apply_entry(d, entry, inverse=inverse)
     branes = dict(ledger.branes)
 
@@ -255,13 +245,6 @@ def ledger_apply_move(
                 _remove(branes, key, entry.amount)
             else:
                 _put(branes, key, entry.amount)
-    elif isinstance(entry, SubtractArrowArc):
-        if entry.amount:
-            key = _subtract_key(d)
-            if inverse:
-                _put(branes, key, entry.amount)
-            else:
-                _remove(branes, key, entry.amount)
     elif isinstance(entry, CutAt):
         pass
     else:
@@ -331,11 +314,13 @@ def _histogram_runs(values: list[int]) -> list[tuple[int, int, int]]:
 def synthesize_finite(fin) -> BraneLedger:
     """Build a certifying ledger on a separated finite layout.
 
-    Refuses (by assertion) unless the layout is actually
-    supersymmetric; callers should decide first.
+    Raises ValueError unless the input is a separated finite layout,
+    and asserts that the layout is supersymmetric; callers should
+    decide first.
     """
 
-    assert fin.is_finite_layout, "synthesis needs a separated finite layout"
+    if not fin.is_finite_layout:
+        raise ValueError("synthesis needs a separated finite layout")
     d = fin.diagram
     n, w = fin.n, fin.w
     counts, cur = greedy_fixed_counts(fin.v_arr, fin.v_x)

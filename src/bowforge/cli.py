@@ -33,11 +33,10 @@ from .diagram import (
 from .momentmap import (
     _accept_threshold,
     construct_solution,
-    moment_residual,
+    settle,
     solution_from_json,
     solution_to_json,
     solve_numeric,
-    stability_report,
 )
 from .rewrite import (
     NegativeWitness,
@@ -71,6 +70,10 @@ def _default_seed() -> int:
         raise UsageError(f"BOWFORGE_SEED must be an integer, got {raw!r}")
 
 
+# what a decoder raises on well-formed JSON of the wrong shape
+_MALFORMED = (ValueError, KeyError, IndexError, TypeError, AttributeError)
+
+
 def _load_diagram(arg: str) -> BowDiagram:
     text = arg
     try:
@@ -84,15 +87,19 @@ def _load_diagram(arg: str) -> BowDiagram:
         if text.startswith("{"):
             return diagram_from_json(json.loads(text))
         return parse_diagram(text)
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
-        raise UsageError(f"cannot read diagram from {arg!r}: {exc}")
+    except _MALFORMED as exc:
+        raise UsageError(f"cannot read diagram from {arg!r}: {type(exc).__name__}: {exc}")
 
 
-def _load_json_file(arg: str):
+def _load_json_file(arg: str, decode, what: str):
     try:
-        return json.loads(Path(arg).read_text())
+        data = json.loads(Path(arg).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise UsageError(f"cannot read JSON file {arg!r}: {exc}")
+    try:
+        return decode(data)
+    except _MALFORMED as exc:
+        raise UsageError(f"cannot read {what} from {arg!r}: {type(exc).__name__}: {exc}")
 
 
 def _emit(args, payload, summary: str = "") -> None:
@@ -185,7 +192,7 @@ def _cmd_normalize(args) -> int:
 
 def _cmd_hw(args) -> int:
     d = _load_diagram(args.diagram)
-    log = log_from_json(_load_json_file(args.replay))
+    log = _load_json_file(args.replay, log_from_json, "move log")
     try:
         out = replay(d, log, inverse=args.inverse)
     except ValueError as exc:
@@ -270,7 +277,7 @@ def _cmd_solve(args) -> int:
             return EXIT_NEGATIVE
         sol = construct_solution(d, seed=seed)
     if args.tol is not None:
-        sol.converged = sol.residual <= args.tol and sol.stable
+        settle(sol, args.tol)
     payload = solution_to_json(sol)
     _write_out(args, payload)
     _emit(
@@ -282,16 +289,14 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    sol = solution_from_json(_load_json_file(args.sol))
-    resid = moment_residual(sol)
-    report = stability_report(sol)
+    sol = _load_json_file(args.sol, solution_from_json, "solution")
     threshold = args.tol if args.tol is not None else _accept_threshold(sol.lam)
-    accepted = resid <= threshold and report.ok
+    report = settle(sol, threshold)
     payload = {
-        "residual": resid,
+        "residual": sol.residual,
         "threshold": threshold,
-        "stable": report.ok,
-        "accepted": accepted,
+        "stable": sol.stable,
+        "accepted": sol.converged,
         "rank_rtol": report.rtol,
         "x_points": {
             str(nid): {
@@ -307,9 +312,9 @@ def _cmd_verify(args) -> int:
     _emit(
         args,
         payload,
-        f"residual {resid:.3e} stable {report.ok} accepted {accepted}",
+        f"residual {sol.residual:.3e} stable {sol.stable} accepted {sol.converged}",
     )
-    return EXIT_OK if accepted else EXIT_NEGATIVE
+    return EXIT_OK if sol.converged else EXIT_NEGATIVE
 
 
 def _cmd_stratum(args) -> int:

@@ -110,8 +110,12 @@ def validate(d: BowDiagram) -> list[str]:
     return problems
 
 
-def fresh_node_id(d: BowDiagram) -> int:
-    return max(node.id for node in d.nodes) + 1
+def _require_valid(d: BowDiagram) -> None:
+    """Raise ValueError naming every shape violation, if there is one."""
+
+    problems = validate(d)
+    if problems:
+        raise ValueError("; ".join(problems))
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +185,7 @@ def _token_kind(token: str) -> NodeKind:
 def render_diagram(d: BowDiagram) -> str:
     """Inverse of :func:`parse_diagram` on valid diagrams."""
 
-    assert not validate(d), validate(d)
+    _require_valid(d)
     k = d.k
     if d.cut is None:
         parts = []
@@ -208,7 +212,7 @@ def diagram_to_json(d: BowDiagram) -> dict:
     stay meaningful after a round trip.
     """
 
-    assert not validate(d), validate(d)
+    _require_valid(d)
     k = d.k
     if d.cut is None:
         return {
@@ -453,7 +457,7 @@ def separated_view(d: BowDiagram) -> SeparatedForm | None:
     tells whether it sits on the ``v_n`` boundary segment.
     """
 
-    assert not validate(d), validate(d)
+    _require_valid(d)
     k = d.k
     xpos = [pos for pos, node in enumerate(d.nodes) if node.kind == NodeKind.XPOINT]
     w = len(xpos)

@@ -12,12 +12,19 @@ relation per x point; a solution drives them all to zero at a chosen
 level.  Two rank conditions per x point cut the solution set down to
 the stable locus; only stable zeros count.
 
+``construct_solution`` builds level-zero zeros on supersymmetric
+diagrams by exact linear algebra alone: swap transports and arc
+increments.  The Levenberg-Marquardt solver is used only by
+``solve_numeric``, which serves non-zero levels, diagrams without
+arrows, and the fallback when an exact step fails.
+
 All computations use dense complex128 arrays; diagram dimensions stay
 small enough that dense linear algebra is the honest choice.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,7 +39,7 @@ from .diagram import (
     diagram_from_json,
     diagram_to_json,
 )
-from .rewrite import _increment_segments, apply_entry
+from .rewrite import _increment_segments, apply_entry, arc_increment
 
 # ---------------------------------------------------------------------------
 # data model
@@ -271,14 +278,6 @@ def _param_layout(d: BowDiagram):
     return layout, offset
 
 
-def _pack(sol: Solution, layout, size) -> np.ndarray:
-    z = np.zeros(size, dtype=complex)
-    for node_id, name, shape, offset in layout:
-        owner = sol.triangles.get(node_id) or sol.arrows.get(node_id)
-        z[offset : offset + shape[0] * shape[1]] = getattr(owner, name).reshape(-1)
-    return z
-
-
 def _unpack(d: BowDiagram, z: np.ndarray, layout, lam) -> Solution:
     sol = zero_solution(d, lam)
     for node_id, name, shape, offset in layout:
@@ -414,6 +413,22 @@ def _accept_threshold(lam: dict[int, complex]) -> float:
     return 1e-8 * (1.0 + level)
 
 
+def settle(sol: Solution, tol: float | None = None) -> StabilityReport:
+    """Recompute residual and stability, then decide convergence.
+
+    A solution is converged when it is stable and its residual is at
+    most ``tol``, by default ``_accept_threshold`` of its level.  The
+    report comes back for callers that show the evidence.
+    """
+
+    report = stability_report(sol)
+    sol.residual = moment_residual(sol)
+    sol.stable = report.ok
+    threshold = _accept_threshold(sol.lam) if tol is None else tol
+    sol.converged = sol.residual <= threshold and sol.stable
+    return report
+
+
 def solve_numeric(
     d: BowDiagram,
     lam: dict[int, complex] | None = None,
@@ -422,22 +437,20 @@ def solve_numeric(
 ) -> Solution:
     """Search for a stable moment-map zero from random starts.
 
-    Never raises on failure: the best attempt comes back with
-    ``converged`` False so callers can report honestly.
+    This is the only caller of the Levenberg-Marquardt solver.  Never
+    raises on failure: the best attempt comes back with ``converged``
+    False so callers can report honestly.
     """
 
     lam = dict(lam or {})
     layout, size = _param_layout(d)
     if size == 0 or max(d.dims, default=0) == 0:
         sol = zero_solution(d, lam)
-        sol.residual = moment_residual(sol)
-        sol.stable = stability_check(sol)
-        sol.converged = sol.residual <= _accept_threshold(lam) and sol.stable
         sol.seed = seed
+        settle(sol)
         return sol
 
     jr = _real_jr(d, layout, size, lam)
-    threshold = _accept_threshold(lam)
     best: Solution | None = None
     for attempt in range(retries):
         attempt_seed = seed + 1000 * attempt
@@ -445,15 +458,13 @@ def solve_numeric(
         x0 = np.concatenate(
             [rng.standard_normal(size), rng.standard_normal(size)]
         )
-        x, resid = solve_lm(jr, x0)
+        x, _ = solve_lm(jr, x0)
         sol = _unpack(d, x[:size] + 1j * x[size:], layout, lam)
         sol.seed = attempt_seed
-        sol.residual = resid
-        sol.stable = stability_check(sol)
-        sol.converged = resid <= threshold and sol.stable
+        settle(sol)
         if sol.converged:
             return sol
-        if best is None or resid < best.residual:
+        if best is None or sol.residual < best.residual:
             best = sol
     return best
 
@@ -484,110 +495,115 @@ def _copy_solution(sol: Solution) -> Solution:
     )
 
 
-def _extend_arrow_unit(sol: Solution, covered: set[int]) -> Solution:
-    """Grow every covered segment by one along complete arrow-to-arrow
-    stretches; zero rows and columns keep the residual untouched."""
+_SHIFT_GAP = 1e-3
+
+
+def _pick_shift(mats: list[np.ndarray], c: complex | None) -> complex:
+    """Shift scalar at least _SHIFT_GAP away from every spectrum.
+
+    A given shift is checked; otherwise the first point of the golden
+    angle walk exp(2 pi i 0.618034 j), j = 1, 2, ..., on the unit
+    circle that is clear of them all is taken.
+    """
+
+    spectrum = np.concatenate([np.linalg.eigvals(mat) for mat in mats])
+
+    def clear(z: complex) -> bool:
+        return spectrum.size == 0 or float(np.min(np.abs(spectrum - z))) >= _SHIFT_GAP
+
+    if c is not None:
+        if not clear(complex(c)):
+            raise ValueError(f"shift {c} does not keep the shifted blocks invertible")
+        return complex(c)
+    j = 1
+    while not clear(z := complex(np.exp(2j * np.pi * 0.618034 * j))):
+        j += 1
+    return z
+
+
+def _shifted_inv(mat: np.ndarray, c: complex) -> np.ndarray:
+    return np.linalg.inv(mat - c * np.eye(mat.shape[0]))
+
+
+def _extend_arc_unit(
+    sol: Solution, entry: IncrementArrows | IncrementX, c: complex | None
+) -> Solution:
+    """Grow every segment of the entry's arc by one dimension, exactly.
+
+    Every segment block gains the entry -c from its anticlockwise node
+    and +c from its clockwise node.  Inside the arc an arrow gets the
+    pair C = 1, D = -c and an x point the unit in A.  An x point ending
+    the arc grows one side only; the (B - c)^-1 trick keeps its
+    triangle at zero: the end whose incoming segment grows gains the A
+    column -(B_out - c)^-1 a and the b entry 1, the end whose outgoing
+    segment grows gains the A row b (B_in - c)^-1 and the a entry 1.  A
+    full loop from an x point to itself does both at that point.  Arrow
+    arcs end at arrows, which are zero-padded, so their shift is 0.
+    """
 
     if any(abs(complex(v)) > 0 for v in sol.lam.values()):
-        raise ValueError("exact arrow-arc extension needs level zero")
+        raise ValueError("exact arc extension needs level zero")
     d = sol.diagram
+    covered = set(_increment_segments(d, entry))
+    if isinstance(entry, IncrementX):
+        ends = [sol.triangles[entry.start], sol.triangles[entry.end]]
+        c = _pick_shift([m for t in ends for m in (t.B_in, t.B_out)], c)
+    else:
+        c = 0j
     out = _copy_solution(sol)
-    for node in d.nodes:
-        pos = d.position(node.id)
-        in_seg = (pos - 1) % d.k
-        out_seg = pos
-        grow_in = 1 if in_seg in covered else 0
-        grow_out = 1 if out_seg in covered else 0
-        if grow_in == grow_out == 0:
+    for pos, node in enumerate(d.nodes):
+        grow_in = (pos - 1) % d.k in covered
+        grow_out = pos in covered
+        if not (grow_in or grow_out):
             continue
-        if node.kind == NodeKind.XPOINT:
-            if grow_in != grow_out:
-                raise ValueError("arrow-arc extension cut an x point in half")
-            t = out.triangles[node.id]
-            t.A = _extend_block(t.A, 1, 1)
-            t.A[-1, -1] = 1.0
-            t.B_in = _extend_block(t.B_in, 1, 1)
-            t.B_out = _extend_block(t.B_out, 1, 1)
-            t.a = _extend_block(t.a, 1, 0)
-            t.b = _extend_block(t.b, 0, 1)
-        else:
+        if node.kind == NodeKind.ARROW:
             ad = out.arrows[node.id]
             # head rows track the outgoing segment, tail columns the incoming
             ad.C = _extend_block(ad.C, grow_out, grow_in)
             ad.D = _extend_block(ad.D, grow_in, grow_out)
+            if grow_in and grow_out:
+                ad.C[-1, -1] = 1.0
+                ad.D[-1, -1] = -c
+            continue
+        t = out.triangles[node.id]
+        if grow_in and grow_out:
+            # a full loop is its own outgoing end: b feeds the new row
+            loop = node.id == entry.start == entry.end
+            row = t.b @ _shifted_inv(t.B_in, c) if loop else np.zeros((1, t.A.shape[1]))
+            t.A = np.block([[t.A, np.zeros((t.A.shape[0], 1))], [row, np.ones((1, 1))]])
+            t.a = np.vstack([t.a, np.full((1, 1), 1.0 if loop else 0.0)])
+            t.b = _extend_block(t.b, 0, 1)
+        elif grow_out:
+            t.A = np.vstack([t.A, t.b @ _shifted_inv(t.B_in, c)])
+            t.a = np.vstack([t.a, np.ones((1, 1))])
+        else:
+            t.A = np.hstack([t.A, -_shifted_inv(t.B_out, c) @ t.a])
+            t.b = np.hstack([t.b, np.ones((1, 1))])
+        if grow_in:
+            t.B_in = _extend_block(t.B_in, 1, 1)
+            t.B_in[-1, -1] = c
+        if grow_out:
+            t.B_out = _extend_block(t.B_out, 1, 1)
+            t.B_out[-1, -1] = c
     dims = tuple(v + (1 if seg in covered else 0) for seg, v in enumerate(d.dims))
     out.diagram = BowDiagram(nodes=d.nodes, dims=dims, cut=d.cut)
     return out
 
 
-def _spectrum_gap_constant(*mats: np.ndarray) -> complex:
-    spectra = []
-    for mat in mats:
-        if mat.shape[0]:
-            spectra.extend(np.linalg.eigvals(mat))
-    c = 1.0
-    while spectra and min(abs(ev - c) for ev in spectra) <= 1e-6:
-        c += 1.0
-    return complex(c)
-
-
-def _extend_x_unit(sol: Solution, seg: int, c: complex | None = None) -> Solution:
-    """Grow one segment between two x points by one dimension."""
-
-    d = sol.diagram
-    left = d.nodes[seg]
-    right = d.nodes[(seg + 1) % d.k]
-    if left.kind != NodeKind.XPOINT or right.kind != NodeKind.XPOINT:
-        raise ValueError("x-arc extension needs x points on both sides")
-    out = _copy_solution(sol)
-    tl = out.triangles[left.id]
-    tr = out.triangles[right.id]
-    if c is None:
-        c = _spectrum_gap_constant(tl.B_in, tl.B_out, tr.B_out)
-    else:
-        c = complex(c)
-        for mat in (tl.B_in, tl.B_out, tr.B_out):
-            if mat.shape[0] and min(abs(np.linalg.eigvals(mat) - c)) <= 1e-6:
-                raise ValueError(f"shift {c} does not keep the shifted blocks invertible")
-
-    row = tl.b @ np.linalg.inv(tl.B_in - c * np.eye(tl.B_in.shape[0]))
-    tl.A = np.vstack([tl.A, row])
-    tl.B_out = _extend_block(tl.B_out, 1, 1)
-    tl.B_out[-1, -1] = c
-    tl.a = np.vstack([tl.a, np.ones((1, 1))])
-
-    col = -np.linalg.inv(tr.B_out - c * np.eye(tr.B_out.shape[0])) @ tr.a
-    tr.A = np.hstack([tr.A, col])
-    tr.B_in = _extend_block(tr.B_in, 1, 1)
-    tr.B_in[-1, -1] = c
-    tr.b = np.hstack([tr.b, np.ones((1, 1))])
-
-    dims = tuple(v + (1 if s == seg else 0) for s, v in enumerate(d.dims))
-    out.diagram = BowDiagram(nodes=d.nodes, dims=dims, cut=d.cut)
-    return out
-
-
 def extend_increment(sol: Solution, entry, c: complex | None = None) -> Solution:
-    """Exactly extend a solution along one increment entry.
+    """Exactly extend a level-zero solution along one increment entry.
 
-    The optional shift scalar only applies between consecutive x
-    points; when omitted, one is chosen clear of all relevant spectra.
+    The optional shift scalar applies to arcs between two x points; when
+    omitted, one is chosen clear of the end triangles' spectra for each
+    unit.
     """
 
-    if isinstance(entry, IncrementArrows):
-        covered = set(_increment_segments(sol.diagram, entry))
-        out = sol
-        for _ in range(entry.amount):
-            out = _extend_arrow_unit(out, covered)
-        return out
-    if isinstance(entry, IncrementX):
-        covered = list(_increment_segments(sol.diagram, entry))
-        out = sol
-        for _ in range(entry.amount):
-            for seg in covered:
-                out = _extend_x_unit(out, seg, c)
-        return out
-    raise ValueError(f"cannot extend along {entry!r}")
+    if not isinstance(entry, (IncrementArrows, IncrementX)):
+        raise ValueError(f"cannot extend along {entry!r}")
+    out = sol
+    for _ in range(entry.amount):
+        out = _extend_arc_unit(out, entry, c)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -688,73 +704,54 @@ def transport_hw_solution(sol: Solution, left: int, right: int) -> Solution:
 
 
 # ---------------------------------------------------------------------------
-# warm restarts
-
-
-def _warm_start(sol: Solution, host: BowDiagram, rng) -> np.ndarray:
-    """Initial parameters on a new host: copy overlapping blocks, pad
-    fresh entries with small noise."""
-
-    layout, size = _param_layout(host)
-    z = 0.1 * (rng.standard_normal(size) + 1j * rng.standard_normal(size))
-    for node_id, name, shape, offset in layout:
-        owner = sol.triangles.get(node_id) or sol.arrows.get(node_id)
-        old = getattr(owner, name)
-        r = min(shape[0], old.shape[0])
-        cc = min(shape[1], old.shape[1])
-        block = z[offset : offset + shape[0] * shape[1]].reshape(shape)
-        block[:r, :cc] = old[:r, :cc]
-        z[offset : offset + shape[0] * shape[1]] = block.reshape(-1)
-    return z
-
-
-def _resolve_on(
-    host: BowDiagram,
-    prev: Solution,
-    seed: int,
-    retries: int = 5,
-) -> Solution:
-    """Solve on a new host starting near a previous solution."""
-
-    lam = dict(prev.lam)
-    layout, size = _param_layout(host)
-    if size == 0 or max(host.dims, default=0) == 0:
-        sol = zero_solution(host, lam)
-        sol.residual = moment_residual(sol)
-        sol.stable = stability_check(sol)
-        sol.converged = sol.residual <= _accept_threshold(lam) and sol.stable
-        return sol
-    jr = _real_jr(host, layout, size, lam)
-    threshold = _accept_threshold(lam)
-    best: Solution | None = None
-    for attempt in range(retries):
-        rng = np.random.default_rng(seed + 1000 * attempt)
-        z0 = _warm_start(prev, host, rng)
-        x0 = np.concatenate([z0.real, z0.imag])
-        x, resid = solve_lm(jr, x0)
-        sol = _unpack(host, x[:size] + 1j * x[size:], layout, lam)
-        sol.seed = seed + 1000 * attempt
-        sol.residual = resid
-        sol.stable = stability_check(sol)
-        sol.converged = resid <= threshold and sol.stable
-        if sol.converged:
-            return sol
-        if best is None or resid < best.residual:
-            best = sol
-    return best
-
-
-# ---------------------------------------------------------------------------
 # staged construction
+
+
+def _generic_basis(sol: Solution) -> Solution:
+    """The same zero written in a fixed generic unitary basis per segment.
+
+    The exact steps produce coordinate-aligned zeros (diagonal B blocks,
+    b = 0 after full loops) on which changing a single entry can land on
+    another zero; in a generic basis every entry is tied to the
+    relations.  The basis comes from a fixed generator, so the result
+    does not depend on any seed; the standard-library one keeps the
+    exact path clear of the memory numpy.random takes up.
+    """
+
+    d = sol.diagram
+    rng = random.Random(0)
+    bases = []
+    for m in d.dims:
+        z = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(m * m)]
+        bases.append(np.linalg.qr(np.array(z).reshape(m, m))[0])
+    out = _copy_solution(sol)
+    for pos, node in enumerate(d.nodes):
+        g_in, g_out = bases[(pos - 1) % d.k], bases[pos]
+        if node.kind == NodeKind.XPOINT:
+            t = out.triangles[node.id]
+            t.A = g_out @ t.A @ g_in.conj().T
+            t.B_in = g_in @ t.B_in @ g_in.conj().T
+            t.B_out = g_out @ t.B_out @ g_out.conj().T
+            t.a = g_out @ t.a
+            t.b = t.b @ g_in.conj().T
+        else:
+            ad = out.arrows[node.id]
+            ad.C = g_out @ ad.C @ g_in.conj().T
+            ad.D = g_in @ ad.D @ g_out.conj().T
+    return out
 
 
 def construct_solution(d: BowDiagram, seed: int = 0) -> Solution:
     """Stable level-zero moment-map solution on a supersymmetric diagram.
 
-    Builds the certified finite layout first, grows it from nothing in
-    small verified steps, then walks the decision pipeline backwards to
-    the original diagram.  Falls back to a direct search before giving
-    up; an unconverged result is returned rather than raised.
+    Builds the certified finite layout first, grows it from nothing by
+    exact swap transports and increments, then walks the decision
+    pipeline backwards to the original diagram: swaps by transport, arc
+    subtractions by the increment that undoes them.  Every step is exact
+    linear algebra, so the result does not depend on ``seed``.  Only
+    diagrams without arrows, and a failed exact path, go to the
+    numerical search of ``solve_numeric`` with that seed; an unconverged
+    result is returned rather than raised.
     """
 
     from .branes import (
@@ -773,10 +770,8 @@ def construct_solution(d: BowDiagram, seed: int = 0) -> Solution:
 
     if max(d.dims, default=0) == 0 or d.n_xpoints == 0:
         sol = zero_solution(d)
-        sol.residual = moment_residual(sol)
-        sol.stable = stability_check(sol)
-        sol.converged = sol.residual <= 1e-8 and sol.stable
         sol.seed = seed
+        settle(sol)
         return sol
     if d.n_arrows == 0:
         return solve_numeric(d, seed=seed)
@@ -810,66 +805,42 @@ def construct_solution(d: BowDiagram, seed: int = 0) -> Solution:
     assert max(fix_led.diagram.dims) == 0, "staging did not empty the layout"
     assert not fix_led.branes
 
-    sol = zero_solution(fix_led.diagram)
-    ok = True
+    sol: Solution | None = zero_solution(fix_led.diagram)
     try:
         for entry in reversed(staging):
             sol = transport_hw_solution(sol, entry.right, entry.left)
-    except ValueError:
-        ok = False
-
-    if ok:
         # unfixed branes are increments on top of the fixed skeleton
         for brane in sorted(
             unfixed, key=lambda br: (br.start, br.end, br.direction.value, br.laps)
         ):
-            mult = unfixed[brane]
             assert brane.laps == 0
             kind = fin.diagram.node_by_id(brane.start).kind
-            if kind == NodeKind.ARROW:
-                entry = IncrementArrows(
-                    start=brane.start, end=brane.end, direction=brane.direction, amount=mult
-                )
-            else:
-                entry = IncrementX(
-                    start=brane.start, end=brane.end, direction=brane.direction, amount=mult
-                )
-            sol = extend_increment(sol, entry)
+            increment = IncrementArrows if kind == NodeKind.ARROW else IncrementX
+            sol = extend_increment(
+                sol, increment(brane.start, brane.end, brane.direction, unfixed[brane])
+            )
         assert sol.diagram == fin.diagram
 
-        for idx, entry in enumerate(reversed(cert.pipeline)):
+        for entry in reversed(cert.pipeline):
             if isinstance(entry, CutAt):
                 sol = _copy_solution(sol)
                 sol.diagram = apply_entry(sol.diagram, entry, inverse=True)
-                continue
-            if isinstance(entry, HwMove):
-                try:
-                    sol = transport_hw_solution(sol, entry.right, entry.left)
-                except ValueError:
-                    ok = False
-                    break
-                continue
-            host = apply_entry(sol.diagram, entry, inverse=True)
-            sol = _resolve_on(host, sol, seed + 37 * idx + 11)
-            if not sol.converged:
-                ok = False
-                break
+            elif isinstance(entry, HwMove):
+                sol = transport_hw_solution(sol, entry.right, entry.left)
+            else:
+                sol = extend_increment(sol, arc_increment(sol.diagram, entry))
+        assert sol.diagram == d
+    except ValueError:
+        sol = None
 
-    if ok and sol.diagram == d:
+    if sol is not None:
+        sol = _generic_basis(sol)
         sol.seed = seed
-        sol.residual = moment_residual(sol)
-        sol.stable = stability_check(sol)
-        sol.converged = sol.residual <= 1e-8 and sol.stable
+        settle(sol)
         if sol.converged:
             return sol
-
     direct = solve_numeric(d, seed=seed)
-    if direct.converged or not ok or sol.diagram != d:
-        sol = direct
-    sol.residual = moment_residual(sol)
-    sol.stable = stability_check(sol)
-    sol.converged = sol.residual <= 1e-8 and sol.stable and sol.diagram == d
-    return sol
+    return direct if sol is None or direct.converged else sol
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from .diagram import (
     BowDiagram,
     CutAt,
+    Direction,
     HwMove,
     IncrementArrows,
     IncrementX,
@@ -25,9 +26,9 @@ from .diagram import (
     NodeKind,
     SeparatedForm,
     SubtractArrowArc,
+    _require_valid,
     arc_segments,
     separated_view,
-    validate,
 )
 
 # ---------------------------------------------------------------------------
@@ -138,6 +139,22 @@ def apply_increment(d: BowDiagram, entry: IncrementArrows | IncrementX) -> BowDi
     return BowDiagram(nodes=d.nodes, dims=tuple(dims), cut=d.cut)
 
 
+def arc_increment(d: BowDiagram, entry: SubtractArrowArc) -> IncrementX:
+    """The increment that undoes an arc subtraction on ``d``.
+
+    The arrow arc v_0 .. v_n of a separated diagram is the clockwise arc
+    from x_1 to x_w (a full loop when w = 1), so adding the subtracted
+    branes back raises exactly that x-to-x arc.
+    """
+
+    sep = separated_view(d)
+    if d.is_finite or sep is None or sep.n == 0 or sep.w == 0:
+        raise ValueError("arc subtraction needs an affine separated diagram")
+    return IncrementX(
+        start=sep.x_ids[0], end=sep.x_ids[-1], direction=Direction.CW, amount=entry.amount
+    )
+
+
 # ---------------------------------------------------------------------------
 # move-log replay
 
@@ -150,6 +167,9 @@ def apply_entry(d: BowDiagram, entry: MoveEntry, inverse: bool = False) -> BowDi
             return apply_hw(d, entry.right, entry.left)
         return apply_hw(d, entry.left, entry.right)
 
+    if isinstance(entry, SubtractArrowArc):
+        entry, inverse = arc_increment(d, entry), not inverse
+
     if isinstance(entry, (IncrementArrows, IncrementX)):
         if not inverse:
             return apply_increment(d, entry)
@@ -157,16 +177,6 @@ def apply_entry(d: BowDiagram, entry: MoveEntry, inverse: bool = False) -> BowDi
         dims = list(d.dims)
         for seg in segs:
             dims[seg] -= entry.amount
-        return BowDiagram(nodes=d.nodes, dims=tuple(dims), cut=d.cut)
-
-    if isinstance(entry, SubtractArrowArc):
-        sep = separated_view(d)
-        if d.is_finite or sep is None or sep.n == 0 or sep.w == 0:
-            raise ValueError("arc subtraction needs an affine separated diagram")
-        delta = entry.amount if inverse else -entry.amount
-        dims = list(d.dims)
-        for seg in set(sep.seg_arr):
-            dims[seg] += delta
         return BowDiagram(nodes=d.nodes, dims=tuple(dims), cut=d.cut)
 
     if isinstance(entry, CutAt):
@@ -268,8 +278,7 @@ def separate(d: BowDiagram) -> tuple[SeparatedForm, MoveLog] | NegativeWitness:
     first negative dimension any swap produces.
     """
 
-    problems = validate(d)
-    assert not problems, problems
+    _require_valid(d)
     if d.n_arrows == 0 or d.n_xpoints == 0:
         view = separated_view(d)
         assert view is not None
@@ -281,7 +290,8 @@ def separate(d: BowDiagram) -> tuple[SeparatedForm, MoveLog] | NegativeWitness:
         pair = _gather_step(cur)
         if pair is None:
             break
-        assert guard > 0, "gathering failed to terminate"
+        if guard <= 0:
+            raise RuntimeError("gathering failed to terminate")
         guard -= 1
         left, right = pair
         middle_seg = cur.position(left)
@@ -332,13 +342,16 @@ def normalize_gap(sep: SeparatedForm) -> tuple[SeparatedForm, MoveLog] | Negativ
     """
 
     d = sep.diagram
-    assert d.cut is None, "gap normalization applies to affine diagrams"
-    assert sep.n >= 1 and sep.w >= 1
+    if d.cut is not None:
+        raise ValueError("gap normalization applies to affine diagrams")
+    if sep.n < 1 or sep.w < 1:
+        raise ValueError("gap normalization needs both node kinds")
     log: list[MoveEntry] = []
     cur = sep
     guard = abs(cur.gap) // cur.w + 3
     while not 0 <= cur.gap < cur.w:
-        assert guard > 0
+        if guard <= 0:
+            raise RuntimeError("gap normalization failed to terminate")
         guard -= 1
         if cur.gap >= cur.w:
             res = full_pass(cur.diagram, cur.arrow_ids[0], True, cur.w, log)
@@ -379,7 +392,8 @@ def canonical_encoding(d: BowDiagram) -> tuple:
 def enumerate_equivalent(d: BowDiagram, budget: int) -> EquivClassSample:
     """Breadth-first sample of the swap-equivalence class within a budget."""
 
-    assert budget >= 0
+    if budget < 0:
+        raise ValueError(f"budget must be nonnegative, got {budget}")
     seen = {canonical_encoding(d)}
     frontier = deque([(d, 0)])
     min_dim = min(d.dims)

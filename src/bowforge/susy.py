@@ -28,9 +28,9 @@ from .diagram import (
     MoveLog,
     SeparatedForm,
     SubtractArrowArc,
+    _require_valid,
     entry_to_json,
     separated_view,
-    validate,
 )
 from .rewrite import (
     NegativeWitness,
@@ -222,7 +222,8 @@ def _push_until_layout(
         assert view is not None
         if view.is_finite_layout:
             return view, tuple(log)
-        assert guard > 0, "layout pushes failed to terminate"
+        if guard <= 0:
+            raise RuntimeError("layout pushes failed to terminate")
         guard -= 1
         last_x_pos = cur.position(view.x_ids[-1])
         mover = cur.nodes[(last_x_pos + 1) % cur.k]
@@ -275,9 +276,7 @@ def reduce_to_finite(sep: SeparatedForm) -> tuple[SeparatedForm, MoveLog] | Nega
 def _decide_full(d: BowDiagram) -> tuple[Certificate, SeparatedForm | None]:
     """Certificate plus, on success, the finite separated layout reached."""
 
-    problems = validate(d)
-    if problems:
-        raise ValueError("; ".join(problems))
+    _require_valid(d)
     min_dim = min(d.dims)
     if d.n_arrows == 0 or d.n_xpoints == 0:
         return Certificate(min_dim >= 0, TrivialNoNodes(min_dim=min_dim), ()), None

@@ -202,3 +202,37 @@ def test_stratum_finite_needs_layout(capsys):
     code, payload = run(capsys, "stratum", "--json", "--mode", "finite", "( 1 x 2 o 2 x 1 o )")
     assert code == 2
     assert "error" in payload
+
+
+# ---------------------------------------------------------------------------
+# malformed input
+
+
+MALFORMED = {
+    "diagram-json-not-a-list": (["check", '{"nodes": 3}'], None),
+    "diagram-json-null-dim": (
+        ["check", '{"shape": "affine", "nodes": ["o", "x"], "dims": [null, 1]}'],
+        None,
+    ),
+    "diagram-json-scalar-ids": (
+        ["check", '{"shape": "affine", "nodes": ["o", "x"], "dims": [1, 1], "ids": 5}'],
+        None,
+    ),
+    "solution-without-diagram": (["verify", "--sol", "{file}"], '{"x": 1}'),
+    "move-without-nodes": (["hw", "--replay", "{file}", "( 1 x 1 o )"], '[{"op": "hw"}]'),
+    "negative-budget": (["equiv", "--budget", "-1", "( 1 x 1 o )"], None),
+    "stratum-one-kind": (["stratum", "( 2 o 3 o )"], None),
+}
+
+
+@pytest.mark.parametrize("argv, content", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_input_is_a_usage_error(capsys, tmp_path, argv, content):
+    target = tmp_path / "input.json"
+    if content is not None:
+        target.write_text(content)
+    argv = [arg.replace("{file}", str(target)) for arg in argv]
+    code = main([argv[0], "--json", *argv[1:]])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "error" in json.loads(captured.out)
+    assert len(captured.err.strip().splitlines()) == 1

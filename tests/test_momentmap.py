@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 
+from bowforge import momentmap
 from bowforge.diagram import (
     Direction,
     HwMove,
     IncrementArrows,
     IncrementX,
     NodeKind,
+    SubtractArrowArc,
     parse_diagram,
 )
 from bowforge.momentmap import (
@@ -351,6 +353,59 @@ def test_construct_matches_closed_form_family():
     assert sol.converged
     assert sol.diagram == d
     assert sol.residual <= 1e-8
+
+
+# both diagrams once ended in an unconverged numerical re-solve
+K10_REGRESSIONS = [
+    "( 0 o 1 o 4 x 4 x 3 x 0 x 4 x 2 o 4 o 2 x )",
+    "( 0 x 4 o 4 x 0 x 0 o 4 x 3 x 3 o 0 o 2 o )",
+]
+
+
+@pytest.mark.parametrize("text", K10_REGRESSIONS)
+def test_construct_k10_regressions(text):
+    d = parse_diagram(text)
+    sol = construct_solution(d, seed=0)
+    assert sol.converged and sol.stable
+    assert sol.diagram == d
+    assert moment_residual(sol) <= 1e-12
+
+
+@pytest.mark.parametrize("text", ["( 1 o 1 x )", "( 1 o 1 x 0 x )"])
+def test_construct_undoes_arc_subtraction_exactly(text, monkeypatch):
+    # w = 1 closes the arc into a full loop, w = 2 runs it x_1 -> x_2
+    d = parse_diagram(text)
+    assert any(isinstance(e, SubtractArrowArc) for e in decide_supersymmetry(d).pipeline)
+
+    def refuse(*args, **kwargs):
+        raise RuntimeError("construction called the numerical solver")
+
+    monkeypatch.setattr(momentmap, "solve_lm", refuse)
+    sol = construct_solution(d, seed=0)
+    assert sol.converged and sol.stable
+    assert sol.diagram == d
+    assert moment_residual(sol) <= 1e-12
+
+
+def test_construct_ignores_seed():
+    d = parse_diagram(K10_REGRESSIONS[1])
+    one = construct_solution(d, seed=0)
+    two = construct_solution(d, seed=11)
+    for nid, t in one.triangles.items():
+        for name in ("A", "B_in", "B_out", "a", "b"):
+            assert np.array_equal(getattr(t, name), getattr(two.triangles[nid], name))
+    for nid, ad in one.arrows.items():
+        assert np.array_equal(ad.C, two.arrows[nid].C)
+        assert np.array_equal(ad.D, two.arrows[nid].D)
+
+
+def test_extend_full_x_loop_keeps_residual():
+    base = construct_solution(parse_diagram("( 1 o 2 x 2 x 1 o )"), seed=2)
+    entry = IncrementX(start=1, end=1, direction=CW, amount=2)
+    out = extend_increment(base, entry)
+    assert out.diagram == apply_entry(base.diagram, entry)
+    assert moment_residual(out) < 1e-10
+    assert stability_check(out)
 
 
 # ---------------------------------------------------------------------------

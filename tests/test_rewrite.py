@@ -1,6 +1,10 @@
 """Move-engine tests: swaps, gathering, gap passes, increments, replay."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +26,7 @@ from bowforge.rewrite import (
     apply_entry,
     apply_hw,
     apply_increment,
+    arc_increment,
     canonical_encoding,
     enumerate_equivalent,
     legal_swaps,
@@ -219,6 +224,20 @@ def test_subtract_arrow_arc_entry():
     assert apply_entry(out, SubtractArrowArc(amount=2), inverse=True) == d
 
 
+def test_arc_increment_undoes_subtraction():
+    # w = 2: the clockwise arc from x_1 to x_w; w = 1: a full loop
+    for text, laps in [("( 4 x 3 x 2 o 4 o )", False), ("( 3 x 2 o 4 o )", True)]:
+        d = parse_diagram(text)
+        sep = separated_view(d)
+        entry = arc_increment(d, SubtractArrowArc(amount=2))
+        assert entry == IncrementX(sep.x_ids[0], sep.x_ids[-1], Direction.CW, 2)
+        assert (entry.start == entry.end) == laps
+        out = apply_entry(d, SubtractArrowArc(amount=2))
+        assert apply_increment(out, entry) == d
+    with pytest.raises(ValueError):
+        arc_increment(parse_diagram("[ 0 o 2 x 0 ]"), SubtractArrowArc(amount=1))
+
+
 def test_cut_entry_round_trip():
     d = parse_diagram("( 4 x 3 x 2 o 0 o )")
     zero_seg = d.dims.index(0)
@@ -308,3 +327,28 @@ def test_crossing_count_dichotomy_on_random_walks():
             first_against_last = counts.get((x_first, e_last), 0)
             last_against_first = counts.get((x_last, e_first), 0)
             assert first_against_last >= 0 or last_against_first <= 0
+
+
+# ---------------------------------------------------------------------------
+# input checks survive python -O
+
+
+def test_separate_rejects_duplicate_ids_under_optimize():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    script = (
+        "from bowforge.diagram import BowDiagram, Node, NodeKind\n"
+        "from bowforge.rewrite import separate\n"
+        "d = BowDiagram((Node(0, NodeKind.ARROW), Node(0, NodeKind.XPOINT)), (1, 1))\n"
+        "try:\n"
+        "    separate(d)\n"
+        "except ValueError as exc:\n"
+        "    print(exc)\n"
+        "else:\n"
+        "    raise SystemExit('separate accepted duplicate node ids')\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert "not distinct" in result.stdout
