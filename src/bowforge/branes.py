@@ -10,11 +10,18 @@ A brane with endpoints of different kinds is *fixed*: it is pinned by
 its endpoints and cannot be deformed away.  The ledger certifies a
 supersymmetric diagram precisely when no fixed slot (ordered endpoint
 pair, sense, lap count) is occupied more than once.
+
+Both checks are recomputed in full after every move a ledger is carried
+through, so they are kept cheap: each call indexes the host's node ids
+once, coverage sums each brane's laps and its arc as a cyclic range in
+a difference array (O(k + branes)), and a swap rewrites only the
+branes whose endpoints are the swapped pair.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .diagram import (
     BowDiagram,
@@ -26,7 +33,6 @@ from .diagram import (
     MoveEntry,
     NodeKind,
     SubtractArrowArc,
-    arc_segments,
 )
 from .rewrite import apply_entry, arc_increment
 
@@ -59,30 +65,76 @@ def brane_is_fixed(d: BowDiagram, brane: Brane) -> bool:
     return d.node_by_id(brane.start).kind != d.node_by_id(brane.end).kind
 
 
+# The checks below index the host's nodes once per call instead of
+# scanning for each brane endpoint.  Ids are indexed first-match, as
+# ``BowDiagram.position`` looks them up, and a missing id raises the
+# same KeyError, start before end.
+
+
+def _positions(d: BowDiagram) -> dict[int, int]:
+    return {d.nodes[i].id: i for i in range(d.k - 1, -1, -1)}
+
+
+def _kinds(d: BowDiagram) -> dict[int, NodeKind]:
+    return {d.nodes[i].id: d.nodes[i].kind for i in range(d.k - 1, -1, -1)}
+
+
+def _missing_node(err: KeyError) -> KeyError:
+    return KeyError(f"no node with id {err.args[0]}")
+
+
+def _coverage(d: BowDiagram, branes: dict[Brane, int]) -> tuple[int, ...]:
+    """Total coverage of ``branes`` on ``d``, in O(k + len(branes)).
+
+    Laps cover every segment alike.  The open arc is a cyclic range
+    accumulated in a difference array: anticlockwise from position i to
+    j covers i .. j-1, and clockwise from i to j is the anticlockwise
+    range from j to i.  Equal endpoints give no arc.
+    """
+
+    pos = _positions(d)
+    acw = Direction.ACW
+    laps = 0
+    diff = [0] * d.k
+    try:
+        for brane, mult in branes.items():
+            i = pos[brane.start]
+            j = pos[brane.end]
+            laps += mult * brane.laps
+            if i == j:
+                continue
+            if brane.direction != acw:
+                i, j = j, i
+            diff[i] += mult
+            diff[j] -= mult
+            if i > j:
+                diff[0] += mult
+    except KeyError as err:
+        raise _missing_node(err) from None
+    return tuple(accumulate(diff, initial=laps))[1:]
+
+
 def brane_coverage(d: BowDiagram, brane: Brane) -> tuple[int, ...]:
     """How many times the brane passes over each segment."""
 
-    arc = set(arc_segments(d, brane.start, brane.end, brane.direction))
-    return tuple(brane.laps + (1 if seg in arc else 0) for seg in range(d.k))
+    return _coverage(d, {brane: 1})
 
 
 def coverage(ledger: BraneLedger) -> tuple[int, ...]:
-    total = [0] * ledger.diagram.k
-    for brane, mult in ledger.branes.items():
-        per = brane_coverage(ledger.diagram, brane)
-        for seg in range(ledger.diagram.k):
-            total[seg] += mult * per[seg]
-    return tuple(total)
+    return _coverage(ledger.diagram, ledger.branes)
 
 
 def ledger_is_susy(ledger: BraneLedger) -> bool:
     """No fixed slot may hold more than one brane."""
 
-    return all(
-        mult <= 1
-        for brane, mult in ledger.branes.items()
-        if brane_is_fixed(ledger.diagram, brane)
-    )
+    kinds = _kinds(ledger.diagram)
+    try:
+        for brane, mult in ledger.branes.items():
+            if kinds[brane.start] != kinds[brane.end] and mult > 1:
+                return False
+    except KeyError as err:
+        raise _missing_node(err) from None
+    return True
 
 
 def check_ledger(ledger: BraneLedger) -> list[str]:
@@ -90,16 +142,16 @@ def check_ledger(ledger: BraneLedger) -> list[str]:
 
     problems = []
     d = ledger.diagram
-    ids = {node.id for node in d.nodes}
+    kinds = _kinds(d)
     for brane, mult in ledger.branes.items():
         if mult < 1:
             problems.append(f"brane {brane} has multiplicity {mult}")
         if brane.laps < 0:
             problems.append(f"brane {brane} has negative laps")
-        if brane.start not in ids or brane.end not in ids:
+        if brane.start not in kinds or brane.end not in kinds:
             problems.append(f"brane {brane} references missing nodes")
-        elif brane_is_fixed(d, brane):
-            if d.node_by_id(brane.start).kind != NodeKind.ARROW:
+        elif kinds[brane.start] != kinds[brane.end]:
+            if kinds[brane.start] != NodeKind.ARROW:
                 problems.append(f"fixed brane {brane} not stored arrow-first")
             if mult > 1:
                 problems.append(f"fixed slot {brane} occupied {mult} times")
@@ -194,13 +246,20 @@ def _transport_hw(
     shrink = Direction.ACW if u == left else Direction.CW
     grow = Direction.CW if shrink == Direction.ACW else Direction.ACW
 
-    out: dict[Brane, int] = {}
+    # the copy keeps the stored hashes; only the pair's branes and
+    # zero-multiplicity entries are taken out again
+    ends = {(u, xp), (xp, u)}
+    out = dict(branes)
+    pair = []
+    for key, mult in branes.items():
+        if not mult:
+            del out[key]
+        elif (key.start, key.end) in ends:
+            del out[key]
+            pair.append((key, mult))
     candidate = Brane(u, xp, shrink, 0)
     annihilated = branes.get(candidate, 0) >= 1
-    for key, mult in branes.items():
-        if {key.start, key.end} != {u, xp}:
-            _put(out, key, mult)
-            continue
+    for key, mult in pair:
         m = mult
         if key == candidate and annihilated:
             m -= 1
@@ -220,8 +279,9 @@ def ledger_apply_move(
 ) -> BraneLedger:
     """Advance host and branes together through one move.
 
-    The coverage identity is checked after the move; a failure means
-    the ledger did not match its host to begin with.
+    The coverage identity is recomputed after the move and raises
+    ValueError when it fails, which means the ledger did not match its
+    host to begin with.
     """
 
     d = ledger.diagram
@@ -251,7 +311,12 @@ def ledger_apply_move(
         raise ValueError(f"unknown move entry {entry!r}")
 
     result = BraneLedger(diagram=host, branes=branes)
-    assert coverage(result) == host.dims, "brane coverage lost track of the host"
+    got = coverage(result)
+    if got != host.dims:
+        raise ValueError(
+            f"brane coverage {got} lost track of the host dims {host.dims}; "
+            "the ledger did not match its host"
+        )
     return result
 
 

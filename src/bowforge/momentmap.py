@@ -593,9 +593,10 @@ def _extend_arc_unit(
 def extend_increment(sol: Solution, entry, c: complex | None = None) -> Solution:
     """Exactly extend a level-zero solution along one increment entry.
 
-    The optional shift scalar applies to arcs between two x points; when
-    omitted, one is chosen clear of the end triangles' spectra for each
-    unit.
+    The optional shift scalar applies to arcs between two x points.  A
+    given shift is used for the first unit only: that unit puts it on
+    the end triangles' diagonals, so every later unit, and every unit
+    when it is omitted, chooses one clear of the end triangles' spectra.
     """
 
     if not isinstance(entry, (IncrementArrows, IncrementX)):
@@ -603,6 +604,7 @@ def extend_increment(sol: Solution, entry, c: complex | None = None) -> Solution
     out = sol
     for _ in range(entry.amount):
         out = _extend_arc_unit(out, entry, c)
+        c = None
     return out
 
 

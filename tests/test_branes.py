@@ -1,6 +1,8 @@
 """Brane ledger construction and transport tests."""
 
+import hashlib
 import itertools
+import json
 
 import pytest
 
@@ -55,6 +57,10 @@ def test_ledger_checks():
     assert any("coverage" in p for p in check_ledger(bad))
     orphan = BraneLedger(d, {Brane(0, 9, ACW, 0): 1})
     assert any("missing nodes" in p for p in check_ledger(orphan))
+    with pytest.raises(KeyError, match="no node with id 9"):
+        coverage(orphan)
+    with pytest.raises(KeyError, match="no node with id 9"):
+        ledger_is_susy(orphan)
 
 
 def test_ledger_json_round_trip():
@@ -262,3 +268,29 @@ def test_synthesize_finite_sweep_small():
         assert check_ledger(ledger) == []
         checked += 1
     assert checked > 10
+
+
+# The digest of every ledger that synthesize builds on the supersymmetric
+# affine diagrams with k <= 4 and dims 0..3, one canonical JSON line
+# each, in sweep order.  It pins the ledgers themselves, not only their
+# validity, so a faster transport or check must reproduce them exactly.
+LEDGER_SWEEP_COUNT = 3384
+LEDGER_SWEEP_SHA256 = "96dd8a8a91a24ae3560ce5023ccdf386fed4c30fa631469542d5a00bd19119d4"
+
+
+def test_synthesize_ledger_guard():
+    digest = hashlib.sha256()
+    count = 0
+    for k in range(2, 5):
+        for kinds in itertools.product("ox", repeat=k):
+            if "o" not in kinds or "x" not in kinds:
+                continue
+            for dims in itertools.product(range(4), repeat=k):
+                d = parse_diagram("( " + " ".join(f"{v} {c}" for v, c in zip(dims, kinds)) + " )")
+                if not decide_supersymmetry(d).verdict:
+                    continue
+                line = json.dumps(ledger_to_json(synthesize(d)), sort_keys=True, separators=(",", ":"))
+                digest.update(line.encode() + b"\n")
+                count += 1
+    assert count == LEDGER_SWEEP_COUNT
+    assert digest.hexdigest() == LEDGER_SWEEP_SHA256

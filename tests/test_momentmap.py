@@ -233,6 +233,18 @@ def test_extend_x_segment_shift_choices():
         extend_increment(base, entry, c=complex(spectrum[0]))
 
 
+def test_extend_x_segment_explicit_shift_several_units():
+    # the given shift serves the first unit; later units pick their own
+    base = construct_solution(parse_diagram("( 1 o 2 x 2 x 1 o )"), seed=2)
+    entry = IncrementX(start=1, end=2, direction=ACW, amount=2)
+    out = extend_increment(base, entry, c=7.5)
+    assert out.diagram == apply_entry(base.diagram, entry)
+    assert moment_residual(out) <= 1e-12
+    assert stability_check(out)
+    spectrum = np.linalg.eigvals(out.triangles[1].B_out)
+    assert np.sum(np.isclose(spectrum, 7.5)) == 1
+
+
 # ---------------------------------------------------------------------------
 # exact transport across a swap
 

@@ -352,3 +352,25 @@ def test_separate_rejects_duplicate_ids_under_optimize():
     )
     assert result.returncode == 0, result.stderr
     assert "not distinct" in result.stdout
+
+
+def test_ledger_move_rejects_mismatched_host_under_optimize():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    # branes for dims (1, 1) on a host with dims (5, 5)
+    script = (
+        "from bowforge.branes import Brane, BraneLedger, ledger_apply_move\n"
+        "from bowforge.diagram import Direction, HwMove, parse_diagram\n"
+        "ledger = BraneLedger(parse_diagram('( 5 x 5 o )'), {Brane(0, 0, Direction.CW, 1): 1})\n"
+        "try:\n"
+        "    ledger_apply_move(ledger, HwMove(left=1, right=0))\n"
+        "except ValueError as exc:\n"
+        "    print(exc)\n"
+        "else:\n"
+        "    raise SystemExit('ledger_apply_move accepted a ledger that does not match its host')\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert "lost track of the host" in result.stdout
