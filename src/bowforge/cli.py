@@ -12,6 +12,7 @@ Exit codes: 0 success or positive verdict, 1 negative verdict,
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import os
 import sys
@@ -251,6 +252,8 @@ def _parse_level(raw: str | None, d: BowDiagram) -> dict[int, complex]:
         parts = [complex(tok) for tok in raw.split(",")]
     except ValueError:
         raise UsageError(f"cannot parse level values from {raw!r}")
+    if not all(cmath.isfinite(part) for part in parts):
+        raise UsageError(f"level values must be finite, got {raw!r}")
     if len(parts) == 1:
         parts = parts * len(arrow_ids)
     if len(parts) != len(arrow_ids):

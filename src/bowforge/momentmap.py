@@ -19,15 +19,16 @@ increments.  The Levenberg-Marquardt solver is used only by
 arrows, and the fallback when an exact step fails.
 
 All computations use dense complex128 arrays; diagram dimensions stay
-small enough that dense linear algebra is the honest choice.
+small enough that dense linear algebra is the honest choice.  numpy is
+imported on the first matrix operation, not with the package: deciding
+and certifying are integer work, so ``check``, ``synth`` and the other
+combinatorial CLI verbs never load it.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .diagram import (
     BowDiagram,
@@ -40,6 +41,24 @@ from .diagram import (
     diagram_to_json,
 )
 from .rewrite import _increment_segments, apply_entry, arc_increment
+
+
+class _LazyNumpy:
+    """Stands in for numpy until the first attribute lookup.
+
+    That lookup imports numpy and rebinds the module global ``np`` to it,
+    so every later call reads the real module directly.
+    """
+
+    def __getattr__(self, name: str):
+        global np
+        import numpy
+
+        np = numpy
+        return getattr(numpy, name)
+
+
+np = _LazyNumpy()
 
 # ---------------------------------------------------------------------------
 # data model

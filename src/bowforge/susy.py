@@ -158,7 +158,8 @@ def check_finite_separated(sep: SeparatedForm) -> Certificate:
     if not sep.is_finite_layout:
         raise ValueError("finite separated layout required")
     n, w = sep.n, sep.w
-    assert n >= 1 and w >= 1
+    if n < 1 or w < 1:
+        raise ValueError("the finite check needs both node kinds")
     v_arr, v_x = sep.v_arr, sep.v_x
     v0 = v_arr[0]
     n_prime = v_arr.index(0)
@@ -248,7 +249,8 @@ def reduce_to_finite(sep: SeparatedForm) -> tuple[SeparatedForm, MoveLog] | Nega
         if sep.is_finite_layout:
             return sep, ()
         return _push_until_layout(sep.diagram, [])
-    assert sep.n >= 1 and sep.w >= 1, "reduction needs both node kinds"
+    if sep.n < 1 or sep.w < 1:
+        raise ValueError("reduction needs both node kinds")
     res = normalize_gap(sep)
     if isinstance(res, NegativeWitness):
         return res

@@ -136,7 +136,8 @@ class WeightTriple:
 def separated_triple(sep: SeparatedForm) -> WeightTriple:
     """Consecutive differences along both arcs, plus the shared corner."""
 
-    assert sep.n >= 1 and sep.w >= 1
+    if sep.n < 1 or sep.w < 1:
+        raise ValueError("a weight triple needs both node kinds")
     tlam = tuple(sep.v_arr[s - 1] - sep.v_arr[s] for s in range(1, sep.n + 1))
     mu = tuple(sep.v_x[i - 1] - sep.v_x[i] for i in range(1, sep.w + 1))
     return WeightTriple(tlam=tlam, mu=mu, v=sep.v_arr[-1])

@@ -222,6 +222,9 @@ MALFORMED = {
     "move-without-nodes": (["hw", "--replay", "{file}", "( 1 x 1 o )"], '[{"op": "hw"}]'),
     "negative-budget": (["equiv", "--budget", "-1", "( 1 x 1 o )"], None),
     "stratum-one-kind": (["stratum", "( 2 o 3 o )"], None),
+    "level-nan": (["solve", "( 1 o 1 x )", "--lambda", "nan"], None),
+    "level-inf": (["solve", "( 1 o 1 x )", "--lambda", "inf"], None),
+    "level-nonfinite-part": (["solve", "( 1 o 1 x 1 o 1 x )", "--lambda", "1,-infj"], None),
 }
 
 

@@ -354,6 +354,35 @@ def test_separate_rejects_duplicate_ids_under_optimize():
     assert "not distinct" in result.stdout
 
 
+ONE_KIND_CALLS = {
+    "check_finite_separated": ("bowforge.susy", "check_finite_separated", "[ 0 x 2 x 0 ]", "the finite check"),
+    "reduce_to_finite": ("bowforge.susy", "reduce_to_finite", "( 1 o 2 o )", "reduction"),
+    "separated_triple": ("bowforge.weights", "separated_triple", "( 1 o 2 o )", "a weight triple"),
+}
+
+
+@pytest.mark.parametrize("module, func, text, what", ONE_KIND_CALLS.values(), ids=ONE_KIND_CALLS.keys())
+def test_one_node_kind_is_rejected_under_optimize(module, func, text, what):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    script = (
+        "from bowforge.diagram import parse_diagram, separated_view\n"
+        f"from {module} import {func} as call\n"
+        f"view = separated_view(parse_diagram({text!r}))\n"
+        "try:\n"
+        "    result = call(view)\n"
+        "except ValueError as exc:\n"
+        "    print(exc)\n"
+        "else:\n"
+        "    raise SystemExit(f'accepted a one-kind layout: {result}')\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == f"{what} needs both node kinds"
+
+
 def test_ledger_move_rejects_mismatched_host_under_optimize():
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
