@@ -333,9 +333,19 @@ def test_crossing_count_dichotomy_on_random_walks():
 # input checks survive python -O
 
 
-def test_separate_rejects_duplicate_ids_under_optimize():
+def run_optimized(script: str) -> str:
+    """Run ``script`` under ``python -O`` against this checkout; return its stdout."""
+
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
+def test_separate_rejects_duplicate_ids_under_optimize():
     script = (
         "from bowforge.diagram import BowDiagram, Node, NodeKind\n"
         "from bowforge.rewrite import separate\n"
@@ -347,11 +357,7 @@ def test_separate_rejects_duplicate_ids_under_optimize():
         "else:\n"
         "    raise SystemExit('separate accepted duplicate node ids')\n"
     )
-    result = subprocess.run(
-        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60
-    )
-    assert result.returncode == 0, result.stderr
-    assert "not distinct" in result.stdout
+    assert "not distinct" in run_optimized(script)
 
 
 ONE_KIND_CALLS = {
@@ -363,8 +369,6 @@ ONE_KIND_CALLS = {
 
 @pytest.mark.parametrize("module, func, text, what", ONE_KIND_CALLS.values(), ids=ONE_KIND_CALLS.keys())
 def test_one_node_kind_is_rejected_under_optimize(module, func, text, what):
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     script = (
         "from bowforge.diagram import parse_diagram, separated_view\n"
         f"from {module} import {func} as call\n"
@@ -376,16 +380,10 @@ def test_one_node_kind_is_rejected_under_optimize(module, func, text, what):
         "else:\n"
         "    raise SystemExit(f'accepted a one-kind layout: {result}')\n"
     )
-    result = subprocess.run(
-        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60
-    )
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == f"{what} needs both node kinds"
+    assert run_optimized(script).strip() == f"{what} needs both node kinds"
 
 
 def test_ledger_move_rejects_mismatched_host_under_optimize():
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     # branes for dims (1, 1) on a host with dims (5, 5)
     script = (
         "from bowforge.branes import Brane, BraneLedger, ledger_apply_move\n"
@@ -398,8 +396,4 @@ def test_ledger_move_rejects_mismatched_host_under_optimize():
         "else:\n"
         "    raise SystemExit('ledger_apply_move accepted a ledger that does not match its host')\n"
     )
-    result = subprocess.run(
-        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60
-    )
-    assert result.returncode == 0, result.stderr
-    assert "lost track of the host" in result.stdout
+    assert "lost track of the host" in run_optimized(script)
