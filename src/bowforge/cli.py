@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -263,7 +264,14 @@ def _parse_level(raw: str | None, d: BowDiagram) -> dict[int, complex]:
     return dict(zip(arrow_ids, parts, strict=True))
 
 
+def _check_tol(tol: float | None) -> float | None:
+    if tol is not None and not (math.isfinite(tol) and tol >= 0):
+        raise UsageError(f"--tol must be finite and non-negative, got {tol!r}")
+    return tol
+
+
 def _cmd_solve(args) -> int:
+    _check_tol(args.tol)
     d = _load_diagram(args.diagram)
     lam = _parse_level(getattr(args, "level", None), d)
     seed = args.seed if args.seed is not None else _default_seed()
@@ -292,8 +300,9 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    tol = _check_tol(args.tol)
     sol = _load_json_file(args.sol, solution_from_json, "solution")
-    threshold = args.tol if args.tol is not None else _accept_threshold(sol.lam)
+    threshold = tol if tol is not None else _accept_threshold(sol.lam)
     report = settle(sol, threshold)
     payload = {
         "residual": sol.residual,

@@ -18,6 +18,14 @@ increments.  The Levenberg-Marquardt solver is used only by
 ``solve_numeric``, which serves non-zero levels, diagrams without
 arrows, and the fallback when an exact step fails.
 
+The exact steps replace maps and never write into them: a step builds
+new arrays for the nodes it touches and leaves every other node's maps
+shared with its input, so a construction chain copies no matrix it
+does not change.  The steps compute no residual and no stability;
+``settle`` does both, once, on the finished zero.  The public
+``transport_hw_solution`` and ``extend_increment`` return solutions
+that share no array with their argument.
+
 All computations use dense complex128 arrays; diagram dimensions stay
 small enough that dense linear algebra is the honest choice.  numpy is
 imported on the first matrix operation, not with the package: deciding
@@ -28,7 +36,7 @@ combinatorial CLI verbs never load it.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .diagram import (
     BowDiagram,
@@ -85,6 +93,14 @@ class ArrowData:
 
 @dataclass
 class Solution:
+    """Maps on every node of a diagram, with the verdict ``settle`` gave.
+
+    ``residual``, ``converged`` and ``stable`` are computed together by
+    ``settle``; a solution between two exact steps carries stale ones.
+    Code that builds a solution from another replaces its maps and never
+    writes into them, so two solutions may share an array.
+    """
+
     diagram: BowDiagram
     triangles: dict[int, TriangleData]
     arrows: dict[int, ArrowData]
@@ -138,14 +154,14 @@ def residual_blocks(sol: Solution) -> list[np.ndarray]:
     for seg in range(k):
         left = d.nodes[seg]
         right = d.nodes[(seg + 1) % k]
-        m = d.dims[seg]
-        block = np.zeros((m, m), dtype=complex)
         if left.kind == NodeKind.ARROW:
             ad = sol.arrows[left.id]
-            block = block + ad.C @ ad.D
-            block = block - complex(sol.lam.get(left.id, 0.0)) * np.eye(m)
+            block = ad.C @ ad.D
+            lam = complex(sol.lam.get(left.id, 0.0))
+            if lam:
+                block = block - lam * np.eye(d.dims[seg])
         else:
-            block = block - sol.triangles[left.id].B_out
+            block = -sol.triangles[left.id].B_out
         if right.kind == NodeKind.ARROW:
             ad = sol.arrows[right.id]
             block = block - ad.D @ ad.C
@@ -162,7 +178,7 @@ def residual_blocks(sol: Solution) -> list[np.ndarray]:
 def moment_residual(sol: Solution) -> float:
     total = 0.0
     for block in residual_blocks(sol):
-        total += float(np.sum(np.abs(block) ** 2))
+        total += np.vdot(block, block).real
     return float(np.sqrt(total))
 
 
@@ -499,6 +515,8 @@ def _extend_block(mat: np.ndarray, rows: int, cols: int) -> np.ndarray:
 
 
 def _copy_solution(sol: Solution) -> Solution:
+    """A solution that shares no array with ``sol``."""
+
     return Solution(
         diagram=sol.diagram,
         triangles={
@@ -549,6 +567,9 @@ def _extend_arc_unit(
 ) -> Solution:
     """Grow every segment of the entry's arc by one dimension, exactly.
 
+    Copy-on-write: nodes on the arc get new maps, the others keep the
+    input's arrays, and no residual is computed.
+
     Every segment block gains the entry -c from its anticlockwise node
     and +c from its clockwise node.  Inside the arc an arrow gets the
     pair C = 1, D = -c and an x point the unit in A.  An x point ending
@@ -569,43 +590,59 @@ def _extend_arc_unit(
         c = _pick_shift([m for t in ends for m in (t.B_in, t.B_out)], c)
     else:
         c = 0j
-    out = _copy_solution(sol)
+    triangles = dict(sol.triangles)
+    arrows = dict(sol.arrows)
     for pos, node in enumerate(d.nodes):
         grow_in = (pos - 1) % d.k in covered
         grow_out = pos in covered
         if not (grow_in or grow_out):
             continue
         if node.kind == NodeKind.ARROW:
-            ad = out.arrows[node.id]
+            ad = arrows[node.id]
             # head rows track the outgoing segment, tail columns the incoming
-            ad.C = _extend_block(ad.C, grow_out, grow_in)
-            ad.D = _extend_block(ad.D, grow_in, grow_out)
+            C = _extend_block(ad.C, grow_out, grow_in)
+            D = _extend_block(ad.D, grow_in, grow_out)
             if grow_in and grow_out:
-                ad.C[-1, -1] = 1.0
-                ad.D[-1, -1] = -c
+                C[-1, -1] = 1.0
+                D[-1, -1] = -c
+            arrows[node.id] = ArrowData(C=C, D=D)
             continue
-        t = out.triangles[node.id]
+        t = triangles[node.id]
+        A, B_in, B_out, a, b = t.A, t.B_in, t.B_out, t.a, t.b
         if grow_in and grow_out:
             # a full loop is its own outgoing end: b feeds the new row
             loop = node.id == entry.start == entry.end
-            row = t.b @ _shifted_inv(t.B_in, c) if loop else np.zeros((1, t.A.shape[1]))
-            t.A = np.block([[t.A, np.zeros((t.A.shape[0], 1))], [row, np.ones((1, 1))]])
-            t.a = np.vstack([t.a, np.full((1, 1), 1.0 if loop else 0.0)])
-            t.b = _extend_block(t.b, 0, 1)
+            row = b @ _shifted_inv(B_in, c) if loop else np.zeros((1, A.shape[1]))
+            A = np.block([[A, np.zeros((A.shape[0], 1))], [row, np.ones((1, 1))]])
+            a = np.vstack([a, np.full((1, 1), 1.0 if loop else 0.0)])
+            b = _extend_block(b, 0, 1)
         elif grow_out:
-            t.A = np.vstack([t.A, t.b @ _shifted_inv(t.B_in, c)])
-            t.a = np.vstack([t.a, np.ones((1, 1))])
+            A = np.vstack([A, b @ _shifted_inv(B_in, c)])
+            a = np.vstack([a, np.ones((1, 1))])
         else:
-            t.A = np.hstack([t.A, -_shifted_inv(t.B_out, c) @ t.a])
-            t.b = np.hstack([t.b, np.ones((1, 1))])
+            A = np.hstack([A, -_shifted_inv(B_out, c) @ a])
+            b = np.hstack([b, np.ones((1, 1))])
         if grow_in:
-            t.B_in = _extend_block(t.B_in, 1, 1)
-            t.B_in[-1, -1] = c
+            B_in = _extend_block(B_in, 1, 1)
+            B_in[-1, -1] = c
         if grow_out:
-            t.B_out = _extend_block(t.B_out, 1, 1)
-            t.B_out[-1, -1] = c
+            B_out = _extend_block(B_out, 1, 1)
+            B_out[-1, -1] = c
+        triangles[node.id] = TriangleData(A=A, B_in=B_in, B_out=B_out, a=a, b=b)
     dims = tuple(v + (1 if seg in covered else 0) for seg, v in enumerate(d.dims))
-    out.diagram = BowDiagram(nodes=d.nodes, dims=dims, cut=d.cut)
+    host = BowDiagram(nodes=d.nodes, dims=dims, cut=d.cut)
+    return replace(sol, diagram=host, triangles=triangles, arrows=arrows)
+
+
+def _increment_step(sol: Solution, entry, c: complex | None = None) -> Solution:
+    """``extend_increment`` without the final copy: untouched maps stay shared."""
+
+    if not isinstance(entry, (IncrementArrows, IncrementX)):
+        raise ValueError(f"cannot extend along {entry!r}")
+    out = sol
+    for _ in range(entry.amount):
+        out = _extend_arc_unit(out, entry, c)
+        c = None
     return out
 
 
@@ -616,15 +653,10 @@ def extend_increment(sol: Solution, entry, c: complex | None = None) -> Solution
     given shift is used for the first unit only: that unit puts it on
     the end triangles' diagonals, so every later unit, and every unit
     when it is omitted, chooses one clear of the end triangles' spectra.
+    The result shares no array with ``sol``.
     """
 
-    if not isinstance(entry, (IncrementArrows, IncrementX)):
-        raise ValueError(f"cannot extend along {entry!r}")
-    out = sol
-    for _ in range(entry.amount):
-        out = _extend_arc_unit(out, entry, c)
-        c = None
-    return out
+    return _copy_solution(_increment_step(sol, entry, c))
 
 
 # ---------------------------------------------------------------------------
@@ -657,7 +689,7 @@ def _kernel_with_dim(mat: np.ndarray, want: int) -> np.ndarray:
     return vh[rank:].conj().T
 
 
-def transport_hw_solution(sol: Solution, left: int, right: int) -> Solution:
+def _swap_step(sol: Solution, left: int, right: int) -> Solution:
     """Exactly carry a level-zero stable zero across one swap.
 
     The two named nodes must sit on adjacent positions in that order.
@@ -665,7 +697,8 @@ def transport_hw_solution(sol: Solution, left: int, right: int) -> Solution:
     replaces it; the new maps come from an orthonormal kernel (x before
     arrow) or cokernel (arrow before x) basis of the three maps stacked
     over the disappearing segment, so no numerical search is involved
-    and the residual stays at the input level.
+    and the residual stays at the input level.  Copy-on-write: only the
+    two swapped nodes get new maps, and no residual is computed.
     """
 
     if any(abs(complex(v)) > 0 for v in sol.lam.values()):
@@ -679,8 +712,8 @@ def transport_hw_solution(sol: Solution, left: int, right: int) -> Solution:
     v_minus = d.dims[(pos_l - 1) % d.k]
     v_plus = d.dims[pos_r]
     v_new = host.dims[pos_l]
-    out = _copy_solution(sol)
-    out.diagram = host
+    triangles = dict(sol.triangles)
+    arrows = dict(sol.arrows)
 
     if d.node_by_id(left).kind == NodeKind.XPOINT:
         # x moves right past the arrow; the new segment is the kernel
@@ -692,8 +725,8 @@ def transport_hw_solution(sol: Solution, left: int, right: int) -> Solution:
         k_tail = basis[v_minus + v_plus :]
         stack = np.vstack([-t.B_in, -ad.C @ t.A, t.b])
         c_new = basis.conj().T @ stack
-        out.arrows[right] = ArrowData(C=c_new, D=k_minus)
-        out.triangles[left] = TriangleData(
+        arrows[right] = ArrowData(C=c_new, D=k_minus)
+        triangles[left] = TriangleData(
             A=basis[v_minus : v_minus + v_plus],
             B_in=-c_new @ k_minus,
             B_out=-ad.C @ ad.D,
@@ -712,14 +745,25 @@ def transport_hw_solution(sol: Solution, left: int, right: int) -> Solution:
         q_tail = basis[v_minus + v_plus :]
         c_new = -t.A @ ad.C @ q_minus - t.B_out @ q_plus - t.a @ q_tail
         d_new = q_plus.conj().T
-        out.arrows[left] = ArrowData(C=c_new, D=d_new)
-        out.triangles[right] = TriangleData(
+        arrows[left] = ArrowData(C=c_new, D=d_new)
+        triangles[right] = TriangleData(
             A=q_minus.conj().T,
             B_in=-ad.D @ ad.C,
             B_out=-d_new @ c_new,
             a=q_tail.conj().T,
             b=t.b @ ad.C,
         )
+    return replace(sol, diagram=host, triangles=triangles, arrows=arrows)
+
+
+def transport_hw_solution(sol: Solution, left: int, right: int) -> Solution:
+    """The exact swap transport as a standalone solution.
+
+    The result shares no array with ``sol`` and carries its recomputed
+    residual; stability is left to ``settle``.
+    """
+
+    out = _copy_solution(_swap_step(sol, left, right))
     out.residual = moment_residual(out)
     return out
 
@@ -744,22 +788,24 @@ def _generic_basis(sol: Solution) -> Solution:
     bases = []
     for m in d.dims:
         z = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(m * m)]
-        bases.append(np.linalg.qr(np.array(z).reshape(m, m))[0])
-    out = _copy_solution(sol)
-    for pos, node in enumerate(d.nodes):
-        g_in, g_out = bases[(pos - 1) % d.k], bases[pos]
-        if node.kind == NodeKind.XPOINT:
-            t = out.triangles[node.id]
-            t.A = g_out @ t.A @ g_in.conj().T
-            t.B_in = g_in @ t.B_in @ g_in.conj().T
-            t.B_out = g_out @ t.B_out @ g_out.conj().T
-            t.a = g_out @ t.a
-            t.b = t.b @ g_in.conj().T
-        else:
-            ad = out.arrows[node.id]
-            ad.C = g_out @ ad.C @ g_in.conj().T
-            ad.D = g_in @ ad.D @ g_out.conj().T
-    return out
+        g = np.linalg.qr(np.array(z).reshape(m, m))[0]
+        bases.append((g, g.conj().T))
+    sides = {node.id: (bases[(pos - 1) % d.k], bases[pos]) for pos, node in enumerate(d.nodes)}
+    triangles = {}
+    for nid, t in sol.triangles.items():
+        (g_in, h_in), (g_out, h_out) = sides[nid]
+        triangles[nid] = TriangleData(
+            A=g_out @ t.A @ h_in,
+            B_in=g_in @ t.B_in @ h_in,
+            B_out=g_out @ t.B_out @ h_out,
+            a=g_out @ t.a,
+            b=t.b @ h_in,
+        )
+    arrows = {}
+    for nid, ad in sol.arrows.items():
+        (g_in, h_in), (g_out, h_out) = sides[nid]
+        arrows[nid] = ArrowData(C=g_out @ ad.C @ h_in, D=g_in @ ad.D @ h_out)
+    return replace(sol, triangles=triangles, arrows=arrows)
 
 
 def construct_solution(d: BowDiagram, seed: int = 0) -> Solution:
@@ -769,7 +815,9 @@ def construct_solution(d: BowDiagram, seed: int = 0) -> Solution:
     exact swap transports and increments, then walks the decision
     pipeline backwards to the original diagram: swaps by transport, arc
     subtractions by the increment that undoes them.  Every step is exact
-    linear algebra, so the result does not depend on ``seed``.  Only
+    linear algebra, so the result does not depend on ``seed``; the steps
+    share untouched maps, and ``settle`` computes the residual and the
+    stability once, on the finished zero.  Only
     diagrams without arrows, and a failed exact path, go to the
     numerical search of ``solve_numeric`` with that seed; an unconverged
     result is returned rather than raised.
@@ -829,7 +877,7 @@ def construct_solution(d: BowDiagram, seed: int = 0) -> Solution:
     sol: Solution | None = zero_solution(fix_led.diagram)
     try:
         for entry in reversed(staging):
-            sol = transport_hw_solution(sol, entry.right, entry.left)
+            sol = _swap_step(sol, entry.right, entry.left)
         # unfixed branes are increments on top of the fixed skeleton
         for brane in sorted(
             unfixed, key=lambda br: (br.start, br.end, br.direction.value, br.laps)
@@ -837,19 +885,18 @@ def construct_solution(d: BowDiagram, seed: int = 0) -> Solution:
             assert brane.laps == 0
             kind = fin.diagram.node_by_id(brane.start).kind
             increment = IncrementArrows if kind == NodeKind.ARROW else IncrementX
-            sol = extend_increment(
+            sol = _increment_step(
                 sol, increment(brane.start, brane.end, brane.direction, unfixed[brane])
             )
         assert sol.diagram == fin.diagram
 
         for entry in reversed(cert.pipeline):
             if isinstance(entry, CutAt):
-                sol = _copy_solution(sol)
-                sol.diagram = apply_entry(sol.diagram, entry, inverse=True)
+                sol = replace(sol, diagram=apply_entry(sol.diagram, entry, inverse=True))
             elif isinstance(entry, HwMove):
-                sol = transport_hw_solution(sol, entry.right, entry.left)
+                sol = _swap_step(sol, entry.right, entry.left)
             else:
-                sol = extend_increment(sol, arc_increment(sol.diagram, entry))
+                sol = _increment_step(sol, arc_increment(sol.diagram, entry))
         assert sol.diagram == d
     except ValueError:
         sol = None
@@ -926,7 +973,7 @@ def solution_from_json(data: dict) -> Solution:
         ad.D = _matrix_from_json(fields["D"], ad.D.shape)
     meta = data.get("meta", {})
     sol.seed = meta.get("seed")
-    sol.residual = float(meta.get("residual", moment_residual(sol)))
+    sol.residual = float(meta["residual"]) if "residual" in meta else moment_residual(sol)
     sol.converged = bool(meta.get("converged", False))
     sol.stable = bool(meta.get("stable", False))
     return sol

@@ -369,6 +369,7 @@ def test_criterion_8_moment_map(capsys):
             problems.append(f"closed form ({v1},{m}): stability failed")
 
     solved = 0
+    worst = 0.0
     for d in _affine_sweep(4, range(4)):
         if not decide_supersymmetry(d).verdict:
             continue
@@ -379,6 +380,7 @@ def test_criterion_8_moment_map(capsys):
                 f"converged {sol.converged}, stable {sol.stable}"
             )
         solved += 1
+        worst = max(worst, sol.residual)
 
     d = parse_diagram("( 1 x 2 o 2 x 1 o )")
     layout, size = _param_layout(d)
@@ -405,7 +407,12 @@ def test_criterion_8_moment_map(capsys):
     elapsed = time.perf_counter() - t0
     if elapsed >= 600.0:
         problems.append(f"moment-map suite took {elapsed:.0f} s")
-    _report(capsys, 8, problems, f"{solved} constructed zeros in {elapsed:.1f} s")
+    _report(
+        capsys,
+        8,
+        problems,
+        f"{solved} constructed zeros, worst residual {worst:.2e}, in {elapsed:.1f} s",
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 
 from bowforge.cli import main
 from bowforge.diagram import parse_diagram, render_diagram
+from bowforge.momentmap import construct_solution, solution_to_json
 
 
 def run(capsys, *argv):
@@ -225,12 +226,21 @@ MALFORMED = {
     "level-nan": (["solve", "( 1 o 1 x )", "--lambda", "nan"], None),
     "level-inf": (["solve", "( 1 o 1 x )", "--lambda", "inf"], None),
     "level-nonfinite-part": (["solve", "( 1 o 1 x 1 o 1 x )", "--lambda", "1,-infj"], None),
+    "solve-tol-nan": (["solve", "( 2 x 2 o )", "--tol", "nan"], None),
+    "solve-tol-inf": (["solve", "( 2 x 2 o )", "--tol", "inf"], None),
+    "solve-tol-negative": (["solve", "( 2 x 2 o )", "--tol", "-1"], None),
+    "verify-tol-nan": (["verify", "--sol", "{file}", "--tol", "nan"], "{solution}"),
+    "verify-tol-minus-inf": (["verify", "--sol", "{file}", "--tol=-inf"], "{solution}"),
+    "verify-tol-negative": (["verify", "--sol", "{file}", "--tol=-1e-9"], "{solution}"),
 }
 
 
 @pytest.mark.parametrize("argv, content", MALFORMED.values(), ids=MALFORMED.keys())
 def test_malformed_input_is_a_usage_error(capsys, tmp_path, argv, content):
     target = tmp_path / "input.json"
+    if content == "{solution}":
+        # a valid stored zero, so only the flag under test is malformed
+        content = json.dumps(solution_to_json(construct_solution(parse_diagram("( 2 x 2 o )"))))
     if content is not None:
         target.write_text(content)
     argv = [arg.replace("{file}", str(target)) for arg in argv]

@@ -411,6 +411,81 @@ def test_construct_ignores_seed():
         assert np.array_equal(ad.D, two.arrows[nid].D)
 
 
+@pytest.mark.parametrize("text", [*K10_REGRESSIONS, "( 1 o 1 x 0 x )"])
+def test_construct_computes_one_residual(text, monkeypatch):
+    # the exact steps carry no residual; settle computes the only one
+    calls = {"residual_blocks": 0, "solve_lm": 0}
+
+    def counted(name):
+        original = getattr(momentmap, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(momentmap, name, wrapper)
+
+    counted("residual_blocks")
+    counted("solve_lm")
+    sol = construct_solution(parse_diagram(text), seed=0)
+    assert sol.converged and sol.stable
+    assert calls == {"residual_blocks": 1, "solve_lm": 0}
+
+
+def _maps(sol):
+    for t in sol.triangles.values():
+        yield from (t.A, t.B_in, t.B_out, t.a, t.b)
+    for ad in sol.arrows.values():
+        yield from (ad.C, ad.D)
+
+
+def _snapshot(sol):
+    return [mat.copy() for mat in _maps(sol)]
+
+
+def _public_steps(base):
+    # both swap directions, an arrow arc, an x arc and a full x loop
+    return [
+        transport_hw_solution(base, 0, 1),
+        transport_hw_solution(base, 2, 3),
+        extend_increment(base, IncrementArrows(start=0, end=3, direction=CW, amount=2)),
+        extend_increment(base, IncrementX(start=1, end=2, direction=ACW, amount=1)),
+        extend_increment(base, IncrementX(start=1, end=1, direction=CW, amount=1)),
+    ]
+
+
+def test_public_steps_share_no_array_with_their_input():
+    base = construct_solution(parse_diagram("( 1 o 2 x 2 x 1 o )"), seed=2)
+    before = moment_residual(base)
+    for out in _public_steps(base):
+        assert not any(np.shares_memory(x, y) for x in _maps(out) for y in _maps(base))
+        for mat in _maps(out):
+            mat += 1.0
+        assert moment_residual(base) == before
+
+
+def test_construct_chain_steps_share_but_never_write():
+    # inside construct_solution a step keeps the untouched nodes' maps
+    # and leaves every array of its input as it was
+    base = construct_solution(parse_diagram("( 1 o 2 x 2 x 1 o )"), seed=2)
+    kept = _snapshot(base)
+    moved = momentmap._swap_step(base, 0, 1)
+    assert moved.triangles[2] is base.triangles[2]
+    assert moved.arrows[3] is base.arrows[3]
+    grown = momentmap._increment_step(base, IncrementX(start=1, end=2, direction=ACW, amount=1))
+    assert grown.arrows[0] is base.arrows[0]
+    assert grown.arrows[3] is base.arrows[3]
+    assert all(np.array_equal(x, y) for x, y in zip(_snapshot(base), kept, strict=True))
+
+
+@pytest.mark.parametrize("text", [*K10_REGRESSIONS, "( 1 o 1 x 0 x )", "( 1 x 3 o 1 x 3 o )"])
+def test_construct_result_maps_share_no_memory(text):
+    maps = list(_maps(construct_solution(parse_diagram(text), seed=0)))
+    for i, one in enumerate(maps):
+        for two in maps[i + 1 :]:
+            assert not np.shares_memory(one, two)
+
+
 def test_extend_full_x_loop_keeps_residual():
     base = construct_solution(parse_diagram("( 1 o 2 x 2 x 1 o )"), seed=2)
     entry = IncrementX(start=1, end=1, direction=CW, amount=2)
