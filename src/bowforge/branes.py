@@ -12,10 +12,12 @@ supersymmetric diagram precisely when no fixed slot (ordered endpoint
 pair, sense, lap count) is occupied more than once.
 
 Both checks are recomputed in full after every move a ledger is carried
-through, so they are kept cheap: each call indexes the host's node ids
-once, coverage sums each brane's laps and its arc as a cyclic range in
-a difference array (O(k + branes)), and a swap rewrites only the
-branes whose endpoints are the swapped pair.
+through, so they are kept cheap: one audit pass indexes the host's node
+ids once as ``{id: (position, kind)}`` and computes the coverage (each
+brane's laps plus its arc as a cyclic range in a difference array) and
+the fixed-slot occupancy together, in O(k + branes).  A move copies the
+brane dict once, and a swap rewrites only the branes whose endpoints
+are the swapped pair.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from .rewrite import apply_entry, arc_increment
 # branes and ledgers
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Brane:
     """One brane: start node to end node, travelling ``direction``.
 
@@ -65,26 +67,20 @@ def brane_is_fixed(d: BowDiagram, brane: Brane) -> bool:
     return d.node_by_id(brane.start).kind != d.node_by_id(brane.end).kind
 
 
-# The checks below index the host's nodes once per call instead of
-# scanning for each brane endpoint.  Ids are indexed first-match, as
+# The audit indexes the host's nodes once instead of scanning for each
+# brane endpoint.  Ids are indexed first-match, as
 # ``BowDiagram.position`` looks them up, and a missing id raises the
 # same KeyError, start before end.
 
 
-def _positions(d: BowDiagram) -> dict[int, int]:
-    return {d.nodes[i].id: i for i in range(d.k - 1, -1, -1)}
+def _index(d: BowDiagram) -> dict[int, tuple[int, NodeKind]]:
+    return {d.nodes[i].id: (i, d.nodes[i].kind) for i in range(d.k - 1, -1, -1)}
 
 
-def _kinds(d: BowDiagram) -> dict[int, NodeKind]:
-    return {d.nodes[i].id: d.nodes[i].kind for i in range(d.k - 1, -1, -1)}
-
-
-def _missing_node(err: KeyError) -> KeyError:
-    return KeyError(f"no node with id {err.args[0]}")
-
-
-def _coverage(d: BowDiagram, branes: dict[Brane, int]) -> tuple[int, ...]:
-    """Total coverage of ``branes`` on ``d``, in O(k + len(branes)).
+def _audit(
+    d: BowDiagram, branes: dict[Brane, int], index: dict | None = None
+) -> tuple[tuple[int, ...], bool]:
+    """Coverage of ``branes`` on ``d`` and whether every fixed slot holds at most one.
 
     Laps cover every segment alike.  The open arc is a cyclic range
     accumulated in a difference array: anticlockwise from position i to
@@ -92,15 +88,19 @@ def _coverage(d: BowDiagram, branes: dict[Brane, int]) -> tuple[int, ...]:
     range from j to i.  Equal endpoints give no arc.
     """
 
-    pos = _positions(d)
+    if index is None:
+        index = _index(d)
     acw = Direction.ACW
     laps = 0
     diff = [0] * d.k
+    susy = True
     try:
         for brane, mult in branes.items():
-            i = pos[brane.start]
-            j = pos[brane.end]
+            i, kind_i = index[brane.start]
+            j, kind_j = index[brane.end]
             laps += mult * brane.laps
+            if kind_i != kind_j and mult > 1:
+                susy = False
             if i == j:
                 continue
             if brane.direction != acw:
@@ -110,31 +110,24 @@ def _coverage(d: BowDiagram, branes: dict[Brane, int]) -> tuple[int, ...]:
             if i > j:
                 diff[0] += mult
     except KeyError as err:
-        raise _missing_node(err) from None
-    return tuple(accumulate(diff, initial=laps))[1:]
+        raise KeyError(f"no node with id {err.args[0]}") from None
+    return tuple(accumulate(diff, initial=laps))[1:], susy
 
 
 def brane_coverage(d: BowDiagram, brane: Brane) -> tuple[int, ...]:
     """How many times the brane passes over each segment."""
 
-    return _coverage(d, {brane: 1})
+    return _audit(d, {brane: 1})[0]
 
 
 def coverage(ledger: BraneLedger) -> tuple[int, ...]:
-    return _coverage(ledger.diagram, ledger.branes)
+    return _audit(ledger.diagram, ledger.branes)[0]
 
 
 def ledger_is_susy(ledger: BraneLedger) -> bool:
     """No fixed slot may hold more than one brane."""
 
-    kinds = _kinds(ledger.diagram)
-    try:
-        for brane, mult in ledger.branes.items():
-            if kinds[brane.start] != kinds[brane.end] and mult > 1:
-                return False
-    except KeyError as err:
-        raise _missing_node(err) from None
-    return True
+    return _audit(ledger.diagram, ledger.branes)[1]
 
 
 def check_ledger(ledger: BraneLedger) -> list[str]:
@@ -142,7 +135,7 @@ def check_ledger(ledger: BraneLedger) -> list[str]:
 
     problems = []
     d = ledger.diagram
-    kinds = _kinds(d)
+    kinds = {node_id: kind for node_id, (_, kind) in _index(d).items()}
     for brane, mult in ledger.branes.items():
         if mult < 1:
             problems.append(f"brane {brane} has multiplicity {mult}")
@@ -237,12 +230,11 @@ def _remove(branes: dict[Brane, int], key: Brane, mult: int) -> None:
 
 
 def _transport_hw(
-    branes: dict[Brane, int], d: BowDiagram, left: int, right: int
+    branes: dict[Brane, int], index: dict, left: int, right: int
 ) -> dict[Brane, int]:
-    kinds = {node.id: node.kind for node in d.nodes}
-    u = left if kinds[left] == NodeKind.ARROW else right
+    u = left if index[left][1] == NodeKind.ARROW else right
     xp = right if u == left else left
-    assert kinds[u] == NodeKind.ARROW and kinds[xp] == NodeKind.XPOINT
+    assert index[u][1] == NodeKind.ARROW and index[xp][1] == NodeKind.XPOINT
     shrink = Direction.ACW if u == left else Direction.CW
     grow = Direction.CW if shrink == Direction.ACW else Direction.ACW
 
@@ -274,27 +266,23 @@ def _transport_hw(
     return out
 
 
-def ledger_apply_move(
-    ledger: BraneLedger, entry: MoveEntry, inverse: bool = False
-) -> BraneLedger:
-    """Advance host and branes together through one move.
-
-    The coverage identity is recomputed after the move and raises
-    ValueError when it fails, which means the ledger did not match its
-    host to begin with.
-    """
+def _apply_move(
+    ledger: BraneLedger, entry: MoveEntry, inverse: bool
+) -> tuple[BraneLedger, bool]:
+    """:func:`ledger_apply_move` plus the moved ledger's fixed-slot verdict."""
 
     d = ledger.diagram
     if isinstance(entry, SubtractArrowArc):
         entry, inverse = arc_increment(d, entry), not inverse
     host = apply_entry(d, entry, inverse=inverse)
-    branes = dict(ledger.branes)
+    index = _index(host)
 
     if isinstance(entry, HwMove):
         left, right = (entry.right, entry.left) if inverse else (entry.left, entry.right)
-        branes = _transport_hw(branes, d, left, right)
-    elif isinstance(entry, (IncrementArrows, IncrementX)):
-        if entry.amount:
+        branes = _transport_hw(ledger.branes, index, left, right)
+    elif isinstance(entry, (IncrementArrows, IncrementX, CutAt)):
+        branes = dict(ledger.branes)
+        if not isinstance(entry, CutAt) and entry.amount:
             key = Brane(
                 start=entry.start,
                 end=entry.end,
@@ -305,19 +293,29 @@ def ledger_apply_move(
                 _remove(branes, key, entry.amount)
             else:
                 _put(branes, key, entry.amount)
-    elif isinstance(entry, CutAt):
-        pass
     else:
         raise ValueError(f"unknown move entry {entry!r}")
 
-    result = BraneLedger(diagram=host, branes=branes)
-    got = coverage(result)
+    got, susy = _audit(host, branes, index)
     if got != host.dims:
         raise ValueError(
             f"brane coverage {got} lost track of the host dims {host.dims}; "
             "the ledger did not match its host"
         )
-    return result
+    return BraneLedger(diagram=host, branes=branes), susy
+
+
+def ledger_apply_move(
+    ledger: BraneLedger, entry: MoveEntry, inverse: bool = False
+) -> BraneLedger:
+    """Advance host and branes together through one move.
+
+    The coverage identity is recomputed after the move and raises
+    ValueError when it fails, which means the ledger did not match its
+    host to begin with.
+    """
+
+    return _apply_move(ledger, entry, inverse)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -415,10 +413,10 @@ def synthesize_finite(fin) -> BraneLedger:
         lo, hi = i + 1, j + 1
         _put(branes, Brane(fin.x_ids[hi], fin.x_ids[lo - 1], Direction.CW, 0), mult)
 
-    ledger = BraneLedger(diagram=d, branes=branes)
-    assert coverage(ledger) == d.dims, "synthesized coverage does not match"
-    assert ledger_is_susy(ledger)
-    return ledger
+    got, susy = _audit(d, branes)
+    assert got == d.dims, "synthesized coverage does not match"
+    assert susy
+    return BraneLedger(diagram=d, branes=branes)
 
 
 def _synthesize_one_kind(d: BowDiagram) -> BraneLedger:
@@ -465,10 +463,11 @@ def synthesize(d: BowDiagram) -> BraneLedger:
     if d.n_arrows == 0 or d.n_xpoints == 0:
         return _synthesize_one_kind(d)
 
+    # each move re-audits coverage against its host in full, so the last
+    # one, on a host equal to d, also covers d
     ledger = synthesize_finite(fin)
     for entry in reversed(cert.pipeline):
-        ledger = ledger_apply_move(ledger, entry, inverse=True)
-        assert ledger_is_susy(ledger), "transport broke the fixed-slot bound"
+        ledger, susy = _apply_move(ledger, entry, inverse=True)
+        assert susy, "transport broke the fixed-slot bound"
     assert ledger.diagram == d
-    assert coverage(ledger) == d.dims
     return ledger

@@ -60,6 +60,13 @@ class UsageError(Exception):
     """Bad flags or unreadable input; maps to exit code 2."""
 
 
+class _Parser(argparse.ArgumentParser):
+    """Parser whose own usage errors take the one-line exit-2 path too."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
 # ---------------------------------------------------------------------------
 # input and output plumbing
 
@@ -382,7 +389,7 @@ def _cmd_transpose(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bowforge",
         description="decision procedure and certificate toolkit for bow diagrams",
     )
@@ -434,19 +441,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on usage errors already; keep that contract
-        return int(exc.code or 0)
-    try:
+        args = build_parser().parse_args(argv)
         return args.handler(args)
-    except UsageError as exc:
-        print(json.dumps({"error": str(exc)}))
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+    except SystemExit as exc:  # --help prints its text and exits 0
+        return int(exc.code or 0)
+    except (UsageError, ValueError) as exc:
         print(json.dumps({"error": str(exc)}))
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -12,6 +12,12 @@ This module owns parsing/rendering of the text grammar, the JSON
 mirrors for diagrams and move logs, structural validation, the
 separated view (all x-points contiguous) with its standard segment
 labelling, arc walks, and the reflection swapping the two node kinds.
+
+:func:`validate` runs at the public entry points: ``separated_view``,
+``render_diagram`` and the JSON codecs.  ``_separated_view`` is the
+unchecked view the rewrite passes take of diagrams they built from a
+valid one.  The value types are frozen slotted dataclasses, since a
+rewrite makes one diagram per move and a ledger holds many branes.
 """
 
 from __future__ import annotations
@@ -34,13 +40,13 @@ class Direction(str, Enum):
     ACW = "acw"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Node:
     id: int
     kind: NodeKind
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BowDiagram:
     """Circle of nodes with per-segment dimensions and an optional cut.
 
@@ -267,7 +273,7 @@ def diagram_from_json(data: dict) -> BowDiagram:
 # ---------------------------------------------------------------------------
 # move log entries
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HwMove:
     """Swap of the adjacent pair (left, right), left anticlockwise-first."""
 
@@ -275,7 +281,7 @@ class HwMove:
     right: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IncrementArrows:
     """Uniform raise along the arc from one arrow to another."""
 
@@ -285,7 +291,7 @@ class IncrementArrows:
     amount: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IncrementX:
     """Uniform raise along the arc from one x-point to another."""
 
@@ -295,14 +301,14 @@ class IncrementX:
     amount: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SubtractArrowArc:
     """Uniform drop on the arc of segments touching an arrow."""
 
     amount: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CutAt:
     """Turn an affine diagram finite by cutting a zero segment."""
 
@@ -406,7 +412,7 @@ def arc_segments(d: BowDiagram, start_id: int, end_id: int, direction: Direction
 # ---------------------------------------------------------------------------
 # separated view
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SeparatedForm:
     """Labelled view of a diagram whose x-points are contiguous.
 
@@ -455,9 +461,23 @@ def separated_view(d: BowDiagram) -> SeparatedForm | None:
     two x-points of the run (the run may not straddle the cut); it may
     sit anywhere on the arrow arc, and :attr:`SeparatedForm.is_finite_layout`
     tells whether it sits on the ``v_n`` boundary segment.
+
+    This is the checked entry point: it validates ``d`` first.  The
+    rewrite passes, which only ever produce valid diagrams from valid
+    ones, call the unchecked :func:`_separated_view` instead.
     """
 
     _require_valid(d)
+    return _separated_view(d)
+
+
+def _separated_view(d: BowDiagram) -> SeparatedForm | None:
+    """:func:`separated_view` on a diagram already known to be valid.
+
+    One O(k) scan finds the x-run; every segment label is then position
+    arithmetic from the run start, with no node-id lookups.
+    """
+
     k = d.k
     xpos = [pos for pos, node in enumerate(d.nodes) if node.kind == NodeKind.XPOINT]
     w = len(xpos)
@@ -465,20 +485,18 @@ def separated_view(d: BowDiagram) -> SeparatedForm | None:
 
     if w == 0:
         anchor = min(range(k), key=lambda pos: d.nodes[pos].id)
-        arrow_ids = [d.nodes[anchor].id]
-        for s in range(2, n + 1):
-            arrow_ids.append(d.nodes[(anchor + n - s + 1) % k].id)
+        # e_s sits at anchor - s + 1 with its tail segment just behind it;
         # with no x-points the v_0 and v_n labels land on the same segment
-        seg_arr = [anchor] + [(d.position(a) - 1) % k for a in arrow_ids]
+        arrow_ids = tuple(d.nodes[(anchor - s + 1) % k].id for s in range(1, n + 1))
+        seg_arr = tuple([anchor] + [(anchor - s) % k for s in range(1, n + 1)])
         v_arr = tuple(d.dims[s] for s in seg_arr)
-        assert seg_arr[0] == seg_arr[-1]
         return SeparatedForm(
             diagram=d,
-            arrow_ids=tuple(arrow_ids),
+            arrow_ids=arrow_ids,
             x_ids=(),
             v_arr=v_arr,
             v_x=(v_arr[0],),
-            seg_arr=tuple(seg_arr),
+            seg_arr=seg_arr,
             seg_x=(anchor,),
         )
 
@@ -506,20 +524,18 @@ def separated_view(d: BowDiagram) -> SeparatedForm | None:
 
     x_ids = tuple(d.nodes[(p1 + i) % k].id for i in range(w))
     seg_x = tuple([(p1 - 1) % k] + [(p1 + i) % k for i in range(w)])
-    arrow_ids = tuple(d.nodes[(p1 + w + (n - s)) % k].id for s in range(1, n + 1))
-    # seg_arr[0] is the head segment of e_1; seg_arr[s] the tail segment of e_s
-    seg_arr = tuple([d.position(arrow_ids[0])] + [(d.position(a) - 1) % k for a in arrow_ids])
     if d.is_finite and d.cut in seg_x[1:w]:
         return None
-    v_arr = tuple(d.dims[s] for s in seg_arr)
-    v_x = tuple(d.dims[s] for s in seg_x)
-    assert v_arr[0] == v_x[0] and v_arr[-1] == v_x[-1]
+    # e_s sits at p1 - s, so seg_arr[0] (the head segment of e_1) is
+    # p1 - 1 and seg_arr[s] (the tail segment of e_s) is p1 - 1 - s
+    arrow_ids = tuple(d.nodes[(p1 - s) % k].id for s in range(1, n + 1))
+    seg_arr = tuple((p1 - 1 - s) % k for s in range(n + 1))
     return SeparatedForm(
         diagram=d,
         arrow_ids=arrow_ids,
         x_ids=x_ids,
-        v_arr=v_arr,
-        v_x=v_x,
+        v_arr=tuple(d.dims[s] for s in seg_arr),
+        v_x=tuple(d.dims[s] for s in seg_x),
         seg_arr=seg_arr,
         seg_x=seg_x,
     )

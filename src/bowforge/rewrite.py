@@ -7,6 +7,13 @@ manipulations (gathering the x-points, normalizing the gap
 v_0 − v_{−w}, uniform arc raises) are words in that one move plus the
 two bookkeeping entries for arc subtraction and cutting, and every
 word is recorded as a replayable, invertible move log.
+
+Validation happens at the public entry points (``apply_hw``,
+``separate``, ``normalize_gap``).  Inside a word the diagram is held as
+mutable node and dimension lists with tracked positions, one
+``BowDiagram`` is built per word or pass, and separated views of those
+intermediate diagrams are taken with the unchecked
+``diagram._separated_view``: a swap of a valid diagram is valid.
 """
 
 from __future__ import annotations
@@ -27,6 +34,7 @@ from .diagram import (
     SeparatedForm,
     SubtractArrowArc,
     _require_valid,
+    _separated_view,
     arc_segments,
     separated_view,
 )
@@ -60,6 +68,23 @@ class EquivClassSample:
 # the elementary swap
 
 
+def _swap(nodes: list, dims: list, pos: int) -> int:
+    """Swap the nodes at pos and pos + 1 of mutable lists; return the new middle dim."""
+
+    k = len(nodes)
+    after = (pos + 1) % k
+    nodes[pos], nodes[after] = nodes[after], nodes[pos]
+    dims[pos] = dims[pos - 1] + dims[after] + 1 - dims[pos]
+    return dims[pos]
+
+
+def _check_swap(d: BowDiagram, nodes: list, pos: int) -> None:
+    if nodes[pos].kind == nodes[(pos + 1) % d.k].kind:
+        raise ValueError("cannot swap two nodes of the same kind")
+    if d.cut is not None and pos == d.cut:
+        raise ValueError("cannot swap across the cut segment")
+
+
 def apply_hw(d: BowDiagram, left: int, right: int) -> BowDiagram:
     """Swap the adjacent pair, left immediately anticlockwise-before right.
 
@@ -68,23 +93,12 @@ def apply_hw(d: BowDiagram, left: int, right: int) -> BowDiagram:
     for non-adjacent pairs, same-kind pairs, and swaps across the cut.
     """
 
-    k = d.k
     pos_l = d.position(left)
-    pos_r = d.position(right)
-    if (pos_l + 1) % k != pos_r:
+    if (pos_l + 1) % d.k != d.position(right):
         raise ValueError(f"nodes {left} and {right} are not adjacent in that order")
-    node_l, node_r = d.nodes[pos_l], d.nodes[pos_r]
-    if node_l.kind == node_r.kind:
-        raise ValueError("cannot swap two nodes of the same kind")
-    if d.cut is not None and pos_l == d.cut:
-        raise ValueError("cannot swap across the cut segment")
-    before = d.dims[(pos_l - 1) % k]
-    after = d.dims[pos_r]
-    middle = d.dims[pos_l]
-    nodes = list(d.nodes)
-    nodes[pos_l], nodes[pos_r] = node_r, node_l
-    dims = list(d.dims)
-    dims[pos_l] = before + after + 1 - middle
+    nodes, dims = list(d.nodes), list(d.dims)
+    _check_swap(d, nodes, pos_l)
+    _swap(nodes, dims, pos_l)
     return BowDiagram(nodes=tuple(nodes), dims=tuple(dims), cut=d.cut)
 
 
@@ -209,69 +223,17 @@ def replay(d: BowDiagram, log: MoveLog, inverse: bool = False) -> BowDiagram:
 # separation
 
 
-def _cyclic_x_runs(d: BowDiagram) -> list[list[int]]:
-    """Maximal runs of x-point positions, cyclically maximal."""
-
-    k = d.k
-    xpos = [pos for pos in range(k) if d.nodes[pos].kind == NodeKind.XPOINT]
-    if not xpos or len(xpos) == k:
-        return [xpos] if xpos else []
-    runs = []
-    starts = [pos for pos in xpos if d.nodes[(pos - 1) % k].kind == NodeKind.ARROW]
-    for start in starts:
-        run = [start]
-        while d.nodes[(run[-1] + 1) % k].kind == NodeKind.XPOINT:
-            run.append((run[-1] + 1) % k)
-        runs.append(run)
-    return runs
-
-
-def _gather_step(d: BowDiagram) -> tuple[int, int] | None:
-    """Next swap of the deterministic gathering strategy, None when done.
-
-    The run containing the lowest-id x-point anchors the gather.  For
-    affine diagrams the nearest x-point clockwise of the anchor walks
-    anticlockwise into it.  Finite diagrams gather inside the cut-opened
-    line, pulling from the clockwise side first, so no swap ever
-    crosses the cut.
-    """
-
-    k = d.k
-    if d.cut is None:
-        runs = _cyclic_x_runs(d)
-        if len(runs) <= 1:
-            return None
-        anchor = min(runs, key=lambda run: min(d.nodes[pos].id for pos in run))
-        q = (anchor[0] - 1) % k
-        while d.nodes[q].kind != NodeKind.XPOINT:
-            q = (q - 1) % k
-        return d.nodes[q].id, d.nodes[(q + 1) % k].id
-
-    start_pos = (d.cut + 1) % k
-    line = [(start_pos + i) % k for i in range(k)]
-    blocks: list[list[int]] = []
-    for i, pos in enumerate(line):
-        if d.nodes[pos].kind != NodeKind.XPOINT:
-            continue
-        if blocks and blocks[-1][-1] == i - 1:
-            blocks[-1].append(i)
-        else:
-            blocks.append([i])
-    if len(blocks) <= 1:
-        return None
-    anchor_idx = min(
-        range(len(blocks)),
-        key=lambda bi: min(d.nodes[line[i]].id for i in blocks[bi]),
-    )
-    if anchor_idx > 0:
-        q = line[blocks[anchor_idx - 1][-1]]
-        return d.nodes[q].id, d.nodes[(q + 1) % k].id
-    q = line[blocks[anchor_idx + 1][0]]
-    return d.nodes[(q - 1) % k].id, d.nodes[q].id
-
-
 def separate(d: BowDiagram) -> tuple[SeparatedForm, MoveLog] | NegativeWitness:
     """Gather the x-points into one run by recorded swaps.
+
+    The run holding the lowest-id x-point anchors the gather.  Affine
+    diagrams open the circle just after the anchor run and pull every
+    other x-point anticlockwise into it, nearest first.  Finite
+    diagrams gather inside the cut-opened line: the x-points clockwise
+    of the anchor are pulled anticlockwise into it, nearest first, then
+    those anticlockwise of it are pulled clockwise, so no swap ever
+    crosses the cut.  Each x-point walks straight to the run, which
+    costs O(k + swaps) on one pair of mutable lists.
 
     Diagrams with only one node kind are trivially separated and return
     unchanged with an empty log.  Aborts with a NegativeWitness at the
@@ -279,27 +241,47 @@ def separate(d: BowDiagram) -> tuple[SeparatedForm, MoveLog] | NegativeWitness:
     """
 
     _require_valid(d)
-    if d.n_arrows == 0 or d.n_xpoints == 0:
-        view = separated_view(d)
-        assert view is not None
-        return view, ()
+    k = d.k
+    nodes, dims = list(d.nodes), list(d.dims)
+    xpos = [pos for pos in range(k) if nodes[pos].kind == NodeKind.XPOINT]
+    if len(xpos) in (0, k):
+        return _separated_view(d), ()
+    anchor = min(xpos, key=lambda pos: nodes[pos].id)
+    if d.cut is None:
+        start = anchor
+        while nodes[start % k].kind == NodeKind.XPOINT:
+            start += 1
+    else:
+        start = d.cut + 1
+    # x-points as indices along the line of positions start, start + 1, ...
+    line = sorted((pos - start) % k for pos in xpos)
+    lo = hi = line.index((anchor - start) % k)
+    while lo > 0 and line[lo - 1] == line[lo] - 1:
+        lo -= 1
+    while hi + 1 < len(line) and line[hi + 1] == line[hi] + 1:
+        hi += 1
+    first, last = line[lo], line[hi]
     log: list[MoveEntry] = []
-    cur = d
-    guard = 4 * d.k * d.k + 8
-    while True:
-        pair = _gather_step(cur)
-        if pair is None:
-            break
-        if guard <= 0:
-            raise RuntimeError("gathering failed to terminate")
-        guard -= 1
-        left, right = pair
-        middle_seg = cur.position(left)
-        cur = apply_hw(cur, left, right)
+
+    def step(i: int) -> NegativeWitness | None:
+        # swap the nodes at line indices i and i + 1
+        pos = (start + i) % k
+        left, right = nodes[pos].id, nodes[(pos + 1) % k].id
+        value = _swap(nodes, dims, pos)
         log.append(HwMove(left, right))
-        if cur.dims[middle_seg] < 0:
-            return NegativeWitness(tuple(log), middle_seg, cur.dims[middle_seg])
-    view = separated_view(cur)
+        return NegativeWitness(tuple(log), pos, value) if value < 0 else None
+
+    for i in reversed(line[:lo]):
+        for j in range(i, first - 1):
+            if witness := step(j):
+                return witness
+        first -= 1
+    for i in line[hi + 1:]:
+        for j in range(i - 1, last, -1):
+            if witness := step(j):
+                return witness
+        last += 1
+    view = _separated_view(BowDiagram(nodes=tuple(nodes), dims=tuple(dims), cut=d.cut))
     assert view is not None
     return view, tuple(log)
 
@@ -309,28 +291,34 @@ def separate(d: BowDiagram) -> tuple[SeparatedForm, MoveLog] | NegativeWitness:
 
 
 def full_pass(
-    d: BowDiagram, mover: int, acw: bool, w: int, log: list[MoveEntry]
+    d: BowDiagram,
+    mover: int,
+    acw: bool,
+    w: int,
+    log: list[MoveEntry],
+    allow_negative: bool = False,
 ) -> BowDiagram | NegativeWitness:
-    """Move one arrow through all w x-points in the given direction."""
+    """Move one node through its next w neighbours in the given direction.
 
-    cur = d
+    The mover's position is looked up once and then tracked.  Each swap
+    is checked as :func:`apply_hw` checks it (different kinds, not
+    across the cut) and appended to ``log``.  The pass aborts with a
+    NegativeWitness at the first negative dimension, unless
+    ``allow_negative``, which the weight side's balancing uses.
+    """
+
+    k = d.k
+    nodes, dims = list(d.nodes), list(d.dims)
+    pos = d.position(mover)
     for _ in range(w):
-        pos = cur.position(mover)
-        if acw:
-            other = cur.nodes[(pos + 1) % cur.k]
-            assert other.kind == NodeKind.XPOINT
-            left, right = mover, other.id
-            middle_seg = pos
-        else:
-            other = cur.nodes[(pos - 1) % cur.k]
-            assert other.kind == NodeKind.XPOINT
-            left, right = other.id, mover
-            middle_seg = (pos - 1) % cur.k
-        cur = apply_hw(cur, left, right)
-        log.append(HwMove(left, right))
-        if cur.dims[middle_seg] < 0:
-            return NegativeWitness(tuple(log), middle_seg, cur.dims[middle_seg])
-    return cur
+        left = pos if acw else (pos - 1) % k
+        _check_swap(d, nodes, left)
+        log.append(HwMove(nodes[left].id, nodes[(left + 1) % k].id))
+        value = _swap(nodes, dims, left)
+        if value < 0 and not allow_negative:
+            return NegativeWitness(tuple(log), left, value)
+        pos = (left + 1) % k if acw else left
+    return BowDiagram(nodes=tuple(nodes), dims=tuple(dims), cut=d.cut)
 
 
 def normalize_gap(sep: SeparatedForm) -> tuple[SeparatedForm, MoveLog] | NegativeWitness:
@@ -338,10 +326,12 @@ def normalize_gap(sep: SeparatedForm) -> tuple[SeparatedForm, MoveLog] | Negativ
 
     A pass of e_1 anticlockwise through every x-point lowers the gap by
     w; a pass of e_n clockwise raises it by w.  Aborts with a
-    NegativeWitness on the first negative dimension.
+    NegativeWitness on the first negative dimension.  The input's
+    diagram is validated once; the views after each pass are unchecked.
     """
 
     d = sep.diagram
+    _require_valid(d)
     if d.cut is not None:
         raise ValueError("gap normalization applies to affine diagrams")
     if sep.n < 1 or sep.w < 1:
@@ -359,7 +349,7 @@ def normalize_gap(sep: SeparatedForm) -> tuple[SeparatedForm, MoveLog] | Negativ
             res = full_pass(cur.diagram, cur.arrow_ids[-1], False, cur.w, log)
         if isinstance(res, NegativeWitness):
             return res
-        view = separated_view(res)
+        view = _separated_view(res)
         assert view is not None
         cur = view
     return cur, tuple(log)

@@ -29,6 +29,7 @@ from .diagram import (
     SeparatedForm,
     SubtractArrowArc,
     _require_valid,
+    _separated_view,
     entry_to_json,
     separated_view,
 )
@@ -213,22 +214,23 @@ def subtract_arrow_arc(sep: SeparatedForm, a: int) -> SeparatedForm:
 def _push_until_layout(
     d: BowDiagram, prefix: list[MoveEntry]
 ) -> tuple[SeparatedForm, MoveLog] | NegativeWitness:
-    """Push arrows clockwise through the x-run until the cut bounds it."""
+    """Push e_n clockwise through the x-run until the cut bounds it.
+
+    ``d`` is a valid separated diagram; its views are taken unchecked.
+    """
 
     cur = d
     log = prefix
     guard = cur.k + 2
     while True:
-        view = separated_view(cur)
+        view = _separated_view(cur)
         assert view is not None
         if view.is_finite_layout:
             return view, tuple(log)
         if guard <= 0:
             raise RuntimeError("layout pushes failed to terminate")
         guard -= 1
-        last_x_pos = cur.position(view.x_ids[-1])
-        mover = cur.nodes[(last_x_pos + 1) % cur.k]
-        res = full_pass(cur, mover.id, False, view.w, log)
+        res = full_pass(cur, view.arrow_ids[-1], False, view.w, log)
         if isinstance(res, NegativeWitness):
             return res
         cur = res
@@ -242,9 +244,11 @@ def reduce_to_finite(sep: SeparatedForm) -> tuple[SeparatedForm, MoveLog] | Nega
     needs the clockwise pushes.  Affine input is gap-normalized, lowered
     by a = min(v_0..v_n) along the arrow arc, cut at the first zero
     label, and then pushed into layout.  Any negative dimension along
-    the way aborts with that witness.
+    the way aborts with that witness.  The input's diagram is validated
+    once, on entry.
     """
 
+    _require_valid(sep.diagram)
     if sep.diagram.is_finite:
         if sep.is_finite_layout:
             return sep, ()
@@ -262,7 +266,7 @@ def reduce_to_finite(sep: SeparatedForm) -> tuple[SeparatedForm, MoveLog] | Nega
         entry = SubtractArrowArc(amount=a)
         d = apply_entry(d, entry)
         log.append(entry)
-    view = separated_view(d)
+    view = _separated_view(d)
     assert view is not None
     first_zero = view.v_arr.index(0)
     cut_entry = CutAt(segment=view.seg_arr[first_zero])

@@ -22,7 +22,7 @@ from .diagram import (
     SeparatedForm,
     separated_view,
 )
-from .rewrite import apply_hw
+from .rewrite import full_pass
 
 # ---------------------------------------------------------------------------
 # generalized Young diagrams
@@ -155,24 +155,6 @@ class BalancedForm:
     mu: AffineWeight
 
 
-def _raw_pass(d: BowDiagram, mover: int, count: int, acw: bool, log: list) -> BowDiagram:
-    """Move one arrow through ``count`` x points, allowing negatives."""
-
-    cur = d
-    for _ in range(count):
-        pos = cur.position(mover)
-        if acw:
-            other = cur.nodes[(pos + 1) % cur.k].id
-            left, right = mover, other
-        else:
-            other = cur.nodes[(pos - 1) % cur.k].id
-            left, right = other, mover
-        assert cur.node_by_id(other).kind == NodeKind.XPOINT
-        log.append(HwMove(left=left, right=right))
-        cur = apply_hw(cur, left, right)
-    return cur
-
-
 def balanced_form(sep: SeparatedForm) -> BalancedForm:
     """Spread the arrows through the x points until every arrow sits
     between equal dimensions.
@@ -201,9 +183,9 @@ def balanced_form(sep: SeparatedForm) -> BalancedForm:
     while True:
         t = separated_triple(view)
         if t.tlam[-1] < 0:
-            cur = _raw_pass(cur, view.arrow_ids[-1], w, acw=False, log=log)
+            cur = full_pass(cur, view.arrow_ids[-1], False, w, log, allow_negative=True)
         elif t.tlam[0] > w:
-            cur = _raw_pass(cur, view.arrow_ids[0], w, acw=True, log=log)
+            cur = full_pass(cur, view.arrow_ids[0], True, w, log, allow_negative=True)
         else:
             break
         view = separated_view(cur)
@@ -214,7 +196,7 @@ def balanced_form(sep: SeparatedForm) -> BalancedForm:
     x_last = view.x_ids[-1]
     assert all(0 <= step <= w for step in t.tlam)
     for s in range(1, view.n + 1):
-        cur = _raw_pass(cur, view.arrow_ids[s - 1], t.tlam[s - 1], acw=True, log=log)
+        cur = full_pass(cur, view.arrow_ids[s - 1], True, t.tlam[s - 1], log, allow_negative=True)
 
     for node in cur.nodes:
         if node.kind == NodeKind.ARROW:

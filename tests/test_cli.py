@@ -232,6 +232,12 @@ MALFORMED = {
     "verify-tol-nan": (["verify", "--sol", "{file}", "--tol", "nan"], "{solution}"),
     "verify-tol-minus-inf": (["verify", "--sol", "{file}", "--tol=-inf"], "{solution}"),
     "verify-tol-negative": (["verify", "--sol", "{file}", "--tol=-1e-9"], "{solution}"),
+    # usage errors that argparse itself detects
+    "verify-tol-negative-spaced": (["verify", "--sol", "{file}", "--tol", "-1e-9"], "{solution}"),
+    "verify-tol-not-a-number": (["verify", "--sol", "{file}", "--tol", "abc"], "{solution}"),
+    "unknown-flag": (["check", "--bogus", "( 1 x 1 o )"], None),
+    "missing-diagram": (["check"], None),
+    "unknown-verb": (["bogus", "( 1 x 1 o )"], None),
 }
 
 
@@ -249,3 +255,9 @@ def test_malformed_input_is_a_usage_error(capsys, tmp_path, argv, content):
     assert code == 2
     assert "error" in json.loads(captured.out)
     assert len(captured.err.strip().splitlines()) == 1
+
+
+def test_help_exits_zero(capsys):
+    assert main(["--help"]) == 0
+    assert main(["check", "--help"]) == 0
+    assert "usage: bowforge check" in capsys.readouterr().out

@@ -29,6 +29,7 @@ from bowforge.rewrite import (
     arc_increment,
     canonical_encoding,
     enumerate_equivalent,
+    full_pass,
     legal_swaps,
     normalize_gap,
     replay,
@@ -155,6 +156,25 @@ def test_normalize_gap_two_passes():
     assert 0 <= out.gap < out.w
     assert len(log) == 4
     assert replay(d, log) == out.diagram
+
+
+def test_full_pass_checks_every_swap():
+    # the second swap of the pass would exchange two arrows
+    d = parse_diagram("( 1 o 2 x 3 o 4 x )")
+    with pytest.raises(ValueError, match="same kind"):
+        full_pass(d, 0, True, 2, [])
+    fin = parse_diagram("[ 0 o 2 x 0 ]")
+    with pytest.raises(ValueError, match="across the cut"):
+        full_pass(fin, 0, False, 1, [])
+
+
+def test_full_pass_allow_negative_runs_on():
+    d = parse_diagram("[ 0 o 2 x 0 ]")
+    assert isinstance(full_pass(d, 0, True, 1, []), NegativeWitness)
+    log = []
+    out = full_pass(d, 0, True, 1, log, allow_negative=True)
+    assert out == apply_hw(d, 0, 1) and out.dims[0] == -1
+    assert log == [HwMove(0, 1)]
 
 
 def test_normalize_gap_abort():
@@ -356,6 +376,24 @@ def test_separate_rejects_duplicate_ids_under_optimize():
         "    print(exc)\n"
         "else:\n"
         "    raise SystemExit('separate accepted duplicate node ids')\n"
+    )
+    assert "not distinct" in run_optimized(script)
+
+
+def test_normalize_gap_rejects_invalid_diagram_under_optimize():
+    # the labels of a valid view, put on a diagram with duplicate ids
+    script = (
+        "import dataclasses\n"
+        "from bowforge.diagram import BowDiagram, Node, NodeKind, parse_diagram, separated_view\n"
+        "from bowforge.rewrite import normalize_gap\n"
+        "view = separated_view(parse_diagram('( 5 x 1 o )'))\n"
+        "bad = BowDiagram((Node(0, NodeKind.XPOINT), Node(0, NodeKind.ARROW)), view.diagram.dims)\n"
+        "try:\n"
+        "    normalize_gap(dataclasses.replace(view, diagram=bad))\n"
+        "except ValueError as exc:\n"
+        "    print(exc)\n"
+        "else:\n"
+        "    raise SystemExit('normalize_gap accepted a view of an invalid diagram')\n"
     )
     assert "not distinct" in run_optimized(script)
 

@@ -1,6 +1,8 @@
 """Bound-family and decision-procedure tests."""
 
+import hashlib
 import itertools
+import json
 
 import pytest
 
@@ -387,3 +389,28 @@ def test_certificate_json_shapes():
 
     cert = decide_supersymmetry(parse_diagram("( 2 x )"))
     assert certificate_to_json(cert)["witness"]["kind"] == "one_node_kind"
+
+
+# The digest of every certificate on the affine diagrams with k <= 5 and
+# dims 0..3, one canonical JSON line each, in sweep order.  It pins the
+# move logs and witnesses themselves, not only the verdicts, so a faster
+# gather, pass or view must reproduce them exactly.
+CERTIFICATE_SWEEP_COUNT = 34720
+CERTIFICATE_SWEEP_SHA256 = "24f8b8dbd68e6661a3fab838dcc45fa220d60c976a8c646ad00d36309a3078e7"
+
+
+def test_certificate_sweep_guard():
+    digest = hashlib.sha256()
+    count = 0
+    for k in range(2, 6):
+        for kinds in itertools.product("ox", repeat=k):
+            if "o" not in kinds or "x" not in kinds:
+                continue
+            for dims in itertools.product(range(4), repeat=k):
+                d = parse_diagram("( " + " ".join(f"{v} {c}" for v, c in zip(dims, kinds)) + " )")
+                cert = decide_supersymmetry(d)
+                line = json.dumps(certificate_to_json(cert), sort_keys=True, separators=(",", ":"))
+                digest.update(line.encode() + b"\n")
+                count += 1
+    assert count == CERTIFICATE_SWEEP_COUNT
+    assert digest.hexdigest() == CERTIFICATE_SWEEP_SHA256
