@@ -11,13 +11,15 @@ its endpoints and cannot be deformed away.  The ledger certifies a
 supersymmetric diagram precisely when no fixed slot (ordered endpoint
 pair, sense, lap count) is occupied more than once.
 
-Both checks are recomputed in full after every move a ledger is carried
-through, so they are kept cheap: one audit pass indexes the host's node
-ids once as ``{id: (position, kind)}`` and computes the coverage (each
-brane's laps plus its arc as a cyclic range in a difference array) and
-the fixed-slot occupancy together, in O(k + branes).  A move copies the
-brane dict once, and a swap rewrites only the branes whose endpoints
-are the swapped pair.
+A ledger is carried through a move log in place by one private walker,
+:class:`_Walk`: the host is held as mutable node and dimension lists
+with an ``{id: (position, kind)}`` index, a swap updates two index
+entries and rewrites only the branes whose endpoints are the swapped
+pair, and one brane dict is mutated throughout.  Both checks are still
+recomputed in full after every move, so they are kept cheap: one audit
+pass computes the coverage (each brane's laps plus its arc as a cyclic
+range in a difference array) and the fixed-slot occupancy together
+from the index, in O(k + branes).
 """
 
 from __future__ import annotations
@@ -30,13 +32,11 @@ from .diagram import (
     CutAt,
     Direction,
     HwMove,
-    IncrementArrows,
-    IncrementX,
     MoveEntry,
     NodeKind,
     SubtractArrowArc,
 )
-from .rewrite import apply_entry, arc_increment
+from .rewrite import _swap, apply_entry, arc_increment
 
 # ---------------------------------------------------------------------------
 # branes and ledgers
@@ -77,10 +77,9 @@ def _index(d: BowDiagram) -> dict[int, tuple[int, NodeKind]]:
     return {d.nodes[i].id: (i, d.nodes[i].kind) for i in range(d.k - 1, -1, -1)}
 
 
-def _audit(
-    d: BowDiagram, branes: dict[Brane, int], index: dict | None = None
-) -> tuple[tuple[int, ...], bool]:
-    """Coverage of ``branes`` on ``d`` and whether every fixed slot holds at most one.
+def _audit(k: int, index: dict, branes: dict[Brane, int]) -> tuple[tuple[int, ...], bool]:
+    """Coverage of ``branes`` on the k-node host that ``index`` indexes,
+    and whether every fixed slot holds at most one.
 
     Laps cover every segment alike.  The open arc is a cyclic range
     accumulated in a difference array: anticlockwise from position i to
@@ -88,11 +87,9 @@ def _audit(
     range from j to i.  Equal endpoints give no arc.
     """
 
-    if index is None:
-        index = _index(d)
     acw = Direction.ACW
     laps = 0
-    diff = [0] * d.k
+    diff = [0] * k
     susy = True
     try:
         for brane, mult in branes.items():
@@ -114,20 +111,25 @@ def _audit(
     return tuple(accumulate(diff, initial=laps))[1:], susy
 
 
+def _audit_ledger(ledger: BraneLedger) -> tuple[tuple[int, ...], bool]:
+    d = ledger.diagram
+    return _audit(d.k, _index(d), ledger.branes)
+
+
 def brane_coverage(d: BowDiagram, brane: Brane) -> tuple[int, ...]:
     """How many times the brane passes over each segment."""
 
-    return _audit(d, {brane: 1})[0]
+    return _audit_ledger(BraneLedger(d, {brane: 1}))[0]
 
 
 def coverage(ledger: BraneLedger) -> tuple[int, ...]:
-    return _audit(ledger.diagram, ledger.branes)[0]
+    return _audit_ledger(ledger)[0]
 
 
 def ledger_is_susy(ledger: BraneLedger) -> bool:
     """No fixed slot may hold more than one brane."""
 
-    return _audit(ledger.diagram, ledger.branes)[1]
+    return _audit_ledger(ledger)[1]
 
 
 def check_ledger(ledger: BraneLedger) -> list[str]:
@@ -229,80 +231,105 @@ def _remove(branes: dict[Brane, int], key: Brane, mult: int) -> None:
         branes[key] = have - mult
 
 
-def _transport_hw(
-    branes: dict[Brane, int], index: dict, left: int, right: int
-) -> dict[Brane, int]:
-    u = left if index[left][1] == NodeKind.ARROW else right
-    xp = right if u == left else left
-    assert index[u][1] == NodeKind.ARROW and index[xp][1] == NodeKind.XPOINT
-    shrink = Direction.ACW if u == left else Direction.CW
-    grow = Direction.CW if shrink == Direction.ACW else Direction.ACW
+class _Walk:
+    """A ledger carried through moves in place.
 
-    # the copy keeps the stored hashes; only the pair's branes and
-    # zero-multiplicity entries are taken out again
-    ends = {(u, xp), (xp, u)}
-    out = dict(branes)
-    pair = []
-    for key, mult in branes.items():
-        if not mult:
-            del out[key]
-        elif (key.start, key.end) in ends:
-            del out[key]
-            pair.append((key, mult))
-    candidate = Brane(u, xp, shrink, 0)
-    annihilated = branes.get(candidate, 0) >= 1
-    for key, mult in pair:
-        m = mult
-        if key == candidate and annihilated:
-            m -= 1
-        if m == 0:
-            continue
-        if key.direction == shrink:
-            _put(out, Brane(key.start, key.end, shrink, max(key.laps - 1, 0)), m)
+    Each :meth:`move` checks its entry as :func:`rewrite.apply_entry`
+    does, with the same errors, moves host and branes together and
+    audits coverage and fixed slots in full.  A swap rewrites the host
+    lists and two index entries, then carries the swapped pair's branes:
+    they are taken out and put back at the end of the dict, and
+    zero-multiplicity entries are dropped.  Any other entry is rare in a
+    move log and goes through ``apply_entry`` on a built host.
+    """
+
+    __slots__ = ("nodes", "dims", "cut", "index", "branes")
+
+    def __init__(self, ledger: BraneLedger):
+        d = ledger.diagram
+        self.nodes, self.dims, self.cut = list(d.nodes), list(d.dims), d.cut
+        self.index = _index(d)
+        self.branes = dict(ledger.branes)
+
+    def host(self) -> BowDiagram:
+        return BowDiagram(nodes=tuple(self.nodes), dims=tuple(self.dims), cut=self.cut)
+
+    def ledger(self) -> BraneLedger:
+        return BraneLedger(diagram=self.host(), branes=self.branes)
+
+    def _position(self, node_id: int) -> int:
+        try:
+            return self.index[node_id][0]
+        except KeyError:
+            raise KeyError(f"no node with id {node_id}") from None
+
+    def move(self, entry: MoveEntry, inverse: bool = False) -> bool:
+        """:func:`ledger_apply_move` in place; returns the fixed-slot verdict."""
+
+        if isinstance(entry, HwMove):
+            left, right = (entry.right, entry.left) if inverse else (entry.left, entry.right)
+            self._swap_pair(left, right)
         else:
-            _put(out, Brane(key.start, key.end, grow, key.laps + 1), m)
-    if not annihilated:
-        _put(out, Brane(u, xp, grow, 0), 1)
-    return out
+            d = self.host()
+            if isinstance(entry, SubtractArrowArc):
+                entry, inverse = arc_increment(d, entry), not inverse
+            host = apply_entry(d, entry, inverse=inverse)
+            self.dims, self.cut = list(host.dims), host.cut
+            if not isinstance(entry, CutAt) and entry.amount:
+                laps = 1 if entry.start == entry.end else 0
+                key = Brane(entry.start, entry.end, entry.direction, laps)
+                (_remove if inverse else _put)(self.branes, key, entry.amount)
 
-
-def _apply_move(
-    ledger: BraneLedger, entry: MoveEntry, inverse: bool
-) -> tuple[BraneLedger, bool]:
-    """:func:`ledger_apply_move` plus the moved ledger's fixed-slot verdict."""
-
-    d = ledger.diagram
-    if isinstance(entry, SubtractArrowArc):
-        entry, inverse = arc_increment(d, entry), not inverse
-    host = apply_entry(d, entry, inverse=inverse)
-    index = _index(host)
-
-    if isinstance(entry, HwMove):
-        left, right = (entry.right, entry.left) if inverse else (entry.left, entry.right)
-        branes = _transport_hw(ledger.branes, index, left, right)
-    elif isinstance(entry, (IncrementArrows, IncrementX, CutAt)):
-        branes = dict(ledger.branes)
-        if not isinstance(entry, CutAt) and entry.amount:
-            key = Brane(
-                start=entry.start,
-                end=entry.end,
-                direction=entry.direction,
-                laps=1 if entry.start == entry.end else 0,
+        got, susy = _audit(len(self.nodes), self.index, self.branes)
+        if got != tuple(self.dims):
+            raise ValueError(
+                f"brane coverage {got} lost track of the host dims {tuple(self.dims)}; "
+                "the ledger did not match its host"
             )
-            if inverse:
-                _remove(branes, key, entry.amount)
-            else:
-                _put(branes, key, entry.amount)
-    else:
-        raise ValueError(f"unknown move entry {entry!r}")
+        return susy
 
-    got, susy = _audit(host, branes, index)
-    if got != host.dims:
-        raise ValueError(
-            f"brane coverage {got} lost track of the host dims {host.dims}; "
-            "the ledger did not match its host"
-        )
-    return BraneLedger(diagram=host, branes=branes), susy
+    def _swap_pair(self, left: int, right: int) -> None:
+        nodes, index = self.nodes, self.index
+        k = len(nodes)
+        pos = self._position(left)
+        after = (pos + 1) % k
+        if after != self._position(right):
+            raise ValueError(f"nodes {left} and {right} are not adjacent in that order")
+        kind = nodes[pos].kind
+        if kind == nodes[after].kind:
+            raise ValueError("cannot swap two nodes of the same kind")
+        if self.cut is not None and pos == self.cut:
+            raise ValueError("cannot swap across the cut segment")
+        _swap(nodes, self.dims, pos)
+        index[left] = (after, kind)
+        index[right] = (pos, nodes[pos].kind)
+
+        u, xp = (left, right) if kind == NodeKind.ARROW else (right, left)
+        shrink = Direction.ACW if u == left else Direction.CW
+        grow = Direction.CW if u == left else Direction.ACW
+        branes = self.branes
+        taken = [
+            key
+            for key, mult in branes.items()
+            if not mult or (key.start == u and key.end == xp) or (key.start == xp and key.end == u)
+        ]
+        mults = [branes.pop(key) for key in taken]
+        # the brane spanning the shrinking side, if held, is annihilated
+        annihilated = None
+        for key, mult in zip(taken, mults):
+            if mult >= 1 and key.start == u and key.direction == shrink and key.laps == 0 and key.end == xp:
+                annihilated = key
+        for key, mult in zip(taken, mults):
+            if key is annihilated:
+                mult -= 1
+            if not mult:
+                continue
+            if key.direction == shrink:
+                _put(branes, Brane(key.start, key.end, shrink, max(key.laps - 1, 0)), mult)
+            else:
+                _put(branes, Brane(key.start, key.end, grow, key.laps + 1), mult)
+        if annihilated is None:
+            _put(branes, Brane(u, xp, grow, 0), 1)
 
 
 def ledger_apply_move(
@@ -315,7 +342,9 @@ def ledger_apply_move(
     host to begin with.
     """
 
-    return _apply_move(ledger, entry, inverse)[0]
+    walk = _Walk(ledger)
+    walk.move(entry, inverse)
+    return walk.ledger()
 
 
 # ---------------------------------------------------------------------------
@@ -374,21 +403,27 @@ def _histogram_runs(values: list[int]) -> list[tuple[int, int, int]]:
     return out
 
 
+_NOT_SUSY = "layout is not supersymmetric; no brane ledger exists"
+
+
 def synthesize_finite(fin) -> BraneLedger:
     """Build a certifying ledger on a separated finite layout.
 
-    Raises ValueError unless the input is a separated finite layout,
-    and asserts that the layout is supersymmetric; callers should
-    decide first.
+    Raises ValueError unless the input is a supersymmetric separated
+    finite layout.  A negative dimension, an x-side budget left at either
+    end of the arrow arc or an overshot arrow-arc dimension is caught on
+    the way; the final audit catches anything else.
     """
 
     if not fin.is_finite_layout:
         raise ValueError("synthesis needs a separated finite layout")
     d = fin.diagram
     n, w = fin.n, fin.w
+    if min(d.dims) < 0:
+        raise ValueError(_NOT_SUSY)
     counts, cur = greedy_fixed_counts(fin.v_arr, fin.v_x)
-    assert cur[0] == 0, "x-side budget at the arrow arc must be used up"
-    assert cur[w] == 0
+    if cur[0] or cur[w]:
+        raise ValueError(_NOT_SUSY)
 
     branes: dict[Brane, int] = {}
     for s in range(1, n + 1):
@@ -398,25 +433,25 @@ def synthesize_finite(fin) -> BraneLedger:
     # leftover arrow-arc dimensions become arrow-to-arrow branes
     for m in range(1, n):
         residual = fin.v_arr[m] - sum(counts[m:])
-        assert residual >= 0, "greedy overshot an arrow-arc dimension"
+        if residual < 0:
+            raise ValueError(_NOT_SUSY)
         if residual:
             _put(
                 branes,
                 Brane(fin.arrow_ids[m - 1], fin.arrow_ids[m], Direction.CW, 0),
                 residual,
             )
-    assert fin.v_arr[0] == sum(counts)
-    assert fin.v_arr[n] == 0
 
     # leftover x-side profile becomes x-to-x branes
     for i, j, mult in _histogram_runs(cur[1:w]):
         lo, hi = i + 1, j + 1
         _put(branes, Brane(fin.x_ids[hi], fin.x_ids[lo - 1], Direction.CW, 0), mult)
 
-    got, susy = _audit(d, branes)
-    assert got == d.dims, "synthesized coverage does not match"
-    assert susy
-    return BraneLedger(diagram=d, branes=branes)
+    ledger = BraneLedger(diagram=d, branes=branes)
+    got, susy = _audit_ledger(ledger)
+    if got != d.dims or not susy:
+        raise ValueError(_NOT_SUSY)
+    return ledger
 
 
 def _synthesize_one_kind(d: BowDiagram) -> BraneLedger:
@@ -460,14 +495,22 @@ def synthesize(d: BowDiagram) -> BraneLedger:
     cert, fin = _decide_full(d)
     if not cert.verdict:
         raise ValueError("diagram is not supersymmetric; no brane ledger exists")
+    return _synthesize_decided(d, cert, fin)
+
+
+def _synthesize_decided(d: BowDiagram, cert, fin) -> BraneLedger:
+    """:func:`synthesize` from the positive certificate and the layout
+    that ``susy._decide_full`` returned for ``d``."""
+
     if d.n_arrows == 0 or d.n_xpoints == 0:
         return _synthesize_one_kind(d)
 
     # each move re-audits coverage against its host in full, so the last
     # one, on a host equal to d, also covers d
-    ledger = synthesize_finite(fin)
+    walk = _Walk(synthesize_finite(fin))
     for entry in reversed(cert.pipeline):
-        ledger, susy = _apply_move(ledger, entry, inverse=True)
+        susy = walk.move(entry, inverse=True)
         assert susy, "transport broke the fixed-slot bound"
+    ledger = walk.ledger()
     assert ledger.diagram == d
     return ledger

@@ -19,7 +19,7 @@ import os
 import sys
 from pathlib import Path
 
-from .branes import check_ledger, ledger_to_json, synthesize
+from .branes import _synthesize_decided, check_ledger, ledger_to_json
 from .diagram import (
     BowDiagram,
     SeparatedForm,
@@ -47,7 +47,7 @@ from .rewrite import (
     replay,
     separate,
 )
-from .susy import certificate_to_json, decide_supersymmetry, witness_to_json
+from .susy import _decide_full, certificate_to_json, decide_supersymmetry, witness_to_json
 from .weights import stratum_check_affine, stratum_check_finite, transpose_gyd
 
 EXIT_OK = 0
@@ -236,11 +236,11 @@ def _cmd_equiv(args) -> int:
 
 def _cmd_synth(args) -> int:
     d = _load_diagram(args.diagram)
-    cert = decide_supersymmetry(d)
+    cert, fin = _decide_full(d)
     if not cert.verdict:
         _emit(args, certificate_to_json(cert), "not supersymmetric: no ledger exists")
         return EXIT_NEGATIVE
-    ledger = synthesize(d)
+    ledger = _synthesize_decided(d, cert, fin)
     problems = check_ledger(ledger)
     assert not problems, problems
     payload = ledger_to_json(ledger)

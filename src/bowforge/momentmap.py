@@ -825,10 +825,10 @@ def construct_solution(d: BowDiagram, seed: int = 0) -> Solution:
 
     from .branes import (
         BraneLedger,
+        _Walk,
         brane_is_fixed,
         coverage,
         greedy_fixed_counts,
-        ledger_apply_move,
         synthesize_finite,
     )
     from .susy import _decide_full
@@ -854,9 +854,8 @@ def construct_solution(d: BowDiagram, seed: int = 0) -> Solution:
     }
     unfixed = {brane: mult for brane, mult in ledger.branes.items() if brane not in fixed}
 
-    fix_led = BraneLedger(fin.diagram, dict(fixed))
-    fix_dims = coverage(fix_led)
-    fix_led.diagram = BowDiagram(nodes=fin.diagram.nodes, dims=fix_dims, cut=fin.diagram.cut)
+    fix_dims = coverage(BraneLedger(fin.diagram, fixed))
+    walk = _Walk(BraneLedger(BowDiagram(fin.diagram.nodes, fix_dims, fin.diagram.cut), fixed))
 
     # march every x point clockwise through the arrows its fixed branes
     # attach to; each crossing annihilates one brane, ending at nothing
@@ -865,16 +864,15 @@ def construct_solution(d: BowDiagram, seed: int = 0) -> Solution:
         pulls = sum(1 for f in counts if f >= i)
         x_id = fin.x_ids[i - 1]
         for _ in range(pulls):
-            pos = fix_led.diagram.position(x_id)
-            neighbor = fix_led.diagram.nodes[(pos - 1) % fix_led.diagram.k]
+            neighbor = walk.nodes[walk.index[x_id][0] - 1]
             assert neighbor.kind == NodeKind.ARROW
             entry = HwMove(left=neighbor.id, right=x_id)
-            fix_led = ledger_apply_move(fix_led, entry)
+            walk.move(entry)
             staging.append(entry)
-    assert max(fix_led.diagram.dims) == 0, "staging did not empty the layout"
-    assert not fix_led.branes
+    assert max(walk.dims) == 0, "staging did not empty the layout"
+    assert not walk.branes
 
-    sol: Solution | None = zero_solution(fix_led.diagram)
+    sol: Solution | None = zero_solution(walk.host())
     try:
         for entry in reversed(staging):
             sol = _swap_step(sol, entry.right, entry.left)

@@ -271,11 +271,15 @@ def stratum_check_finite(fin: SeparatedForm):
 
 def _gyd_candidates(rows: int, level: int, total: int):
     """Weakly decreasing level-bounded vectors with the given sum,
-    first entry inside the canonical window, descending lexicographic."""
+    first entry inside the canonical window, descending lexicographic.
+
+    Lazy by first entry: each block of candidates sharing a first entry
+    is built only when the one before it has been used up.
+    """
 
     lo1 = -(-total // rows)
     hi1 = total // rows + level
-    results = []
+    results: list[tuple[int, ...]] = []
 
     def rec(prefix: list[int], remaining: int, target: int) -> None:
         if remaining == 0:
@@ -293,7 +297,8 @@ def _gyd_candidates(rows: int, level: int, total: int):
 
     for first in range(hi1, lo1 - 1, -1):
         rec([first], rows - 1, total - first)
-    return results
+        yield from results
+        results.clear()
 
 
 def stratum_check_affine(sep: SeparatedForm):
@@ -303,7 +308,9 @@ def stratum_check_affine(sep: SeparatedForm):
     Requires the arrow-arc overhang to be normalized into [0, w).
     Returns the first candidate weight in descending lexicographic
     order, or None when every candidate fails; failure coincides with
-    the diagram not being supersymmetric.
+    the diagram not being supersymmetric.  Candidates are built one
+    first-entry block at a time, so the search stops at the first
+    accepted weight; a negative verdict still tries every candidate.
     """
 
     d = sep.diagram

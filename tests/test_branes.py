@@ -22,14 +22,17 @@ from bowforge.branes import (
     synthesize_finite,
 )
 from bowforge.diagram import (
+    BowDiagram,
     Direction,
     HwMove,
     IncrementArrows,
     IncrementX,
+    Node,
+    NodeKind,
     parse_diagram,
     separated_view,
 )
-from bowforge.susy import decide_supersymmetry
+from bowforge.susy import check_finite_separated, decide_supersymmetry
 
 CW, ACW = Direction.CW, Direction.ACW
 
@@ -201,6 +204,26 @@ def test_synthesize_refuses_non_susy():
         synthesize(parse_diagram("[ 0 o 2 x 0 ]"))
     with pytest.raises(ValueError):
         synthesize(parse_diagram("( 2 o 5 x )"))
+
+
+def test_synthesize_finite_raises_exactly_on_non_susy_layouts():
+    # x-points then arrows, cut on the segment after the last x-point
+    checked = refused = 0
+    for n, w in itertools.product(range(1, 4), repeat=2):
+        nodes = tuple(Node(i, NodeKind.XPOINT) for i in range(w)) + tuple(Node(w + i, NodeKind.ARROW) for i in range(n))
+        for dims in itertools.product(range(-1, 3), repeat=n + w):
+            if dims[w - 1]:
+                continue
+            fin = separated_view(BowDiagram(nodes, dims, w - 1))
+            assert fin.is_finite_layout
+            if min(dims) >= 0 and check_finite_separated(fin).verdict:
+                assert check_ledger(synthesize_finite(fin)) == []
+            else:
+                with pytest.raises(ValueError, match="not supersymmetric"):
+                    synthesize_finite(fin)
+                refused += 1
+            checked += 1
+    assert refused > 1000 and checked - refused > 100
 
 
 def test_synthesize_one_kind():

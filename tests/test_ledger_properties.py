@@ -1,4 +1,6 @@
-"""Property tests for brane ledgers: coverage arithmetic and move round trips."""
+"""Property tests for brane ledgers: coverage arithmetic, move round trips,
+and the in-place ledger walker against the per-move ledger transport it
+replaced, kept here as the oracle."""
 
 import pytest
 
@@ -7,16 +9,28 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bowforge.branes import Brane, BraneLedger, coverage, ledger_apply_move
+from bowforge.branes import (
+    Brane,
+    BraneLedger,
+    _put,
+    _remove,
+    _Walk,
+    coverage,
+    ledger_apply_move,
+    ledger_is_susy,
+)
 from bowforge.diagram import (
     BowDiagram,
+    CutAt,
     Direction,
     HwMove,
     IncrementArrows,
     IncrementX,
     Node,
     NodeKind,
+    SubtractArrowArc,
 )
+from bowforge.rewrite import apply_entry, arc_increment, legal_swaps
 
 CW, ACW = Direction.CW, Direction.ACW
 ARROW, XPOINT = NodeKind.ARROW, NodeKind.XPOINT
@@ -117,3 +131,157 @@ def test_move_then_inverse_restores_ledger(ledger, data):
     back = ledger_apply_move(there, entry, inverse=True)
     assert back.diagram == d
     assert back.branes == ledger.branes
+
+
+# ---------------------------------------------------------------------------
+# the in-place walker against the per-move transport
+
+
+def oracle_transport_hw(branes: dict, index: dict, left: int, right: int) -> dict:
+    """The swap transport on a copy of the brane dict, as ledgers were once moved."""
+
+    u = left if index[left][1] == ARROW else right
+    xp = right if u == left else left
+    shrink = ACW if u == left else CW
+    grow = CW if shrink == ACW else ACW
+    ends = {(u, xp), (xp, u)}
+    out = dict(branes)
+    pair = []
+    for key, mult in branes.items():
+        if not mult:
+            del out[key]
+        elif (key.start, key.end) in ends:
+            del out[key]
+            pair.append((key, mult))
+    candidate = Brane(u, xp, shrink, 0)
+    annihilated = branes.get(candidate, 0) >= 1
+    for key, mult in pair:
+        m = mult
+        if key == candidate and annihilated:
+            m -= 1
+        if m == 0:
+            continue
+        if key.direction == shrink:
+            _put(out, Brane(key.start, key.end, shrink, max(key.laps - 1, 0)), m)
+        else:
+            _put(out, Brane(key.start, key.end, grow, key.laps + 1), m)
+    if not annihilated:
+        _put(out, Brane(u, xp, grow, 0), 1)
+    return out
+
+
+def oracle_move(ledger: BraneLedger, entry, inverse: bool) -> tuple[BraneLedger, bool]:
+    """One move: a new host from ``apply_entry``, a new brane dict, a full audit."""
+
+    d = ledger.diagram
+    if isinstance(entry, SubtractArrowArc):
+        entry, inverse = arc_increment(d, entry), not inverse
+    host = apply_entry(d, entry, inverse=inverse)
+    index = {host.nodes[i].id: (i, host.nodes[i].kind) for i in range(host.k - 1, -1, -1)}
+    if isinstance(entry, HwMove):
+        left, right = (entry.right, entry.left) if inverse else (entry.left, entry.right)
+        branes = oracle_transport_hw(ledger.branes, index, left, right)
+    else:
+        branes = dict(ledger.branes)
+        if not isinstance(entry, CutAt) and entry.amount:
+            key = Brane(entry.start, entry.end, entry.direction, 1 if entry.start == entry.end else 0)
+            if inverse:
+                _remove(branes, key, entry.amount)
+            else:
+                _put(branes, key, entry.amount)
+    moved = BraneLedger(host, branes)
+    got = coverage(moved)
+    if got != host.dims:
+        raise ValueError(
+            f"brane coverage {got} lost track of the host dims {host.dims}; "
+            "the ledger did not match its host"
+        )
+    return moved, ledger_is_susy(moved)
+
+
+def _outcome(call):
+    try:
+        return "ok", call()
+    except (KeyError, ValueError, TypeError) as exc:
+        return "raised", (type(exc), str(exc))
+
+
+@st.composite
+def walk_ledgers(draw):
+    """Certifying ledgers, some with zero-multiplicity entries; a few miss
+    coverage by one or name a node the host does not have."""
+
+    ledger = draw(certifying_ledgers())
+    branes, d = dict(ledger.branes), ledger.diagram
+    ids = [node.id for node in d.nodes]
+    brane = st.builds(Brane, st.sampled_from(ids), st.sampled_from(ids), st.sampled_from([CW, ACW]), st.integers(0, 2))
+    for key in draw(st.lists(brane, max_size=3)):
+        branes.setdefault(key, 0)
+    flaw = draw(st.sampled_from(["none"] * 18 + ["dims", "missing"]))
+    if flaw == "dims":
+        d = BowDiagram(d.nodes, (d.dims[0] + 1,) + d.dims[1:], d.cut)
+    elif flaw == "missing":
+        branes[Brane(d.k + 3, ids[0], CW, 0)] = 1
+    return BraneLedger(d, branes)
+
+
+def _draw_entry(data, ledger: BraneLedger, inverse: bool):
+    """Mostly a legal move in the drawn sense; sometimes any move at all."""
+
+    d = ledger.diagram
+    ids = [node.id for node in d.nodes] + [d.k + 7]
+    pick = data.draw(st.sampled_from(["swap"] * 12 + ["increment"] * 3 + ["any", "cut", "subtract"]))
+    if pick == "swap" and legal_swaps(d):
+        left, right = data.draw(st.sampled_from(legal_swaps(d)))
+        return HwMove(right, left) if inverse else HwMove(left, right)
+    kinds = {node.id: node.kind for node in d.nodes}
+    held = [
+        (key, mult)
+        for key, mult in ledger.branes.items()
+        if mult > 0 and kinds.get(key.start, 0) == kinds.get(key.end)
+        and key.laps == (1 if key.start == key.end else 0)
+    ]
+    if pick == "increment" and inverse and held:
+        key, mult = data.draw(st.sampled_from(held))
+        cls = IncrementArrows if kinds[key.start] == ARROW else IncrementX
+        return cls(key.start, key.end, key.direction, data.draw(st.integers(1, mult)))
+    if pick == "increment":
+        node = data.draw(st.sampled_from(d.nodes))
+        same = [n.id for n in d.nodes if n.kind == node.kind]
+        cls = IncrementArrows if node.kind == ARROW else IncrementX
+        return cls(node.id, data.draw(st.sampled_from(same)), data.draw(st.sampled_from([CW, ACW])), data.draw(st.integers(0, 3)))
+    if pick == "cut":
+        zeros = [seg for seg in range(d.k) if d.dims[seg] == 0] or [0]
+        return CutAt(d.cut if inverse and d.cut is not None else data.draw(st.sampled_from(zeros)))
+    if pick == "subtract":
+        return SubtractArrowArc(data.draw(st.integers(0, 2)))
+    cls = data.draw(st.sampled_from([HwMove, IncrementArrows, IncrementX, CutAt]))
+    if cls is HwMove:
+        return HwMove(data.draw(st.sampled_from(ids)), data.draw(st.sampled_from(ids)))
+    if cls is CutAt:
+        return CutAt(data.draw(st.integers(0, d.k - 1)))
+    return cls(
+        data.draw(st.sampled_from(ids)),
+        data.draw(st.sampled_from(ids)),
+        data.draw(st.sampled_from([CW, ACW])),
+        data.draw(st.integers(-1, 3)),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(walk_ledgers(), st.data())
+def test_walker_matches_per_move_transport(ledger, data):
+    walk = _Walk(ledger)
+    for _ in range(data.draw(st.integers(1, 16))):
+        inverse = data.draw(st.booleans())
+        entry = _draw_entry(data, ledger, inverse)
+        want = _outcome(lambda: oracle_move(ledger, entry, inverse))
+        got = _outcome(lambda: walk.move(entry, inverse))
+        assert got[0] == want[0], (entry, inverse, got, want)
+        if want[0] == "raised":
+            assert got[1] == want[1]
+            return
+        ledger, susy = want[1]
+        assert got[1] == susy
+        assert walk.host() == ledger.diagram
+        assert list(walk.branes.items()) == list(ledger.branes.items())

@@ -435,3 +435,17 @@ def test_ledger_move_rejects_mismatched_host_under_optimize():
         "    raise SystemExit('ledger_apply_move accepted a ledger that does not match its host')\n"
     )
     assert "lost track of the host" in run_optimized(script)
+
+
+def test_synthesize_finite_rejects_non_susy_layout_under_optimize():
+    script = (
+        "from bowforge.branes import synthesize_finite\n"
+        "from bowforge.diagram import parse_diagram, separated_view\n"
+        "try:\n"
+        "    ledger = synthesize_finite(separated_view(parse_diagram('[ 0 o 2 x 0 ]')))\n"
+        "except ValueError as exc:\n"
+        "    print(exc)\n"
+        "else:\n"
+        "    raise SystemExit(f'built a ledger on a non-supersymmetric layout: {ledger}')\n"
+    )
+    assert run_optimized(script).strip() == "layout is not supersymmetric; no brane ledger exists"

@@ -10,6 +10,7 @@ from bowforge.rewrite import replay
 from bowforge.susy import check_finite_separated, decide_supersymmetry
 from bowforge.weights import (
     AffineWeight,
+    _gyd_candidates,
     balanced_form,
     dominance_ge,
     is_gyd,
@@ -211,6 +212,39 @@ def test_stratum_finite_requires_layout():
 
 # ---------------------------------------------------------------------------
 # stratum membership, affine side
+
+
+def _gyd_candidates_eager(rows: int, level: int, total: int) -> list:
+    """Every candidate at once, as the affine search once built them: the oracle."""
+
+    lo1 = -(-total // rows)
+    hi1 = total // rows + level
+    results = []
+
+    def rec(prefix: list[int], remaining: int, target: int) -> None:
+        if remaining == 0:
+            if target == 0:
+                results.append(tuple(prefix))
+            return
+        low = prefix[0] - level
+        high = min(prefix[-1], target - (remaining - 1) * low)
+        for val in range(high, low - 1, -1):
+            if val * remaining < target:
+                break
+            prefix.append(val)
+            rec(prefix, remaining - 1, target - val)
+            prefix.pop()
+
+    for first in range(hi1, lo1 - 1, -1):
+        rec([first], rows - 1, total - first)
+    return results
+
+
+def test_gyd_candidates_lazy_matches_eager():
+    for rows in range(1, 8):
+        for level in range(8):
+            for total in range(-rows, rows * (level + 1)):
+                assert list(_gyd_candidates(rows, level, total)) == _gyd_candidates_eager(rows, level, total)
 
 
 def test_stratum_affine_requires_normalized():
