@@ -34,7 +34,7 @@ from .diagram import (
 )
 from .momentmap import (
     _accept_threshold,
-    construct_solution,
+    _construct_decided,
     settle,
     solution_from_json,
     solution_to_json,
@@ -285,7 +285,7 @@ def _cmd_solve(args) -> int:
     if any(v != 0 for v in lam.values()):
         sol = solve_numeric(d, lam=lam, seed=seed)
     else:
-        cert = decide_supersymmetry(d)
+        cert, fin = _decide_full(d)
         if not cert.verdict:
             _emit(
                 args,
@@ -293,7 +293,7 @@ def _cmd_solve(args) -> int:
                 "no level-zero solution: diagram is not supersymmetric",
             )
             return EXIT_NEGATIVE
-        sol = construct_solution(d, seed=seed)
+        sol = _construct_decided(d, cert, fin, seed)
     if args.tol is not None:
         settle(sol, args.tol)
     payload = solution_to_json(sol)

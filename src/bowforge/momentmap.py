@@ -12,11 +12,11 @@ relation per x point; a solution drives them all to zero at a chosen
 level.  Two rank conditions per x point cut the solution set down to
 the stable locus; only stable zeros count.
 
-``construct_solution`` builds level-zero zeros on supersymmetric
-diagrams by exact linear algebra alone: swap transports and arc
-increments.  The Levenberg-Marquardt solver is used only by
-``solve_numeric``, which serves non-zero levels, diagrams without
-arrows, and the fallback when an exact step fails.
+``construct_solution`` builds the level-zero zero of every
+supersymmetric diagram, with one node kind or both, by replaying its
+brane ledger as exact steps: swap transports and arc increments.  The
+Levenberg-Marquardt solver is used only by ``solve_numeric``, which
+serves non-zero levels alone.
 
 The exact steps replace maps and never write into them: a step builds
 new arrays for the nodes it touches and leaves every other node's maps
@@ -45,6 +45,7 @@ from .diagram import (
     IncrementArrows,
     IncrementX,
     NodeKind,
+    SubtractArrowArc,
     diagram_from_json,
     diagram_to_json,
 )
@@ -472,9 +473,10 @@ def solve_numeric(
 ) -> Solution:
     """Search for a stable moment-map zero from random starts.
 
-    This is the only caller of the Levenberg-Marquardt solver.  Never
-    raises on failure: the best attempt comes back with ``converged``
-    False so callers can report honestly.
+    This serves non-zero levels only, and it is the only caller of the
+    Levenberg-Marquardt solver.  Never raises on failure: the best
+    attempt comes back with ``converged`` False so callers can report
+    honestly.
     """
 
     lam = dict(lam or {})
@@ -639,11 +641,10 @@ def _increment_step(sol: Solution, entry, c: complex | None = None) -> Solution:
 
     if not isinstance(entry, (IncrementArrows, IncrementX)):
         raise ValueError(f"cannot extend along {entry!r}")
-    out = sol
     for _ in range(entry.amount):
-        out = _extend_arc_unit(out, entry, c)
+        sol = _extend_arc_unit(sol, entry, c)
         c = None
-    return out
+    return sol
 
 
 def extend_increment(sol: Solution, entry, c: complex | None = None) -> Solution:
@@ -808,105 +809,101 @@ def _generic_basis(sol: Solution) -> Solution:
     return replace(sol, triangles=triangles, arrows=arrows)
 
 
+def _exact_step(sol: Solution, entry) -> Solution:
+    """Grow ``sol`` along an increment, or carry it back across a move:
+    a swap by transport, an arc subtraction by the increment that undoes
+    it, a cut by the diagram alone.  A failure raises RuntimeError
+    naming the entry; there is no numerical fallback.
+    """
+
+    try:
+        if isinstance(entry, HwMove):
+            return _swap_step(sol, entry.right, entry.left)
+        if isinstance(entry, CutAt):
+            return replace(sol, diagram=apply_entry(sol.diagram, entry, inverse=True))
+        if isinstance(entry, SubtractArrowArc):
+            return _increment_step(sol, arc_increment(sol.diagram, entry))
+        return _increment_step(sol, entry)
+    except ValueError as err:
+        raise RuntimeError(f"exact step {entry!r} failed: {err}") from err
+
+
 def construct_solution(d: BowDiagram, seed: int = 0) -> Solution:
     """Stable level-zero moment-map solution on a supersymmetric diagram.
 
-    Builds the certified finite layout first, grows it from nothing by
-    exact swap transports and increments, then walks the decision
-    pipeline backwards to the original diagram: swaps by transport, arc
-    subtractions by the increment that undoes them.  Every step is exact
-    linear algebra, so the result does not depend on ``seed``; the steps
+    Replays the synthesized brane ledger as exact steps: a one-kind
+    diagram grows from the all-zero host, a both-kind one builds its
+    certified finite layout and walks the decision pipeline back to
+    ``d``.  ``seed`` is only recorded, since nothing is drawn; the steps
     share untouched maps, and ``settle`` computes the residual and the
-    stability once, on the finished zero.  Only
-    diagrams without arrows, and a failed exact path, go to the
-    numerical search of ``solve_numeric`` with that seed; an unconverged
-    result is returned rather than raised.
+    stability once, on the finished zero.
     """
 
-    from .branes import (
-        BraneLedger,
-        _Walk,
-        brane_is_fixed,
-        coverage,
-        greedy_fixed_counts,
-        synthesize_finite,
-    )
     from .susy import _decide_full
 
     cert, fin = _decide_full(d)
+    return _construct_decided(d, cert, fin, seed)
+
+
+def _construct_decided(d: BowDiagram, cert, fin, seed: int) -> Solution:
+    """:func:`construct_solution` from the certificate and the layout that
+    ``susy._decide_full`` returned for ``d``."""
+
+    from .branes import (
+        BraneLedger,
+        _synthesize_one_kind,
+        _Walk,
+        brane_is_fixed,
+        coverage,
+        synthesize_finite,
+    )
+
     if not cert.verdict:
         raise ValueError("diagram is not supersymmetric; no stable zero exists")
+    if fin is None:
+        # one node kind: no brane is fixed, and the skeleton is all zero
+        sol = zero_solution(BowDiagram(d.nodes, (0,) * d.k, d.cut))
+        unfixed = _synthesize_one_kind(d).branes
+    else:
+        fixed, unfixed = {}, {}
+        for brane, mult in synthesize_finite(fin).branes.items():
+            if brane_is_fixed(fin.diagram, brane):
+                fixed[brane] = mult
+            else:
+                unfixed[brane] = mult
+        fix_dims = coverage(BraneLedger(fin.diagram, fixed))
+        walk = _Walk(BraneLedger(BowDiagram(fin.diagram.nodes, fix_dims, fin.diagram.cut), fixed))
 
-    if max(d.dims, default=0) == 0 or d.n_xpoints == 0:
-        sol = zero_solution(d)
-        sol.seed = seed
-        settle(sol)
-        return sol
-    if d.n_arrows == 0:
-        return solve_numeric(d, seed=seed)
-
-    ledger = synthesize_finite(fin)
-    counts, _ = greedy_fixed_counts(fin.v_arr, fin.v_x)
-    fixed = {
-        brane: mult
-        for brane, mult in ledger.branes.items()
-        if brane_is_fixed(fin.diagram, brane)
-    }
-    unfixed = {brane: mult for brane, mult in ledger.branes.items() if brane not in fixed}
-
-    fix_dims = coverage(BraneLedger(fin.diagram, fixed))
-    walk = _Walk(BraneLedger(BowDiagram(fin.diagram.nodes, fix_dims, fin.diagram.cut), fixed))
-
-    # march every x point clockwise through the arrows its fixed branes
-    # attach to; each crossing annihilates one brane, ending at nothing
-    staging = []
-    for i in range(1, fin.w + 1):
-        pulls = sum(1 for f in counts if f >= i)
-        x_id = fin.x_ids[i - 1]
-        for _ in range(pulls):
-            neighbor = walk.nodes[walk.index[x_id][0] - 1]
-            assert neighbor.kind == NodeKind.ARROW
-            entry = HwMove(left=neighbor.id, right=x_id)
+        # march every x point, x_1 first, clockwise through the arrows its
+        # fixed branes (arrow to x, one each) attach to; each crossing
+        # annihilates one brane, ending at nothing
+        staging = []
+        for brane in sorted(fixed, key=lambda br: fin.x_ids.index(br.end)):
+            entry = HwMove(left=walk.nodes[walk.index[brane.end][0] - 1].id, right=brane.end)
             walk.move(entry)
             staging.append(entry)
-    assert max(walk.dims) == 0, "staging did not empty the layout"
-    assert not walk.branes
+        assert not walk.branes, "staging did not empty the layout"
 
-    sol: Solution | None = zero_solution(walk.host())
-    try:
+        sol = zero_solution(walk.host())
         for entry in reversed(staging):
-            sol = _swap_step(sol, entry.right, entry.left)
-        # unfixed branes are increments on top of the fixed skeleton
-        for brane in sorted(
-            unfixed, key=lambda br: (br.start, br.end, br.direction.value, br.laps)
-        ):
-            assert brane.laps == 0
-            kind = fin.diagram.node_by_id(brane.start).kind
-            increment = IncrementArrows if kind == NodeKind.ARROW else IncrementX
-            sol = _increment_step(
-                sol, increment(brane.start, brane.end, brane.direction, unfixed[brane])
-            )
-        assert sol.diagram == fin.diagram
+            sol = _exact_step(sol, entry)
 
-        for entry in reversed(cert.pipeline):
-            if isinstance(entry, CutAt):
-                sol = replace(sol, diagram=apply_entry(sol.diagram, entry, inverse=True))
-            elif isinstance(entry, HwMove):
-                sol = _swap_step(sol, entry.right, entry.left)
-            else:
-                sol = _increment_step(sol, arc_increment(sol.diagram, entry))
-        assert sol.diagram == d
-    except ValueError:
-        sol = None
+    # unfixed branes are increments on top of the fixed skeleton: a brane
+    # whose ends coincide is one full loop, any other one has no lap
+    for brane in sorted(unfixed, key=lambda br: (br.start, br.end, br.direction.value, br.laps)):
+        if brane.laps != (brane.start == brane.end):
+            raise RuntimeError(f"brane {brane} is neither an open arc nor one full loop")
+        kind = sol.diagram.node_by_id(brane.start).kind
+        increment = IncrementArrows if kind == NodeKind.ARROW else IncrementX
+        sol = _exact_step(sol, increment(brane.start, brane.end, brane.direction, unfixed[brane]))
+    for entry in reversed(cert.pipeline):
+        sol = _exact_step(sol, entry)
+    assert sol.diagram == d
 
-    if sol is not None:
-        sol = _generic_basis(sol)
-        sol.seed = seed
-        settle(sol)
-        if sol.converged:
-            return sol
-    direct = solve_numeric(d, seed=seed)
-    return direct if sol is None or direct.converged else sol
+    sol = _generic_basis(sol)
+    sol.seed = seed
+    settle(sol)
+    return sol
 
 
 # ---------------------------------------------------------------------------

@@ -249,6 +249,8 @@ def stratum_check_finite(fin: SeparatedForm):
         raise ValueError("stratum check needs a separated finite layout")
     if fin.n < 1 or fin.w < 1:
         raise ValueError("stratum check needs both node kinds")
+    if min(fin.diagram.dims) < 0:
+        return None
     n, w = fin.n, fin.w
     counts, _ = greedy_fixed_counts(fin.v_arr, fin.v_x)
     kappa = tuple(sum(1 for c in counts if c >= j) for j in range(1, w + 1))

@@ -1,5 +1,7 @@
 """Moment-map residuals, stability, exact transports, and the solver."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -411,7 +413,7 @@ def test_construct_ignores_seed():
         assert np.array_equal(ad.D, two.arrows[nid].D)
 
 
-@pytest.mark.parametrize("text", [*K10_REGRESSIONS, "( 1 o 1 x 0 x )"])
+@pytest.mark.parametrize("text", [*K10_REGRESSIONS, "( 1 o 1 x 0 x )", "( 7 x 7 x 7 x 7 x )"])
 def test_construct_computes_one_residual(text, monkeypatch):
     # the exact steps carry no residual; settle computes the only one
     calls = {"residual_blocks": 0, "solve_lm": 0}
@@ -430,6 +432,60 @@ def test_construct_computes_one_residual(text, monkeypatch):
     sol = construct_solution(parse_diagram(text), seed=0)
     assert sol.converged and sol.stable
     assert calls == {"residual_blocks": 1, "solve_lm": 0}
+
+
+def refuse_numerics(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("construction called the numerical solver")
+
+    monkeypatch.setattr(momentmap, "solve_lm", refuse)
+    monkeypatch.setattr(momentmap, "solve_numeric", refuse)
+
+
+@pytest.mark.parametrize("kind", ["x", "o"])
+def test_construct_one_kind_sweep_is_exact(kind, monkeypatch):
+    # every arrow-free or x-free diagram, k <= 4 and dims 0..4, grows from
+    # the all-zero host by the increments of its ledger
+    refuse_numerics(monkeypatch)
+    for k in range(1, 5):
+        for dims in itertools.product(range(5), repeat=k):
+            d = parse_diagram("( " + " ".join(f"{v} {kind}" for v in dims) + " )")
+            sol = construct_solution(d)
+            assert sol.converged and sol.stable, dims
+            assert sol.diagram == d
+            assert sol.residual <= 1e-12, dims
+
+
+@pytest.mark.parametrize("text", ["[ 0 x 2 x 0 ]", "[ 0 x 3 x 1 x 0 ]"])
+def test_construct_finite_arrow_free_is_exact(text, monkeypatch):
+    refuse_numerics(monkeypatch)
+    d = parse_diagram(text)
+    sol = construct_solution(d)
+    assert sol.converged and sol.stable
+    assert sol.diagram == d
+    assert moment_residual(sol) <= 1e-12
+
+
+def test_construct_x_free_maps_are_not_all_zero():
+    sol = construct_solution(parse_diagram("( 2 o 1 o )"))
+    assert sol.converged
+    assert any(np.any(ad.C) for ad in sol.arrows.values())
+
+
+def test_construct_failed_step_raises_naming_entry(monkeypatch):
+    calls = []
+
+    def broken(*args, **kwargs):
+        raise ValueError("stacked map lost full rank; not a stable zero")
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+
+    monkeypatch.setattr(momentmap, "_kernel_with_dim", broken)
+    monkeypatch.setattr(momentmap, "solve_numeric", counted)
+    with pytest.raises(RuntimeError, match=r"exact step HwMove\(left=\d+, right=\d+\) failed: stacked map"):
+        construct_solution(parse_diagram("( 2 x 2 o )"))
+    assert calls == []
 
 
 def _maps(sol):

@@ -1,7 +1,8 @@
-"""Start-up cost: numpy loads on the first matrix, not with the package.
+"""Start-up cost and optimized mode, each in a fresh interpreter.
 
-Each test runs a fresh interpreter, because this process has numpy
-loaded already.
+numpy loads on the first matrix, not with the package, so each test
+runs a new process: this one has numpy loaded already.  The same runner
+checks that ``python -O`` changes no exit code and no output.
 """
 
 import json
@@ -45,20 +46,24 @@ print(json.dumps(report))
 """
 
 
-def run_verbs(argvs):
+def run_verbs(argvs, optimize=False):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    flags = ["-O"] if optimize else []
     result = subprocess.run(
-        [sys.executable, "-c", SCRIPT, json.dumps(argvs)], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, *flags, "-c", SCRIPT, json.dumps(argvs)], env=env, capture_output=True, text=True, timeout=120
     )
     assert result.returncode == 0, result.stderr
     return json.loads(result.stdout)
 
 
-def test_import_and_combinatorial_verbs_leave_numpy_unloaded(tmp_path):
+def numpy_free_argvs(tmp_path):
     log = tmp_path / "log.json"
     log.write_text(json.dumps(log_to_json([HwMove(left=0, right=1)])))
-    argvs = [[arg.replace("{log}", str(log)) for arg in argv] for argv in NUMPY_FREE.values()]
-    report = run_verbs(argvs)
+    return [[arg.replace("{log}", str(log)) for arg in argv] for argv in NUMPY_FREE.values()]
+
+
+def test_import_and_combinatorial_verbs_leave_numpy_unloaded(tmp_path):
+    report = run_verbs(numpy_free_argvs(tmp_path))
     assert report["momentmap"], "bowforge.momentmap must stay an eagerly imported module"
     assert not report["import"], "import bowforge loaded numpy"
     for name, (code, loaded, _) in zip(NUMPY_FREE, report["calls"]):
@@ -74,3 +79,15 @@ def test_solve_loads_numpy_and_converges():
         assert loaded
         meta = json.loads(out)["meta"]
         assert meta["converged"] and meta["stable"]
+
+
+def test_optimized_mode_changes_no_answer(tmp_path):
+    # a negative dimension once tripped an assert only without -O
+    argvs = numpy_free_argvs(tmp_path) + [
+        ["stratum", "[ 0 o 2 x -1 x 0 ]", "--mode", "finite"],
+        ["check", "( 2 x 2 )"],
+    ]
+    plain = [(code, out) for code, _, out in run_verbs(argvs)["calls"]]
+    optimized = [(code, out) for code, _, out in run_verbs(argvs, optimize=True)["calls"]]
+    assert plain == optimized
+    assert [code for code, _ in plain[-2:]] == [1, 2]

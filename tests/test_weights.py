@@ -192,6 +192,8 @@ def test_stratum_finite_pinned():
     assert stratum_check_finite(fin) is None
     fin = separated_view(parse_diagram("[ 0 o 3 x 2 x 0 ]"))
     assert stratum_check_finite(fin) is None
+    fin = separated_view(parse_diagram("[ 0 o 2 x -1 x 0 ]"))
+    assert stratum_check_finite(fin) is None
 
 
 def test_stratum_finite_agrees_with_finite_check():
