@@ -509,8 +509,9 @@ def _synthesize_decided(d: BowDiagram, cert, fin) -> BraneLedger:
     # one, on a host equal to d, also covers d
     walk = _Walk(synthesize_finite(fin))
     for entry in reversed(cert.pipeline):
-        susy = walk.move(entry, inverse=True)
-        assert susy, "transport broke the fixed-slot bound"
+        if not walk.move(entry, inverse=True):
+            raise RuntimeError(f"transport broke the fixed-slot bound at {entry}")
     ledger = walk.ledger()
-    assert ledger.diagram == d
+    if ledger.diagram != d:
+        raise RuntimeError("synthesized ledger does not sit on the diagram it was built for")
     return ledger

@@ -242,7 +242,8 @@ def _cmd_synth(args) -> int:
         return EXIT_NEGATIVE
     ledger = _synthesize_decided(d, cert, fin)
     problems = check_ledger(ledger)
-    assert not problems, problems
+    if problems:
+        raise RuntimeError(f"synthesized ledger failed its check: {problems}")
     payload = ledger_to_json(ledger)
     _write_out(args, payload)
     total = sum(ledger.branes.values())

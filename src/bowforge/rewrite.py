@@ -10,10 +10,11 @@ word is recorded as a replayable, invertible move log.
 
 Validation happens at the public entry points (``apply_hw``,
 ``separate``, ``normalize_gap``).  Inside a word the diagram is held as
-mutable node and dimension lists with tracked positions, one
-``BowDiagram`` is built per word or pass, and separated views of those
-intermediate diagrams are taken with the unchecked
-``diagram._separated_view``: a swap of a valid diagram is valid.
+mutable node and dimension lists with tracked positions; every pass of
+a node through its w neighbours is the one routine ``_pass`` on those
+lists.  A word or a whole phase of passes builds one ``BowDiagram``
+and takes one unchecked ``diagram._separated_view`` at its end: a swap
+of a valid diagram is valid.
 """
 
 from __future__ import annotations
@@ -78,10 +79,10 @@ def _swap(nodes: list, dims: list, pos: int) -> int:
     return dims[pos]
 
 
-def _check_swap(d: BowDiagram, nodes: list, pos: int) -> None:
-    if nodes[pos].kind == nodes[(pos + 1) % d.k].kind:
+def _check_swap(nodes: list, cut: int | None, pos: int) -> None:
+    if nodes[pos].kind == nodes[(pos + 1) % len(nodes)].kind:
         raise ValueError("cannot swap two nodes of the same kind")
-    if d.cut is not None and pos == d.cut:
+    if cut is not None and pos == cut:
         raise ValueError("cannot swap across the cut segment")
 
 
@@ -97,7 +98,7 @@ def apply_hw(d: BowDiagram, left: int, right: int) -> BowDiagram:
     if (pos_l + 1) % d.k != d.position(right):
         raise ValueError(f"nodes {left} and {right} are not adjacent in that order")
     nodes, dims = list(d.nodes), list(d.dims)
-    _check_swap(d, nodes, pos_l)
+    _check_swap(nodes, d.cut, pos_l)
     _swap(nodes, dims, pos_l)
     return BowDiagram(nodes=tuple(nodes), dims=tuple(dims), cut=d.cut)
 
@@ -290,6 +291,36 @@ def separate(d: BowDiagram) -> tuple[SeparatedForm, MoveLog] | NegativeWitness:
 # gap normalization
 
 
+def _pass(
+    nodes: list,
+    dims: list,
+    cut: int | None,
+    pos: int,
+    acw: bool,
+    w: int,
+    log: list[MoveEntry],
+    allow_negative: bool = False,
+) -> NegativeWitness | None:
+    """Move the node at ``pos`` through its next w neighbours, in place.
+
+    Each swap is checked as :func:`apply_hw` checks it (different kinds,
+    not across the cut) and appended to ``log``.  Returns the
+    NegativeWitness of the first negative dimension, unless
+    ``allow_negative``, which the weight side's balancing uses.
+    """
+
+    k = len(nodes)
+    for _ in range(w):
+        left = pos if acw else (pos - 1) % k
+        _check_swap(nodes, cut, left)
+        log.append(HwMove(nodes[left].id, nodes[(left + 1) % k].id))
+        value = _swap(nodes, dims, left)
+        if value < 0 and not allow_negative:
+            return NegativeWitness(tuple(log), left, value)
+        pos = (left + 1) % k if acw else left
+    return None
+
+
 def full_pass(
     d: BowDiagram,
     mover: int,
@@ -298,36 +329,23 @@ def full_pass(
     log: list[MoveEntry],
     allow_negative: bool = False,
 ) -> BowDiagram | NegativeWitness:
-    """Move one node through its next w neighbours in the given direction.
+    """:func:`_pass` on the node with id ``mover``, one diagram out."""
 
-    The mover's position is looked up once and then tracked.  Each swap
-    is checked as :func:`apply_hw` checks it (different kinds, not
-    across the cut) and appended to ``log``.  The pass aborts with a
-    NegativeWitness at the first negative dimension, unless
-    ``allow_negative``, which the weight side's balancing uses.
-    """
-
-    k = d.k
     nodes, dims = list(d.nodes), list(d.dims)
-    pos = d.position(mover)
-    for _ in range(w):
-        left = pos if acw else (pos - 1) % k
-        _check_swap(d, nodes, left)
-        log.append(HwMove(nodes[left].id, nodes[(left + 1) % k].id))
-        value = _swap(nodes, dims, left)
-        if value < 0 and not allow_negative:
-            return NegativeWitness(tuple(log), left, value)
-        pos = (left + 1) % k if acw else left
-    return BowDiagram(nodes=tuple(nodes), dims=tuple(dims), cut=d.cut)
+    witness = _pass(nodes, dims, d.cut, d.position(mover), acw, w, log, allow_negative)
+    return witness or BowDiagram(nodes=tuple(nodes), dims=tuple(dims), cut=d.cut)
 
 
 def normalize_gap(sep: SeparatedForm) -> tuple[SeparatedForm, MoveLog] | NegativeWitness:
     """Drive the gap v_0 − v_{−w} into [0, w) by full arrow passes.
 
     A pass of e_1 anticlockwise through every x-point lowers the gap by
-    w; a pass of e_n clockwise raises it by w.  Aborts with a
-    NegativeWitness on the first negative dimension.  The input's
-    diagram is validated once; the views after each pass are unchecked.
+    w and the x-run start p1 by one; a pass of e_n clockwise raises the
+    gap by w and p1 by one.  The passes run on one pair of node and dim
+    lists, reading the gap as dims[p1 − 1] − dims[p1 + w − 1], and one
+    unchecked view is taken at the end.  Aborts with a NegativeWitness
+    on the first negative dimension.  The input's diagram is validated
+    once, on entry.
     """
 
     d = sep.diagram
@@ -336,23 +354,29 @@ def normalize_gap(sep: SeparatedForm) -> tuple[SeparatedForm, MoveLog] | Negativ
         raise ValueError("gap normalization applies to affine diagrams")
     if sep.n < 1 or sep.w < 1:
         raise ValueError("gap normalization needs both node kinds")
+    k, w, p1, gap = d.k, sep.w, sep.seg_x[1], sep.gap
+    nodes, dims = list(d.nodes), list(d.dims)
     log: list[MoveEntry] = []
-    cur = sep
-    guard = abs(cur.gap) // cur.w + 3
-    while not 0 <= cur.gap < cur.w:
+    guard = abs(gap) // w + 3
+    while not 0 <= gap < w:
         if guard <= 0:
             raise RuntimeError("gap normalization failed to terminate")
         guard -= 1
-        if cur.gap >= cur.w:
-            res = full_pass(cur.diagram, cur.arrow_ids[0], True, cur.w, log)
+        # e_1 sits at p1 - 1, e_n at p1 + w
+        if gap >= w:
+            witness = _pass(nodes, dims, None, (p1 - 1) % k, True, w, log)
+            p1 = (p1 - 1) % k
         else:
-            res = full_pass(cur.diagram, cur.arrow_ids[-1], False, cur.w, log)
-        if isinstance(res, NegativeWitness):
-            return res
-        view = _separated_view(res)
-        assert view is not None
-        cur = view
-    return cur, tuple(log)
+            witness = _pass(nodes, dims, None, (p1 + w) % k, False, w, log)
+            p1 = (p1 + 1) % k
+        if witness:
+            return witness
+        gap = dims[p1 - 1] - dims[(p1 + w - 1) % k]
+    if not log:
+        return sep, ()
+    view = _separated_view(BowDiagram(nodes=tuple(nodes), dims=tuple(dims), cut=None))
+    assert view is not None
+    return view, tuple(log)
 
 
 # ---------------------------------------------------------------------------

@@ -35,8 +35,8 @@ from .diagram import (
 )
 from .rewrite import (
     NegativeWitness,
+    _pass,
     apply_entry,
-    full_pass,
     normalize_gap,
     separate,
 )
@@ -211,31 +211,6 @@ def subtract_arrow_arc(sep: SeparatedForm, a: int) -> SeparatedForm:
 # reduction to a finite separated layout
 
 
-def _push_until_layout(
-    d: BowDiagram, prefix: list[MoveEntry]
-) -> tuple[SeparatedForm, MoveLog] | NegativeWitness:
-    """Push e_n clockwise through the x-run until the cut bounds it.
-
-    ``d`` is a valid separated diagram; its views are taken unchecked.
-    """
-
-    cur = d
-    log = prefix
-    guard = cur.k + 2
-    while True:
-        view = _separated_view(cur)
-        assert view is not None
-        if view.is_finite_layout:
-            return view, tuple(log)
-        if guard <= 0:
-            raise RuntimeError("layout pushes failed to terminate")
-        guard -= 1
-        res = full_pass(cur, view.arrow_ids[-1], False, view.w, log)
-        if isinstance(res, NegativeWitness):
-            return res
-        cur = res
-
-
 def reduce_to_finite(sep: SeparatedForm) -> tuple[SeparatedForm, MoveLog] | NegativeWitness:
     """Rewrite a separated diagram into the finite separated layout.
 
@@ -243,36 +218,53 @@ def reduce_to_finite(sep: SeparatedForm) -> tuple[SeparatedForm, MoveLog] | Nega
     through; finite input with the cut elsewhere on the arrow arc only
     needs the clockwise pushes.  Affine input is gap-normalized, lowered
     by a = min(v_0..v_n) along the arrow arc, cut at the first zero
-    label, and then pushed into layout.  Any negative dimension along
-    the way aborts with that witness.  The input's diagram is validated
-    once, on entry.
+    label, and then pushed into layout.  Each push of e_n moves the
+    x-run start p1 up by one on one pair of node and dim lists, and the
+    pushes stop when the cut is the segment p1 + w − 1; one unchecked
+    view is taken at the end.  Any negative dimension along the way
+    aborts with that witness.  The input's diagram is validated once,
+    on entry.
     """
 
     _require_valid(sep.diagram)
-    if sep.diagram.is_finite:
-        if sep.is_finite_layout:
-            return sep, ()
-        return _push_until_layout(sep.diagram, [])
     if sep.n < 1 or sep.w < 1:
         raise ValueError("reduction needs both node kinds")
-    res = normalize_gap(sep)
-    if isinstance(res, NegativeWitness):
-        return res
-    norm, log1 = res
-    log: list[MoveEntry] = list(log1)
-    d = norm.diagram
-    a = min(norm.v_arr)
-    if a > 0:
-        entry = SubtractArrowArc(amount=a)
-        d = apply_entry(d, entry)
-        log.append(entry)
-    view = _separated_view(d)
-    assert view is not None
-    first_zero = view.v_arr.index(0)
-    cut_entry = CutAt(segment=view.seg_arr[first_zero])
-    d = apply_entry(d, cut_entry)
-    log.append(cut_entry)
-    return _push_until_layout(d, log)
+    if sep.is_finite_layout:
+        return sep, ()
+    log: list[MoveEntry] = []
+    d = sep.diagram
+    if not d.is_finite:
+        res = normalize_gap(sep)
+        if isinstance(res, NegativeWitness):
+            return res
+        sep, log1 = res
+        log.extend(log1)
+        d = sep.diagram
+        # lowering the arrow arc by its minimum moves no node, so the
+        # first zero label is the first minimum of the normalized view
+        a = min(sep.v_arr)
+        if a > 0:
+            entry = SubtractArrowArc(amount=a)
+            d = apply_entry(d, entry)
+            log.append(entry)
+        cut_entry = CutAt(segment=sep.seg_arr[sep.v_arr.index(a)])
+        d = apply_entry(d, cut_entry)
+        log.append(cut_entry)
+    k, w, cut, p1 = d.k, sep.w, d.cut, sep.seg_x[1]
+    nodes, dims = list(d.nodes), list(d.dims)
+    guard = k + 2
+    while cut != (p1 + w - 1) % k:
+        if guard <= 0:
+            raise RuntimeError("layout pushes failed to terminate")
+        guard -= 1
+        # e_n sits at p1 + w
+        if witness := _pass(nodes, dims, cut, (p1 + w) % k, False, w, log):
+            return witness
+        p1 = (p1 + 1) % k
+    view = _separated_view(BowDiagram(nodes=tuple(nodes), dims=tuple(dims), cut=cut))
+    if view is None or not view.is_finite_layout:
+        raise RuntimeError("layout pushes did not reach the finite layout")
+    return view, tuple(log)
 
 
 # ---------------------------------------------------------------------------

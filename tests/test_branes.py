@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from bowforge import branes
 from bowforge.branes import (
     Brane,
     BraneLedger,
@@ -204,6 +205,17 @@ def test_synthesize_refuses_non_susy():
         synthesize(parse_diagram("[ 0 o 2 x 0 ]"))
     with pytest.raises(ValueError):
         synthesize(parse_diagram("( 2 o 5 x )"))
+
+
+def test_synthesize_self_checks_raise(monkeypatch):
+    d = parse_diagram("( 1 x 2 o 2 x 1 o )")
+    monkeypatch.setattr(branes._Walk, "move", lambda self, entry, inverse=False: False)
+    with pytest.raises(RuntimeError, match="transport broke the fixed-slot bound at"):
+        synthesize(d)
+    monkeypatch.undo()
+    monkeypatch.setattr(branes._Walk, "ledger", lambda self: BraneLedger(parse_diagram("( 0 x 0 o )"), {}))
+    with pytest.raises(RuntimeError, match="does not sit on the diagram"):
+        synthesize(d)
 
 
 def test_synthesize_finite_raises_exactly_on_non_susy_layouts():

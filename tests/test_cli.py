@@ -7,6 +7,7 @@ import pytest
 from bowforge.cli import main
 from bowforge.diagram import parse_diagram, render_diagram
 from bowforge.momentmap import construct_solution, solution_to_json
+from test_rewrite import run_optimized
 
 
 def run(capsys, *argv):
@@ -111,6 +112,21 @@ def test_synth_refuses_non_susy(capsys):
     code, payload = run(capsys, "synth", "--json", "[ 0 o 2 x 0 ]")
     assert code == 1
     assert payload["susy"] is False
+
+
+def test_synth_self_check_raises_under_optimize():
+    # a ledger that check_ledger rejects is never printed, also under -O
+    script = (
+        "import bowforge.cli as cli\n"
+        "cli.check_ledger = lambda ledger: ['planted problem']\n"
+        "try:\n"
+        "    code = cli.main(['synth', '( 3 x 2 o )'])\n"
+        "except RuntimeError as exc:\n"
+        "    print(exc)\n"
+        "else:\n"
+        "    raise SystemExit(f'synth printed a rejected ledger and exited {code}')\n"
+    )
+    assert run_optimized(script).strip() == "synthesized ledger failed its check: ['planted problem']"
 
 
 # ---------------------------------------------------------------------------

@@ -401,6 +401,7 @@ def test_normalize_gap_rejects_invalid_diagram_under_optimize():
 ONE_KIND_CALLS = {
     "check_finite_separated": ("bowforge.susy", "check_finite_separated", "[ 0 x 2 x 0 ]", "the finite check"),
     "reduce_to_finite": ("bowforge.susy", "reduce_to_finite", "( 1 o 2 o )", "reduction"),
+    "reduce_to_finite_finite": ("bowforge.susy", "reduce_to_finite", "[ 0 o 1 o 0 ]", "reduction"),
     "separated_triple": ("bowforge.weights", "separated_triple", "( 1 o 2 o )", "a weight triple"),
 }
 

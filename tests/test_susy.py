@@ -11,6 +11,8 @@ from bowforge.diagram import (
     Direction,
     IncrementArrows,
     IncrementX,
+    Node,
+    NodeKind,
     parse_diagram,
     s_dual,
     separated_view,
@@ -236,6 +238,14 @@ def test_reduce_finite_nonlayout_pushes():
     assert fin.is_finite_layout
     assert len(log) == 2
     assert replay(d, log) == fin.diagram
+
+
+def test_reduce_rejects_one_kind_finite_off_layout():
+    xs = tuple(Node(i, NodeKind.XPOINT) for i in range(3))
+    sep = separated_view(BowDiagram(xs, (0, 1, 2), cut=0))
+    assert not sep.is_finite_layout
+    with pytest.raises(ValueError, match="reduction needs both node kinds"):
+        reduce_to_finite(sep)
 
 
 # ---------------------------------------------------------------------------
