@@ -13,13 +13,25 @@ pair, sense, lap count) is occupied more than once.
 
 A ledger is carried through a move log in place by one private walker,
 :class:`_Walk`: the host is held as mutable node and dimension lists
-with an ``{id: (position, kind)}`` index, a swap updates two index
-entries and rewrites only the branes whose endpoints are the swapped
-pair, and one brane dict is mutated throughout.  Both checks are still
-recomputed in full after every move, so they are kept cheap: one audit
-pass computes the coverage (each brane's laps plus its arc as a cyclic
-range in a difference array) and the fixed-slot occupancy together
-from the index, in O(k + branes).
+with an ``{id: (position, kind)}`` index, and one brane dict is mutated
+throughout.  Coverage and the fixed-slot occupancy are carried, not
+recomputed.  A node's *charge* is the multiplicity of anticlockwise arcs
+that start at it minus those that end there; it depends on the branes
+only, not on positions, and it links neighbouring segments:
+``cover[p] = cover[p - 1] + charge(node at p)``, cyclically.  A
+Hanany-Witten swap only rewrites the branes between the swapped pair.
+Off the swapped segment every other brane covers what it covered
+before, and each of the pair's branes covers every segment alike.  So a
+swap adds the pair's uniform change to the coverage, updates the
+pair's charges and the count of over-full fixed slots, and reads the
+swapped segment off the identity, in O(1 + the pair's branes).
+
+The from-scratch audit computes the coverage (each brane's laps plus
+its arc as a cyclic range in a difference array) and the fixed-slot
+occupancy in one pass from the index, in O(k + branes).  The public
+checks and :func:`synthesize_finite` use it, and a walker runs it on
+its first move, and on every move for as long as the ledger names a
+node that its host lacks.
 """
 
 from __future__ import annotations
@@ -32,11 +44,14 @@ from .diagram import (
     CutAt,
     Direction,
     HwMove,
+    IncrementArrows,
+    IncrementX,
     MoveEntry,
     NodeKind,
     SubtractArrowArc,
+    _require_valid,
 )
-from .rewrite import _swap, apply_entry, arc_increment
+from .rewrite import _swap
 
 # ---------------------------------------------------------------------------
 # branes and ledgers
@@ -77,9 +92,9 @@ def _index(d: BowDiagram) -> dict[int, tuple[int, NodeKind]]:
     return {d.nodes[i].id: (i, d.nodes[i].kind) for i in range(d.k - 1, -1, -1)}
 
 
-def _audit(k: int, index: dict, branes: dict[Brane, int]) -> tuple[tuple[int, ...], bool]:
+def _audit(k: int, index: dict, branes: dict[Brane, int]) -> tuple[tuple[int, ...], int]:
     """Coverage of ``branes`` on the k-node host that ``index`` indexes,
-    and whether every fixed slot holds at most one.
+    and the number of fixed slots that hold more than one.
 
     Laps cover every segment alike.  The open arc is a cyclic range
     accumulated in a difference array: anticlockwise from position i to
@@ -90,14 +105,14 @@ def _audit(k: int, index: dict, branes: dict[Brane, int]) -> tuple[tuple[int, ..
     acw = Direction.ACW
     laps = 0
     diff = [0] * k
-    susy = True
+    crowd = 0
     try:
         for brane, mult in branes.items():
             i, kind_i = index[brane.start]
             j, kind_j = index[brane.end]
             laps += mult * brane.laps
             if kind_i != kind_j and mult > 1:
-                susy = False
+                crowd += 1
             if i == j:
                 continue
             if brane.direction != acw:
@@ -108,10 +123,10 @@ def _audit(k: int, index: dict, branes: dict[Brane, int]) -> tuple[tuple[int, ..
                 diff[0] += mult
     except KeyError as err:
         raise KeyError(f"no node with id {err.args[0]}") from None
-    return tuple(accumulate(diff, initial=laps))[1:], susy
+    return tuple(accumulate(diff, initial=laps))[1:], crowd
 
 
-def _audit_ledger(ledger: BraneLedger) -> tuple[tuple[int, ...], bool]:
+def _audit_ledger(ledger: BraneLedger) -> tuple[tuple[int, ...], int]:
     d = ledger.diagram
     return _audit(d.k, _index(d), ledger.branes)
 
@@ -129,7 +144,7 @@ def coverage(ledger: BraneLedger) -> tuple[int, ...]:
 def ledger_is_susy(ledger: BraneLedger) -> bool:
     """No fixed slot may hold more than one brane."""
 
-    return _audit_ledger(ledger)[1]
+    return not _audit_ledger(ledger)[1]
 
 
 def check_ledger(ledger: BraneLedger) -> list[str]:
@@ -235,21 +250,44 @@ class _Walk:
     """A ledger carried through moves in place.
 
     Each :meth:`move` checks its entry as :func:`rewrite.apply_entry`
-    does, with the same errors, moves host and branes together and
-    audits coverage and fixed slots in full.  A swap rewrites the host
-    lists and two index entries, then carries the swapped pair's branes:
-    they are taken out and put back at the end of the dict, and
-    zero-multiplicity entries are dropped.  Any other entry is rare in a
-    move log and goes through ``apply_entry`` on a built host.
+    does, with the same errors, moves host and branes together on the
+    walker's lists, and checks the coverage against the host dims and
+    the fixed slots.  The walker carries what those checks need: the
+    coverage list, a charge per position (see the module docstring),
+    the count of over-full fixed slots, and the fixed branes grouped by
+    (arrow id, x-point id) in the dict's order.
+
+    A swap rewrites the host lists and two index entries, then takes
+    the pair's group out of the dict and puts the rewritten branes back
+    at its end, so the dict keeps the order that rewriting the pair's
+    branes in a scan of the whole dict would give.  The first swap also
+    drops every zero-multiplicity entry.  An increment, an arc
+    subtraction or a cut is applied to the lists, and an increment puts
+    or removes its brane.  The first move runs the full audit and takes
+    the carried state from it; so does every move while the ledger
+    names a node that the host lacks, since that audit raises.
     """
 
-    __slots__ = ("nodes", "dims", "cut", "index", "branes")
+    __slots__ = ("nodes", "dims", "cut", "index", "branes", "groups", "zeros", "cover", "charge", "crowd")
 
     def __init__(self, ledger: BraneLedger):
         d = ledger.diagram
         self.nodes, self.dims, self.cut = list(d.nodes), list(d.dims), d.cut
-        self.index = _index(d)
+        self.index = index = _index(d)
         self.branes = dict(ledger.branes)
+        self.groups: dict[tuple[int, int], list[Brane]] = {}
+        self.zeros = False
+        for key, mult in self.branes.items():
+            if not mult:
+                self.zeros = True
+                continue
+            start, end = index.get(key.start), index.get(key.end)
+            if start and end and start[1] != end[1]:
+                pair = (key.start, key.end) if start[1] == NodeKind.ARROW else (key.end, key.start)
+                self.groups.setdefault(pair, []).append(key)
+        self.cover: list[int] | None = None
+        self.charge: list[int] = []
+        self.crowd = 0
 
     def host(self) -> BowDiagram:
         return BowDiagram(nodes=tuple(self.nodes), dims=tuple(self.dims), cut=self.cut)
@@ -257,9 +295,9 @@ class _Walk:
     def ledger(self) -> BraneLedger:
         return BraneLedger(diagram=self.host(), branes=self.branes)
 
-    def _position(self, node_id: int) -> int:
+    def _locate(self, node_id: int) -> tuple[int, NodeKind]:
         try:
-            return self.index[node_id][0]
+            return self.index[node_id]
         except KeyError:
             raise KeyError(f"no node with id {node_id}") from None
 
@@ -270,30 +308,32 @@ class _Walk:
             left, right = (entry.right, entry.left) if inverse else (entry.left, entry.right)
             self._swap_pair(left, right)
         else:
-            d = self.host()
             if isinstance(entry, SubtractArrowArc):
-                entry, inverse = arc_increment(d, entry), not inverse
-            host = apply_entry(d, entry, inverse=inverse)
-            self.dims, self.cut = list(host.dims), host.cut
-            if not isinstance(entry, CutAt) and entry.amount:
-                laps = 1 if entry.start == entry.end else 0
-                key = Brane(entry.start, entry.end, entry.direction, laps)
-                (_remove if inverse else _put)(self.branes, key, entry.amount)
+                entry, inverse = self._arc_increment(entry), not inverse
+            if isinstance(entry, (IncrementArrows, IncrementX)):
+                self._increment(entry, inverse)
+            elif isinstance(entry, CutAt):
+                self._cut(entry.segment, inverse)
+            else:
+                raise TypeError(f"unknown move entry {entry!r}")
 
-        got, susy = _audit(len(self.nodes), self.index, self.branes)
-        if got != tuple(self.dims):
+        if self.cover is None:
+            got, self.crowd = _audit(len(self.nodes), self.index, self.branes)
+            self.cover = list(got)
+            self.charge = [got[p] - got[p - 1] for p in range(len(got))]
+        if self.cover != self.dims:
             raise ValueError(
-                f"brane coverage {got} lost track of the host dims {tuple(self.dims)}; "
+                f"brane coverage {tuple(self.cover)} lost track of the host dims {tuple(self.dims)}; "
                 "the ledger did not match its host"
             )
-        return susy
+        return not self.crowd
 
     def _swap_pair(self, left: int, right: int) -> None:
         nodes, index = self.nodes, self.index
         k = len(nodes)
-        pos = self._position(left)
+        pos = self._locate(left)[0]
         after = (pos + 1) % k
-        if after != self._position(right):
+        if after != self._locate(right)[0]:
             raise ValueError(f"nodes {left} and {right} are not adjacent in that order")
         kind = nodes[pos].kind
         if kind == nodes[after].kind:
@@ -308,28 +348,115 @@ class _Walk:
         shrink = Direction.ACW if u == left else Direction.CW
         grow = Direction.CW if u == left else Direction.ACW
         branes = self.branes
-        taken = [
-            key
-            for key, mult in branes.items()
-            if not mult or (key.start == u and key.end == xp) or (key.start == xp and key.end == u)
-        ]
-        mults = [branes.pop(key) for key in taken]
+        if self.zeros:
+            for key in [key for key, mult in branes.items() if not mult]:
+                del branes[key]
+            self.zeros = False
+        taken = [(key, branes.pop(key)) for key in self.groups.get((u, xp), ())]
         # the brane spanning the shrinking side, if held, is annihilated
-        annihilated = None
-        for key, mult in zip(taken, mults):
-            if mult >= 1 and key.start == u and key.direction == shrink and key.laps == 0 and key.end == xp:
-                annihilated = key
-        for key, mult in zip(taken, mults):
-            if key is annihilated:
-                mult -= 1
-            if not mult:
-                continue
+        annihilated = False
+        moved: dict[Brane, int] = {}
+        for key, mult in taken:
             if key.direction == shrink:
-                _put(branes, Brane(key.start, key.end, shrink, max(key.laps - 1, 0)), mult)
+                if key.start == u and key.laps == 0 and mult >= 1:
+                    annihilated = True
+                    mult -= 1
+                key = Brane(key.start, key.end, shrink, max(key.laps - 1, 0))
             else:
-                _put(branes, Brane(key.start, key.end, grow, key.laps + 1), mult)
-        if annihilated is None:
-            _put(branes, Brane(u, xp, grow, 0), 1)
+                key = Brane(key.start, key.end, grow, key.laps + 1)
+            _put(moved, key, mult)
+        if not annihilated:
+            _put(moved, Brane(u, xp, grow, 0), 1)
+        branes.update(moved)
+        self.groups[(u, xp)] = list(moved)
+        if self.cover is None:
+            return
+
+        # Every brane of the pair runs from pos to after or from after to
+        # pos, so off segment pos it covers uniformly: its laps, plus one
+        # when its anticlockwise arc starts at the node that is not at pos.
+        acw = Direction.ACW
+        uniform = flux = crowd = 0
+        for key, mult in taken:
+            first = (key.start if key.direction == acw else key.end) == left
+            uniform -= mult * (key.laps + (not first))
+            flux -= mult if first else -mult
+            crowd -= mult > 1
+        for key, mult in moved.items():
+            first = (key.start if key.direction == acw else key.end) == left
+            uniform += mult * (key.laps + first)
+            flux += mult if first else -mult
+            crowd += mult > 1
+        charge, cover = self.charge, self.cover
+        charge[pos], charge[after] = charge[after] - flux, charge[pos] + flux
+        if uniform:
+            cover[:] = [value + uniform for value in cover]
+        cover[pos] = cover[pos - 1] + charge[pos]
+        self.crowd += crowd
+
+    def _arc_increment(self, entry: SubtractArrowArc) -> IncrementX:
+        """:func:`rewrite.arc_increment` on the walker's lists."""
+
+        # validate reads only the nodes, dims and cut, which the walker holds
+        _require_valid(self)
+        nodes = self.nodes
+        if self.cut is None:
+            starts = [
+                pos
+                for pos, node in enumerate(nodes)
+                if node.kind == NodeKind.XPOINT and nodes[pos - 1].kind == NodeKind.ARROW
+            ]
+            if len(starts) == 1:
+                last = starts[0] + sum(node.kind == NodeKind.XPOINT for node in nodes) - 1
+                return IncrementX(
+                    nodes[starts[0]].id, nodes[last % len(nodes)].id, Direction.CW, entry.amount
+                )
+        raise ValueError("arc subtraction needs an affine separated diagram")
+
+    def _increment(self, entry: IncrementArrows | IncrementX, inverse: bool) -> None:
+        """An increment or its inverse on the lists, as
+        :func:`rewrite.apply_entry` applies it, with its brane put or removed."""
+
+        amount = entry.amount
+        if not inverse and amount < 0:
+            raise ValueError("increment amount must be nonnegative")
+        want = NodeKind.ARROW if isinstance(entry, IncrementArrows) else NodeKind.XPOINT
+        for node_id in (entry.start, entry.end):
+            if self._locate(node_id)[1] != want:
+                raise ValueError(f"node {node_id} is not of kind {want.value!r}")
+        # the brane's anticlockwise arc runs from position i to j; equal
+        # ends are a full loop
+        k = len(self.nodes)
+        i, j = self.index[entry.start][0], self.index[entry.end][0]
+        if entry.direction != Direction.ACW:
+            i, j = j, i
+        segs = range(k) if i == j else [(i + step) % k for step in range((j - i) % k)]
+        if self.cut is not None and self.cut in segs:
+            raise ValueError("increment arc crosses the cut segment")
+        delta = -amount if inverse else amount
+        for seg in segs:
+            self.dims[seg] += delta
+        if self.cover is not None:
+            for seg in segs:
+                self.cover[seg] += delta
+            if i != j:
+                self.charge[i] += delta
+                self.charge[j] -= delta
+        if amount:
+            key = Brane(entry.start, entry.end, entry.direction, 1 if entry.start == entry.end else 0)
+            (_remove if inverse else _put)(self.branes, key, amount)
+
+    def _cut(self, segment: int, inverse: bool) -> None:
+        if inverse:
+            if self.cut != segment:
+                raise ValueError("inverse cut does not match the diagram's cut")
+            self.cut = None
+        elif self.cut is not None:
+            raise ValueError("diagram is already cut")
+        elif self.dims[segment] != 0:
+            raise ValueError("can only cut a zero segment")
+        else:
+            self.cut = segment
 
 
 def ledger_apply_move(
@@ -373,7 +500,8 @@ def greedy_fixed_counts(v_arr, v_x) -> tuple[tuple[int, ...], list[int]]:
         counts.append(best)
         for j in range(best):
             cur[j] -= best - j
-        assert min(cur) >= 0
+        if min(cur) < 0:
+            raise RuntimeError(f"greedy fixed counts left a negative x-side budget {cur}")
     return tuple(counts), cur
 
 
@@ -398,7 +526,8 @@ def _histogram_runs(values: list[int]) -> list[tuple[int, int, int]]:
             i = j + 1
 
     if values:
-        assert min(values) >= 0
+        if min(values) < 0:
+            raise RuntimeError(f"cannot decompose the negative profile {values} into runs")
         rec(0, len(values) - 1, 0)
     return out
 
@@ -448,8 +577,8 @@ def synthesize_finite(fin) -> BraneLedger:
         _put(branes, Brane(fin.x_ids[hi], fin.x_ids[lo - 1], Direction.CW, 0), mult)
 
     ledger = BraneLedger(diagram=d, branes=branes)
-    got, susy = _audit_ledger(ledger)
-    if got != d.dims or not susy:
+    got, crowd = _audit_ledger(ledger)
+    if got != d.dims or crowd:
         raise ValueError(_NOT_SUSY)
     return ledger
 
@@ -479,7 +608,8 @@ def _synthesize_one_kind(d: BowDiagram) -> BraneLedger:
             mult,
         )
     ledger = BraneLedger(diagram=d, branes=branes)
-    assert coverage(ledger) == d.dims
+    if coverage(ledger) != d.dims:
+        raise RuntimeError(f"one-kind ledger does not cover the dims {d.dims}")
     return ledger
 
 
@@ -505,11 +635,16 @@ def _synthesize_decided(d: BowDiagram, cert, fin) -> BraneLedger:
     if d.n_arrows == 0 or d.n_xpoints == 0:
         return _synthesize_one_kind(d)
 
-    # each move re-audits coverage against its host in full, so the last
-    # one, on a host equal to d, also covers d
+    # each move checks the carried coverage against its host (the first
+    # one audits it from scratch), so the last one, on a host equal to d,
+    # also covers d; a move that fails here is a fault of this module
     walk = _Walk(synthesize_finite(fin))
     for entry in reversed(cert.pipeline):
-        if not walk.move(entry, inverse=True):
+        try:
+            susy = walk.move(entry, inverse=True)
+        except (KeyError, ValueError) as exc:
+            raise RuntimeError(f"transport failed at {entry}: {exc}") from exc
+        if not susy:
             raise RuntimeError(f"transport broke the fixed-slot bound at {entry}")
     ledger = walk.ledger()
     if ledger.diagram != d:

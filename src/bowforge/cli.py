@@ -6,7 +6,10 @@ Diagrams are accepted inline in the text grammar, as a path to a text
 file, or as a path to a diagram JSON file.
 
 Exit codes: 0 success or positive verdict, 1 negative verdict,
-2 usage or input error, 3 numerical non-convergence.
+2 usage or input error, 3 numerical non-convergence, 4 internal
+failure (a self-check or an exact step that failed on valid input).
+Codes 2 and 4 print one ``error:`` line on stderr and
+``{"error": ...}`` on stdout.
 """
 
 from __future__ import annotations
@@ -54,6 +57,7 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_NO_CONVERGENCE = 3
+EXIT_INTERNAL = 4
 
 
 class UsageError(Exception):
@@ -447,10 +451,10 @@ def main(argv=None) -> int:
         return args.handler(args)
     except SystemExit as exc:  # --help prints its text and exits 0
         return int(exc.code or 0)
-    except (UsageError, ValueError) as exc:
+    except (UsageError, ValueError, RuntimeError) as exc:
         print(json.dumps({"error": str(exc)}))
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return EXIT_INTERNAL if isinstance(exc, RuntimeError) else EXIT_USAGE
 
 
 if __name__ == "__main__":

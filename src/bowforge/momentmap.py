@@ -882,7 +882,8 @@ def _construct_decided(d: BowDiagram, cert, fin, seed: int) -> Solution:
             entry = HwMove(left=walk.nodes[walk.index[brane.end][0] - 1].id, right=brane.end)
             walk.move(entry)
             staging.append(entry)
-        assert not walk.branes, "staging did not empty the layout"
+        if walk.branes:
+            raise RuntimeError("staging did not empty the layout")
 
         sol = zero_solution(walk.host())
         for entry in reversed(staging):
@@ -898,7 +899,8 @@ def _construct_decided(d: BowDiagram, cert, fin, seed: int) -> Solution:
         sol = _exact_step(sol, increment(brane.start, brane.end, brane.direction, unfixed[brane]))
     for entry in reversed(cert.pipeline):
         sol = _exact_step(sol, entry)
-    assert sol.diagram == d
+    if sol.diagram != d:
+        raise RuntimeError("constructed zero does not sit on the diagram it was built for")
 
     sol = _generic_basis(sol)
     sol.seed = seed

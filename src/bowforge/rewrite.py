@@ -283,7 +283,8 @@ def separate(d: BowDiagram) -> tuple[SeparatedForm, MoveLog] | NegativeWitness:
                 return witness
         last += 1
     view = _separated_view(BowDiagram(nodes=tuple(nodes), dims=tuple(dims), cut=d.cut))
-    assert view is not None
+    if view is None:
+        raise RuntimeError("separation left the x points apart")
     return view, tuple(log)
 
 
@@ -375,7 +376,8 @@ def normalize_gap(sep: SeparatedForm) -> tuple[SeparatedForm, MoveLog] | Negativ
     if not log:
         return sep, ()
     view = _separated_view(BowDiagram(nodes=tuple(nodes), dims=tuple(dims), cut=None))
-    assert view is not None
+    if view is None:
+        raise RuntimeError("gap normalization left the x points apart")
     return view, tuple(log)
 
 

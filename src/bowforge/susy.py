@@ -203,7 +203,8 @@ def subtract_arrow_arc(sep: SeparatedForm, a: int) -> SeparatedForm:
         raise ValueError(f"amount {a} outside 0..min(v_arr)")
     out = apply_entry(d, SubtractArrowArc(amount=a))
     view = separated_view(out)
-    assert view is not None
+    if view is None:
+        raise RuntimeError("arc subtraction left the x points apart")
     return view
 
 

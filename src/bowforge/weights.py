@@ -189,19 +189,22 @@ def balanced_form(sep: SeparatedForm) -> BalancedForm:
         else:
             break
         view = separated_view(cur)
-        assert view is not None
+        if view is None:
+            raise RuntimeError("a balancing pass left the x points apart")
 
     # phase two: walk each arrow to its slot, front arrow first
     t = separated_triple(view)
     x_last = view.x_ids[-1]
-    assert all(0 <= step <= w for step in t.tlam)
+    if not all(0 <= step <= w for step in t.tlam):
+        raise RuntimeError(f"arrow-arc differences {t.tlam} outside [0, {w}] after rotation")
     for s in range(1, view.n + 1):
         cur = full_pass(cur, view.arrow_ids[s - 1], True, t.tlam[s - 1], log, allow_negative=True)
 
     for node in cur.nodes:
         if node.kind == NodeKind.ARROW:
             pos = cur.position(node.id)
-            assert cur.dims[(pos - 1) % cur.k] == cur.dims[pos], "arrow not balanced"
+            if cur.dims[(pos - 1) % cur.k] != cur.dims[pos]:
+                raise RuntimeError(f"arrow {node.id} not balanced")
 
     vhat = cur.dims[cur.position(x_last)]
     lam_values = transpose_gyd(triple.tlam, w)
@@ -209,7 +212,8 @@ def balanced_form(sep: SeparatedForm) -> BalancedForm:
     mu = AffineWeight(values=triple.mu, level=n, dpair=0)
 
     if w > triple.tlam[0] >= 0:
-        assert vhat == triple.v + sum(step for step in triple.tlam if step < 0)
+        if vhat != triple.v + sum(step for step in triple.tlam if step < 0):
+            raise RuntimeError(f"balanced x-point dimension {vhat} disagrees with the triple")
 
     # arrows between consecutive x points count column differences
     x_ids = view.x_ids
@@ -220,13 +224,15 @@ def balanced_form(sep: SeparatedForm) -> BalancedForm:
         while pos != b:
             count += cur.nodes[pos].kind == NodeKind.ARROW
             pos = (pos + 1) % cur.k
-        assert count == lam_values[i - 1] - lam_values[i]
+        if count != lam_values[i - 1] - lam_values[i]:
+            raise RuntimeError(f"{count} arrows between x points {i} and {i + 1} disagree with the weight")
     outer = 0
     pos = (cur.position(x_ids[-1]) + 1) % cur.k
     while pos != cur.position(x_ids[0]):
         outer += cur.nodes[pos].kind == NodeKind.ARROW
         pos = (pos + 1) % cur.k
-    assert outer == n - lam_values[0] + lam_values[-1]
+    if outer != n - lam_values[0] + lam_values[-1]:
+        raise RuntimeError(f"{outer} arrows outside the x points disagree with the weight")
 
     return BalancedForm(diagram=cur, log=tuple(log), lam=lam, mu=mu)
 
@@ -326,7 +332,8 @@ def stratum_check_affine(sep: SeparatedForm):
 
     triple = separated_triple(sep)
     total = sum(triple.mu)
-    assert total == sep.gap
+    if total != sep.gap:
+        raise RuntimeError(f"mu sums to {total}, not the gap {sep.gap}")
 
     for kappa in _gyd_candidates(w, n, total):
         tkappa = transpose_gyd(kappa, n)
@@ -343,12 +350,12 @@ def stratum_check_affine(sep: SeparatedForm):
             hi = min(hi, c_neg + triple.v + partial)
         if lo <= hi:
             chosen = AffineWeight(values=kappa, level=n, dpair=lo)
-            assert dominance_ge(
-                chosen, AffineWeight(values=triple.mu, level=n, dpair=0)
-            )
-            assert dominance_ge(
+            if not dominance_ge(chosen, AffineWeight(values=triple.mu, level=n, dpair=0)):
+                raise RuntimeError(f"chosen weight {kappa} does not dominate mu")
+            if not dominance_ge(
                 AffineWeight(values=tkappa, level=w, dpair=c_neg - lo),
                 AffineWeight(values=triple.tlam, level=w, dpair=-triple.v),
-            )
+            ):
+                raise RuntimeError(f"transpose of the chosen weight {kappa} does not dominate lambda")
             return chosen
     return None

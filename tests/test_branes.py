@@ -34,6 +34,7 @@ from bowforge.diagram import (
     separated_view,
 )
 from bowforge.susy import check_finite_separated, decide_supersymmetry
+from test_rewrite import run_optimized
 
 CW, ACW = Direction.CW, Direction.ACW
 
@@ -216,6 +217,59 @@ def test_synthesize_self_checks_raise(monkeypatch):
     monkeypatch.setattr(branes._Walk, "ledger", lambda self: BraneLedger(parse_diagram("( 0 x 0 o )"), {}))
     with pytest.raises(RuntimeError, match="does not sit on the diagram"):
         synthesize(d)
+
+
+def test_synthesize_names_the_entry_a_walker_fault_broke(monkeypatch):
+    def lose_track(self, entry, inverse=False):
+        raise ValueError("planted loss of track")
+
+    monkeypatch.setattr(branes._Walk, "move", lose_track)
+    with pytest.raises(RuntimeError, match=r"transport failed at HwMove\(.*\): planted loss of track"):
+        synthesize(parse_diagram("( 1 x 2 o 2 x 1 o )"))
+
+
+def test_walker_empties_a_crowded_slot_on_a_carried_swap():
+    # the first move audits in full and finds the doubled slot; the swap
+    # of its pair annihilates one brane of it, with coverage still matched
+    ledger = BraneLedger(parse_diagram("( 1 o 2 x 1 o 1 x )"), {Brane(1, 0, ACW, 0): 1, Brane(0, 1, ACW, 0): 2})
+    walk = branes._Walk(ledger)
+    assert walk.move(HwMove(2, 3)) is False
+    assert walk.crowd == 1
+    assert walk.move(HwMove(0, 1)) is True
+    assert walk.crowd == 0
+    assert walk.branes == {Brane(2, 3, CW, 0): 1, Brane(1, 0, ACW, 0): 1, Brane(0, 1, ACW, 0): 1}
+
+
+# An x-first fixed brane keeps coverage and dims equal for three swaps, so
+# the walker carries them; the fourth swap breaks the identity.
+LOSES_TRACK = """
+import json
+from bowforge.branes import Brane, BraneLedger, _Walk
+from bowforge.diagram import Direction, HwMove, parse_diagram
+
+ledger = BraneLedger(
+    parse_diagram("( 3 o 2 o 1 x 3 x )"),
+    {Brane(0, 2, Direction.CW, 1): 1, Brane(2, 1, Direction.ACW, 0): 1},
+)
+walk = _Walk(ledger)
+for step, (left, right) in enumerate([(3, 0), (2, 0), (3, 1), (2, 1)]):
+    try:
+        walk.move(HwMove(left, right))
+    except ValueError as exc:
+        print(json.dumps([step, str(exc)]))
+        break
+"""
+
+
+def test_walker_loses_track_at_the_same_swap_under_optimize(capsys):
+    exec(LOSES_TRACK, {})
+    plain = capsys.readouterr().out
+    assert json.loads(plain) == [
+        3,
+        "brane coverage (5, 3, 4, 5) lost track of the host dims (3, 1, 2, 3); "
+        "the ledger did not match its host",
+    ]
+    assert run_optimized(LOSES_TRACK) == plain
 
 
 def test_synthesize_finite_raises_exactly_on_non_susy_layouts():

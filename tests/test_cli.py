@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from bowforge import branes, cli
 from bowforge.cli import main
 from bowforge.diagram import parse_diagram, render_diagram
 from bowforge.momentmap import construct_solution, solution_to_json
@@ -115,18 +116,43 @@ def test_synth_refuses_non_susy(capsys):
 
 
 def test_synth_self_check_raises_under_optimize():
-    # a ledger that check_ledger rejects is never printed, also under -O
+    # a ledger that check_ledger rejects is never printed, also under -O:
+    # the failed self-check exits 4 with one error line
     script = (
+        "import contextlib, io, json\n"
         "import bowforge.cli as cli\n"
         "cli.check_ledger = lambda ledger: ['planted problem']\n"
-        "try:\n"
+        "out, err = io.StringIO(), io.StringIO()\n"
+        "with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
         "    code = cli.main(['synth', '( 3 x 2 o )'])\n"
-        "except RuntimeError as exc:\n"
-        "    print(exc)\n"
-        "else:\n"
-        "    raise SystemExit(f'synth printed a rejected ledger and exited {code}')\n"
+        "print(json.dumps([code, out.getvalue(), err.getvalue()]))\n"
     )
-    assert run_optimized(script).strip() == "synthesized ledger failed its check: ['planted problem']"
+    code, out, err = json.loads(run_optimized(script))
+    message = "synthesized ledger failed its check: ['planted problem']"
+    assert code == 4
+    assert json.loads(out) == {"error": message}
+    assert err == f"error: {message}\n"
+
+
+def _lose_track(self, entry, inverse=False):
+    raise ValueError("planted loss of track")
+
+
+INTERNAL_FAULTS = {
+    "self-check": (cli, "check_ledger", lambda ledger: ["planted problem"], "failed its check"),
+    "walker": (branes._Walk, "move", _lose_track, "transport failed at"),
+}
+
+
+@pytest.mark.parametrize("target, name, patch, message", INTERNAL_FAULTS.values(), ids=INTERNAL_FAULTS.keys())
+def test_internal_failure_exits_4(capsys, monkeypatch, target, name, patch, message):
+    monkeypatch.setattr(target, name, patch)
+    code = main(["synth", "--json", "( 3 x 2 o )"])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert message in json.loads(captured.out)["error"]
+    assert len(captured.err.strip().splitlines()) == 1
+    assert captured.err.startswith("error: ")
 
 
 # ---------------------------------------------------------------------------

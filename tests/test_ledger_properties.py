@@ -1,6 +1,7 @@
 """Property tests for brane ledgers: coverage arithmetic, move round trips,
-and the in-place ledger walker against the per-move ledger transport it
-replaced, kept here as the oracle."""
+the in-place ledger walker against the per-move ledger transport it
+replaced, kept here as the oracle, and the walker's carried coverage and
+fixed-slot count against a from-scratch audit after every move."""
 
 import pytest
 
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from bowforge.branes import (
     Brane,
     BraneLedger,
+    _audit,
     _put,
     _remove,
     _Walk,
@@ -29,6 +31,7 @@ from bowforge.diagram import (
     Node,
     NodeKind,
     SubtractArrowArc,
+    separated_view,
 )
 from bowforge.rewrite import apply_entry, arc_increment, legal_swaps
 
@@ -76,10 +79,10 @@ def random_ledgers(draw):
 
 
 @st.composite
-def certifying_ledgers(draw):
+def certifying_ledgers(draw, max_nodes=12):
     """A ledger that certifies its host: fixed branes arrow-first, one per slot."""
 
-    d = draw(hosts())
+    d = draw(hosts(max_nodes))
     arrows = [n.id for n in d.nodes if n.kind == ARROW]
     xs = [n.id for n in d.nodes if n.kind == XPOINT]
     branes = {}
@@ -284,4 +287,109 @@ def test_walker_matches_per_move_transport(ledger, data):
         ledger, susy = want[1]
         assert got[1] == susy
         assert walk.host() == ledger.diagram
+        assert list(walk.branes.items()) == list(ledger.branes.items())
+
+
+# ---------------------------------------------------------------------------
+# the walker's carried state against a from-scratch audit
+
+
+@st.composite
+def carried_ledgers(draw):
+    """Ledgers on up to 20 nodes whose dims are their coverage.
+
+    A third certify their host.  The others hold any branes: fixed ones
+    stored either end first and more than one to a slot, unfixed ones,
+    all with laps; in half of those, every brane runs between one
+    adjacent arrow and x point, so that swaps of that pair merge and
+    split crowded slots.  Some ledgers hold zero-multiplicity entries,
+    and a few name a node that the host does not have.
+    """
+
+    flavor = draw(st.sampled_from(["certifying", "any", "one pair"]))
+    if flavor == "certifying":
+        ledger = draw(certifying_ledgers(max_nodes=20))
+        d, branes = ledger.diagram, dict(ledger.branes)
+    else:
+        d = draw(hosts(max_nodes=20))
+        ids = [node.id for node in d.nodes]
+        ends = st.tuples(st.sampled_from(ids), st.sampled_from(ids))
+        pairs = [(d.nodes[pos].id, d.nodes[pos - 1].id) for pos in range(d.k) if d.nodes[pos].kind != d.nodes[pos - 1].kind]
+        if flavor == "one pair" and pairs:
+            a, b = draw(st.sampled_from(pairs))
+            ends = st.sampled_from([(a, b), (b, a)])
+        brane = st.builds(lambda ab, direction, laps: Brane(*ab, direction, laps), ends, st.sampled_from([CW, ACW]), st.integers(0, 3))
+        branes = draw(st.dictionaries(brane, st.integers(1, 3), max_size=24))
+        d = BowDiagram(d.nodes, coverage(BraneLedger(d, branes)))
+    ids = [node.id for node in d.nodes]
+    brane = st.builds(Brane, st.sampled_from(ids), st.sampled_from(ids), st.sampled_from([CW, ACW]), st.integers(0, 2))
+    for key in draw(st.lists(brane, max_size=3)):
+        branes.setdefault(key, 0)
+    if draw(st.integers(0, 15)) == 0:
+        branes[Brane(d.k + 3, ids[0], CW, 0)] = draw(st.integers(0, 1))
+    return BraneLedger(d, branes)
+
+
+def _draw_walk_entry(data, ledger: BraneLedger):
+    """A move and its sense, mostly one the walker accepts so that words run
+    long: a swap, an increment or the undoing of a held one, a cut or its
+    undoing, an arc subtraction on a separated affine host (undone, or
+    taking back branes the ledger holds); now and then any entry at all."""
+
+    d = ledger.diagram
+    pick = data.draw(st.sampled_from(["swap"] * 12 + ["increment"] * 2 + ["cut", "subtract", "subtract", "other"]))
+    if pick == "increment":
+        kinds = {node.id: node.kind for node in d.nodes}
+        held = [
+            (key, mult)
+            for key, mult in ledger.branes.items()
+            if mult > 0 and kinds.get(key.start, 0) == kinds.get(key.end)
+            and key.laps == (1 if key.start == key.end else 0)
+        ]
+        if held and data.draw(st.booleans()):
+            key, mult = data.draw(st.sampled_from(held))
+            cls = IncrementArrows if kinds[key.start] == ARROW else IncrementX
+            return cls(key.start, key.end, key.direction, data.draw(st.integers(1, mult))), True
+        node = data.draw(st.sampled_from(d.nodes))
+        end = data.draw(st.sampled_from([n.id for n in d.nodes if n.kind == node.kind]))
+        cls = IncrementArrows if node.kind == ARROW else IncrementX
+        return cls(node.id, end, data.draw(st.sampled_from([CW, ACW])), data.draw(st.integers(0, 3))), False
+    if pick == "cut":
+        if d.cut is not None:
+            return CutAt(d.cut), True
+        zeros = [seg for seg in range(d.k) if d.dims[seg] == 0]
+        if zeros:
+            return CutAt(data.draw(st.sampled_from(zeros))), False
+    sep = separated_view(d)
+    if pick == "subtract" and d.cut is None and sep is not None and sep.n and sep.w:
+        arc = Brane(sep.x_ids[0], sep.x_ids[-1], CW, int(sep.w == 1))
+        held = ledger.branes.get(arc, 0)
+        if held > 0 and data.draw(st.booleans()):
+            return SubtractArrowArc(data.draw(st.integers(1, held))), False
+        return SubtractArrowArc(data.draw(st.integers(0, 2))), True
+    if pick != "other" and legal_swaps(d):
+        left, right = data.draw(st.sampled_from(legal_swaps(d)))
+        return HwMove(left, right), False
+    inverse = data.draw(st.booleans())
+    return _draw_entry(data, ledger, inverse), inverse
+
+
+@settings(max_examples=300, deadline=None)
+@given(carried_ledgers(), st.data())
+def test_walker_carries_what_a_full_audit_computes(ledger, data):
+    walk = _Walk(ledger)
+    for _ in range(data.draw(st.integers(1, 64))):
+        entry, inverse = _draw_walk_entry(data, ledger)
+        want = _outcome(lambda: oracle_move(ledger, entry, inverse))
+        got = _outcome(lambda: walk.move(entry, inverse))
+        assert got[0] == want[0], (entry, inverse, got, want)
+        if want[0] == "raised":
+            assert got[1] == want[1]
+            return
+        ledger = want[1][0]
+        cover, crowd = _audit(len(walk.nodes), walk.index, walk.branes)
+        assert tuple(walk.cover) == cover
+        assert walk.charge == [cover[p] - cover[p - 1] for p in range(len(cover))]
+        assert walk.crowd == crowd
+        assert got[1] == (crowd == 0) == want[1][1]
         assert list(walk.branes.items()) == list(ledger.branes.items())

@@ -2,9 +2,11 @@
 
 numpy loads on the first matrix, not with the package, so each test
 runs a new process: this one has numpy loaded already.  The same runner
-checks that ``python -O`` changes no exit code and no output.
+checks that ``python -O`` changes no exit code and no output, and no
+``assert`` in the package holds a check that ``-O`` would strip.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -91,3 +93,12 @@ def test_optimized_mode_changes_no_answer(tmp_path):
     optimized = [(code, out) for code, _, out in run_verbs(argvs, optimize=True)["calls"]]
     assert plain == optimized
     assert [code for code, _ in plain[-2:]] == [1, 2]
+
+
+def test_package_has_no_assert_statements():
+    found = []
+    for path in sorted(Path(SRC, "bowforge").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Assert):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"assert statements vanish under python -O: {found}"
