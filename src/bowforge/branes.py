@@ -49,9 +49,8 @@ from .diagram import (
     MoveEntry,
     NodeKind,
     SubtractArrowArc,
-    _require_valid,
 )
-from .rewrite import _swap
+from .rewrite import _cut_after, _increment_segments, _swap, arc_increment
 
 # ---------------------------------------------------------------------------
 # branes and ledgers
@@ -250,22 +249,26 @@ class _Walk:
     """A ledger carried through moves in place.
 
     Each :meth:`move` checks its entry as :func:`rewrite.apply_entry`
-    does, with the same errors, moves host and branes together on the
-    walker's lists, and checks the coverage against the host dims and
-    the fixed slots.  The walker carries what those checks need: the
-    coverage list, a charge per position (see the module docstring),
-    the count of over-full fixed slots, and the fixed branes grouped by
-    (arrow id, x-point id) in the dict's order.
+    does, with the same errors, moves host and branes together, and
+    checks the coverage against the host dims and the fixed slots.  The
+    walker carries what those checks need: the coverage list, a charge
+    per position (see the module docstring), the count of over-full
+    fixed slots, and the fixed branes grouped by (arrow id, x-point id)
+    in the dict's order.
 
     A swap rewrites the host lists and two index entries, then takes
     the pair's group out of the dict and puts the rewritten branes back
     at its end, so the dict keeps the order that rewriting the pair's
     branes in a scan of the whole dict would give.  The first swap also
-    drops every zero-multiplicity entry.  An increment, an arc
-    subtraction or a cut is applied to the lists, and an increment puts
-    or removes its brane.  The first move runs the full audit and takes
-    the carried state from it; so does every move while the ledger
-    names a node that the host lacks, since that audit raises.
+    drops every zero-multiplicity entry.  An increment or a cut runs on
+    the walker's lists through the routines that ``apply_entry`` uses
+    on a diagram; an arc subtraction first asks ``arc_increment`` of a
+    built host for its increment.  An increment puts or removes its
+    brane, which is not fixed and covers exactly the segments it
+    raises, so the coverage and the charges take that change.  The
+    first move runs the full audit and takes the carried state from it;
+    so does every move while the ledger names a node that the host
+    lacks, since that audit raises.
     """
 
     __slots__ = ("nodes", "dims", "cut", "index", "branes", "groups", "zeros", "cover", "charge", "crowd")
@@ -295,9 +298,9 @@ class _Walk:
     def ledger(self) -> BraneLedger:
         return BraneLedger(diagram=self.host(), branes=self.branes)
 
-    def _locate(self, node_id: int) -> tuple[int, NodeKind]:
+    def _position(self, node_id: int) -> int:
         try:
-            return self.index[node_id]
+            return self.index[node_id][0]
         except KeyError:
             raise KeyError(f"no node with id {node_id}") from None
 
@@ -309,11 +312,11 @@ class _Walk:
             self._swap_pair(left, right)
         else:
             if isinstance(entry, SubtractArrowArc):
-                entry, inverse = self._arc_increment(entry), not inverse
+                entry, inverse = arc_increment(self.host(), entry), not inverse
             if isinstance(entry, (IncrementArrows, IncrementX)):
                 self._increment(entry, inverse)
             elif isinstance(entry, CutAt):
-                self._cut(entry.segment, inverse)
+                self.cut = _cut_after(self.cut, self.dims, entry, inverse)
             else:
                 raise TypeError(f"unknown move entry {entry!r}")
 
@@ -331,9 +334,9 @@ class _Walk:
     def _swap_pair(self, left: int, right: int) -> None:
         nodes, index = self.nodes, self.index
         k = len(nodes)
-        pos = self._locate(left)[0]
+        pos = self._position(left)
         after = (pos + 1) % k
-        if after != self._locate(right)[0]:
+        if after != self._position(right):
             raise ValueError(f"nodes {left} and {right} are not adjacent in that order")
         kind = nodes[pos].kind
         if kind == nodes[after].kind:
@@ -394,69 +397,27 @@ class _Walk:
         cover[pos] = cover[pos - 1] + charge[pos]
         self.crowd += crowd
 
-    def _arc_increment(self, entry: SubtractArrowArc) -> IncrementX:
-        """:func:`rewrite.arc_increment` on the walker's lists."""
-
-        # validate reads only the nodes, dims and cut, which the walker holds
-        _require_valid(self)
-        nodes = self.nodes
-        if self.cut is None:
-            starts = [
-                pos
-                for pos, node in enumerate(nodes)
-                if node.kind == NodeKind.XPOINT and nodes[pos - 1].kind == NodeKind.ARROW
-            ]
-            if len(starts) == 1:
-                last = starts[0] + sum(node.kind == NodeKind.XPOINT for node in nodes) - 1
-                return IncrementX(
-                    nodes[starts[0]].id, nodes[last % len(nodes)].id, Direction.CW, entry.amount
-                )
-        raise ValueError("arc subtraction needs an affine separated diagram")
-
     def _increment(self, entry: IncrementArrows | IncrementX, inverse: bool) -> None:
-        """An increment or its inverse on the lists, as
-        :func:`rewrite.apply_entry` applies it, with its brane put or removed."""
+        """An increment or its inverse, as :func:`rewrite.apply_entry`
+        applies it, with its brane put or removed."""
 
-        amount = entry.amount
-        if not inverse and amount < 0:
+        if not inverse and entry.amount < 0:
             raise ValueError("increment amount must be nonnegative")
-        want = NodeKind.ARROW if isinstance(entry, IncrementArrows) else NodeKind.XPOINT
-        for node_id in (entry.start, entry.end):
-            if self._locate(node_id)[1] != want:
-                raise ValueError(f"node {node_id} is not of kind {want.value!r}")
-        # the brane's anticlockwise arc runs from position i to j; equal
-        # ends are a full loop
-        k = len(self.nodes)
-        i, j = self.index[entry.start][0], self.index[entry.end][0]
-        if entry.direction != Direction.ACW:
-            i, j = j, i
-        segs = range(k) if i == j else [(i + step) % k for step in range((j - i) % k)]
-        if self.cut is not None and self.cut in segs:
-            raise ValueError("increment arc crosses the cut segment")
-        delta = -amount if inverse else amount
+        segs = _increment_segments(self.nodes, self.cut, self._position, entry)
+        delta = -entry.amount if inverse else entry.amount
         for seg in segs:
             self.dims[seg] += delta
+        # the brane is not fixed and covers exactly segs, anticlockwise
+        # from its arc's start to its end; a full loop starts and ends at
+        # segs[0], so its charges cancel
         if self.cover is not None:
             for seg in segs:
                 self.cover[seg] += delta
-            if i != j:
-                self.charge[i] += delta
-                self.charge[j] -= delta
-        if amount:
+            self.charge[segs[0]] += delta
+            self.charge[(segs[-1] + 1) % len(self.nodes)] -= delta
+        if entry.amount:
             key = Brane(entry.start, entry.end, entry.direction, 1 if entry.start == entry.end else 0)
-            (_remove if inverse else _put)(self.branes, key, amount)
-
-    def _cut(self, segment: int, inverse: bool) -> None:
-        if inverse:
-            if self.cut != segment:
-                raise ValueError("inverse cut does not match the diagram's cut")
-            self.cut = None
-        elif self.cut is not None:
-            raise ValueError("diagram is already cut")
-        elif self.dims[segment] != 0:
-            raise ValueError("can only cut a zero segment")
-        else:
-            self.cut = segment
+            (_remove if inverse else _put)(self.branes, key, entry.amount)
 
 
 def ledger_apply_move(

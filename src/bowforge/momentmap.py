@@ -586,7 +586,7 @@ def _extend_arc_unit(
     if any(abs(complex(v)) > 0 for v in sol.lam.values()):
         raise ValueError("exact arc extension needs level zero")
     d = sol.diagram
-    covered = set(_increment_segments(d, entry))
+    covered = set(_increment_segments(d.nodes, d.cut, d.position, entry))
     if isinstance(entry, IncrementX):
         ends = [sol.triangles[entry.start], sol.triangles[entry.end]]
         c = _pick_shift([m for t in ends for m in (t.B_in, t.B_out)], c)

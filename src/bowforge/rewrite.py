@@ -36,8 +36,6 @@ from .diagram import (
     SubtractArrowArc,
     _require_valid,
     _separated_view,
-    arc_segments,
-    separated_view,
 )
 
 # ---------------------------------------------------------------------------
@@ -123,16 +121,28 @@ def legal_swaps(d: BowDiagram) -> list[tuple[int, int]]:
 # uniform arc raises
 
 
-def _increment_segments(d: BowDiagram, entry: IncrementArrows | IncrementX) -> tuple[int, ...]:
+def _increment_segments(
+    nodes, cut: int | None, position, entry: IncrementArrows | IncrementX
+) -> range | list[int]:
+    """The segments an increment raises, anticlockwise from the arc's start.
+
+    Works on a node list whose ids ``position`` looks up, so that a
+    ``BowDiagram`` and a walker over mutable lists share it.  The ends
+    must be of the entry's kind and the arc may not hold the cut.
+    """
+
     want = NodeKind.ARROW if isinstance(entry, IncrementArrows) else NodeKind.XPOINT
     for node_id in (entry.start, entry.end):
-        if d.node_by_id(node_id).kind != want:
+        if nodes[position(node_id)].kind != want:
             raise ValueError(f"node {node_id} is not of kind {want.value!r}")
-    if entry.start == entry.end:
-        segs: tuple[int, ...] = tuple(range(d.k))
-    else:
-        segs = arc_segments(d, entry.start, entry.end, entry.direction)
-    if d.cut is not None and d.cut in segs:
+    # the anticlockwise arc runs from position i to j; equal ends are a
+    # full loop
+    k = len(nodes)
+    i, j = position(entry.start), position(entry.end)
+    if entry.direction != Direction.ACW:
+        i, j = j, i
+    segs = range(k) if i == j else [(i + step) % k for step in range((j - i) % k)]
+    if cut is not None and cut in segs:
         raise ValueError("increment arc crosses the cut segment")
     return segs
 
@@ -147,7 +157,7 @@ def apply_increment(d: BowDiagram, entry: IncrementArrows | IncrementX) -> BowDi
 
     if entry.amount < 0:
         raise ValueError("increment amount must be nonnegative")
-    segs = _increment_segments(d, entry)
+    segs = _increment_segments(d.nodes, d.cut, d.position, entry)
     dims = list(d.dims)
     for seg in segs:
         dims[seg] += entry.amount
@@ -162,11 +172,20 @@ def arc_increment(d: BowDiagram, entry: SubtractArrowArc) -> IncrementX:
     branes back raises exactly that x-to-x arc.
     """
 
-    sep = separated_view(d)
-    if d.is_finite or sep is None or sep.n == 0 or sep.w == 0:
+    _require_valid(d)
+    nodes = d.nodes
+    # separated with both kinds present: one arrow followed by an x point,
+    # where the run of all w x points starts
+    starts = [
+        pos
+        for pos, node in enumerate(nodes)
+        if node.kind == NodeKind.XPOINT and nodes[pos - 1].kind == NodeKind.ARROW
+    ]
+    if d.is_finite or len(starts) != 1:
         raise ValueError("arc subtraction needs an affine separated diagram")
+    last = (starts[0] + d.n_xpoints - 1) % d.k
     return IncrementX(
-        start=sep.x_ids[0], end=sep.x_ids[-1], direction=Direction.CW, amount=entry.amount
+        start=nodes[starts[0]].id, end=nodes[last].id, direction=Direction.CW, amount=entry.amount
     )
 
 
@@ -188,24 +207,30 @@ def apply_entry(d: BowDiagram, entry: MoveEntry, inverse: bool = False) -> BowDi
     if isinstance(entry, (IncrementArrows, IncrementX)):
         if not inverse:
             return apply_increment(d, entry)
-        segs = _increment_segments(d, entry)
+        segs = _increment_segments(d.nodes, d.cut, d.position, entry)
         dims = list(d.dims)
         for seg in segs:
             dims[seg] -= entry.amount
         return BowDiagram(nodes=d.nodes, dims=tuple(dims), cut=d.cut)
 
     if isinstance(entry, CutAt):
-        if inverse:
-            if d.cut != entry.segment:
-                raise ValueError("inverse cut does not match the diagram's cut")
-            return BowDiagram(nodes=d.nodes, dims=d.dims, cut=None)
-        if d.is_finite:
-            raise ValueError("diagram is already cut")
-        if d.dims[entry.segment] != 0:
-            raise ValueError("can only cut a zero segment")
-        return BowDiagram(nodes=d.nodes, dims=d.dims, cut=entry.segment)
+        return BowDiagram(nodes=d.nodes, dims=d.dims, cut=_cut_after(d.cut, d.dims, entry, inverse))
 
     raise TypeError(f"unknown move entry {entry!r}")
+
+
+def _cut_after(cut: int | None, dims, entry: CutAt, inverse: bool) -> int | None:
+    """The cut after a CutAt entry or its inverse, on a diagram's cut and dims."""
+
+    if inverse:
+        if cut != entry.segment:
+            raise ValueError("inverse cut does not match the diagram's cut")
+        return None
+    if cut is not None:
+        raise ValueError("diagram is already cut")
+    if dims[entry.segment] != 0:
+        raise ValueError("can only cut a zero segment")
+    return entry.segment
 
 
 def replay(d: BowDiagram, log: MoveLog, inverse: bool = False) -> BowDiagram:

@@ -254,8 +254,10 @@ def test_arc_increment_undoes_subtraction():
         assert (entry.start == entry.end) == laps
         out = apply_entry(d, SubtractArrowArc(amount=2))
         assert apply_increment(out, entry) == d
-    with pytest.raises(ValueError):
-        arc_increment(parse_diagram("[ 0 o 2 x 0 ]"), SubtractArrowArc(amount=1))
+    # finite, x points in two runs, or one kind only
+    for text in ["[ 0 o 2 x 0 ]", "( 1 x 1 o 1 x 1 o )", "( 1 x 1 x )", "( 1 o 1 o )"]:
+        with pytest.raises(ValueError, match="affine separated"):
+            arc_increment(parse_diagram(text), SubtractArrowArc(amount=1))
 
 
 def test_cut_entry_round_trip():
