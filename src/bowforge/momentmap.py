@@ -186,32 +186,46 @@ def moment_residual(sol: Solution) -> float:
 # ---------------------------------------------------------------------------
 # stability
 
-
-def _null_space(mat: np.ndarray, rtol: float) -> np.ndarray:
-    """Orthonormal kernel basis; tolerance floored at the unit scale so
-    a block that merely converged to zero is treated as zero."""
-
-    if mat.shape[0] == 0:
-        return np.eye(mat.shape[1], dtype=complex)
-    if mat.shape[1] == 0:
-        return np.zeros((0, 0), dtype=complex)
-    u, s, vh = np.linalg.svd(mat)
-    tol = rtol * max(float(s[0]) if s.size else 0.0, 1.0)
-    rank = int(np.sum(s > tol))
-    return vh[rank:].conj().T
+# every rank in a closure counts singular values above this share of
+# max(||op||_F, 1): the operator's scale, not the generators', so one
+# huge generator cannot swamp the others
+_RANK_RTOL = 1e-6
 
 
-def _matrix_rank(mat: np.ndarray, rtol: float) -> int:
-    if min(mat.shape) == 0:
+def _closure_dim(op: np.ndarray, gens: np.ndarray) -> int:
+    """Dimension of the smallest ``op``-invariant subspace containing im ``gens``.
+
+    Grows an orthonormal basis: an SVD of ``gens``, then ``op`` applied
+    to the newest columns, orthogonalized twice against the basis so far,
+    keeping the directions above tolerance, until nothing new appears or
+    the basis is full (the controllability staircase).
+    """
+
+    n = op.shape[0]
+    if n == 0:
         return 0
-    s = np.linalg.svd(mat, compute_uv=False)
-    tol = rtol * max(float(s[0]) if s.size else 0.0, 1.0)
-    return int(np.sum(s > tol))
+    tol = _RANK_RTOL * max(float(np.linalg.norm(op)), 1.0)
+    u, s, _ = np.linalg.svd(gens, full_matrices=False)
+    basis = new = u[:, s > tol]
+    while new.shape[1] and basis.shape[1] < n:
+        grown = op @ new
+        for _ in range(2):
+            grown = grown - basis @ (basis.conj().T @ grown)
+        u, s, _ = np.linalg.svd(grown, full_matrices=False)
+        new = u[:, s > tol]
+        basis = np.hstack([basis, new])
+    return basis.shape[1]
 
 
 @dataclass
 class XStability:
-    """Per x-point stability facts: triangle residual plus both ranks."""
+    """Per x-point stability facts: triangle residual plus both ranks.
+
+    ``chain_dim`` is the dimension of the largest B_in-invariant subspace
+    inside ker [A; b], read as v_in minus the B_inᴴ-closure of the rows
+    of [A; b]; S1 holds when it is 0.  ``krylov_rank`` is the dimension
+    of the B_out-closure of im [A | a]; S2 holds when it is v_out.
+    """
 
     cond_a: float
     s1: bool
@@ -230,13 +244,14 @@ class StabilityReport:
         return all(e.s1 and e.s2 for e in self.entries.values())
 
 
-def stability_report(sol: Solution, rtol: float = 1e-6) -> StabilityReport:
+def stability_report(sol: Solution) -> StabilityReport:
     """Both rank conditions at every x point, with the evidence.
 
-    First condition: the kernel of the stacked [A; b] admits no
-    invariant subspace under B_in except zero; the chain of kernel
-    intersections must shrink to nothing.  Second: the columns of
-    [A | a] generate everything under repeated B_out.
+    Both are one question for ``_closure_dim``: does the smallest
+    invariant subspace containing some vectors fill the space?  S2: the
+    columns of [A | a] generate everything under B_out.  S1, in dual
+    form: ker [A; b] holds no nonzero B_in-invariant subspace exactly
+    when the rows of [A; b] generate everything under B_inᴴ.
     """
 
     entries: dict[int, XStability] = {}
@@ -247,31 +262,8 @@ def stability_report(sol: Solution, rtol: float = 1e-6) -> StabilityReport:
         v_in = t.B_in.shape[0]
         v_out = t.B_out.shape[0]
         cond_a = float(np.linalg.norm(t.B_out @ t.A - t.A @ t.B_in + t.a @ t.b))
-
-        chain_dim = 0
-        if v_in > 0:
-            basis = _null_space(np.vstack([t.A, t.b]), rtol)
-            while basis.shape[1] > 0:
-                perp = _null_space(basis.conj().T, rtol)
-                if perp.shape[1] == 0:
-                    shrunk = basis
-                else:
-                    coeff = _null_space(perp.conj().T @ t.B_in @ basis, rtol)
-                    shrunk = basis @ coeff
-                if shrunk.shape[1] == basis.shape[1]:
-                    break
-                basis = shrunk
-            chain_dim = basis.shape[1]
-
-        krylov_rank = 0
-        if v_out > 0:
-            span = np.hstack([t.A, t.a])
-            krylov = [span]
-            for _ in range(v_out):
-                span = t.B_out @ span
-                krylov.append(span)
-            krylov_rank = _matrix_rank(np.hstack(krylov), rtol)
-
+        chain_dim = v_in - _closure_dim(t.B_in.conj().T, np.vstack([t.A, t.b]).conj().T)
+        krylov_rank = _closure_dim(t.B_out, np.hstack([t.A, t.a]))
         entries[node.id] = XStability(
             cond_a=cond_a,
             s1=chain_dim == 0,
@@ -279,11 +271,11 @@ def stability_report(sol: Solution, rtol: float = 1e-6) -> StabilityReport:
             chain_dim=chain_dim,
             krylov_rank=krylov_rank,
         )
-    return StabilityReport(entries=entries, rtol=rtol)
+    return StabilityReport(entries=entries, rtol=_RANK_RTOL)
 
 
-def stability_check(sol: Solution, rtol: float = 1e-6) -> bool:
-    return stability_report(sol, rtol).ok
+def stability_check(sol: Solution) -> bool:
+    return stability_report(sol).ok
 
 
 # ---------------------------------------------------------------------------

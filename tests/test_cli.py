@@ -181,6 +181,22 @@ def test_solve_verify_round_trip(capsys, tmp_path):
     assert all(entry["s1"] and entry["s2"] for entry in report["x_points"].values())
 
 
+def test_solve_large_dims_and_verify_keys(capsys, tmp_path):
+    # the kernel chain and the raw Krylov rank once refused this zero (exit 3)
+    sol_file = tmp_path / "sol.json"
+    code, payload = run(capsys, "solve", "--json", "--out", str(sol_file), "( 32 x 18 x 28 x 40 o )")
+    assert code == 0
+    assert payload["meta"]["stable"] is True
+
+    code, report = run(capsys, "verify", "--json", "--sol", str(sol_file))
+    assert code == 0
+    assert report["rank_rtol"] == 1e-6
+    assert len(report["x_points"]) == 3
+    for entry in report["x_points"].values():
+        assert set(entry) == {"cond_a", "s1", "s2", "chain_dim", "krylov_rank"}
+        assert entry["s1"] and entry["s2"] and entry["chain_dim"] == 0
+
+
 def test_solve_refuses_non_susy_at_level_zero(capsys):
     code, payload = run(capsys, "solve", "--json", "--seed", "0", "[ 0 o 2 x 0 ]")
     assert code == 1

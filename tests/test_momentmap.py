@@ -120,13 +120,87 @@ def test_stability_vacuous_sides():
     assert report.entries[second].chain_dim == 0
 
 
-def test_stability_zero_span_fails():
+def x_ids(sol: Solution) -> list[int]:
+    return [n.id for n in sol.diagram.nodes if n.kind == NodeKind.XPOINT]
+
+
+def zeroed_tail():
     sol = two_x_closed_form(0, 2)
-    first = [n.id for n in sol.diagram.nodes if n.kind == NodeKind.XPOINT][0]
+    first = x_ids(sol)[0]
     sol.triangles[first].a = np.zeros((2, 1), dtype=complex)
-    report = stability_report(sol)
-    assert not report.entries[first].s2
-    assert not stability_check(sol)
+    return sol, first, "krylov_rank", 0
+
+
+def all_zero_maps():
+    sol = zero_solution(parse_diagram("( 2 x 2 o )"))
+    return sol, x_ids(sol)[0], "krylov_rank", 0
+
+
+def constructed_without_span():
+    sol = construct_solution(parse_diagram("( 2 x 2 o )"))
+    xid = x_ids(sol)[0]
+    t = sol.triangles[xid]
+    t.A = np.zeros_like(t.A)
+    t.a = np.zeros_like(t.a)
+    return sol, xid, "krylov_rank", 0
+
+
+def span_in_invariant_block():
+    # B_out is block upper-triangular and im [A | a] lies in its leading
+    # invariant block, so the span stops at 2 of 4
+    sol = two_x_closed_form(0, 4)
+    first, second = x_ids(sol)
+    upper = np.diag(np.arange(1, 5)).astype(complex)
+    upper[:2, 2:] = 1.0
+    sol.triangles[first].B_out = upper
+    sol.triangles[second].B_in = upper.copy()
+    sol.triangles[first].a = np.array([[1], [1], [0], [0]], dtype=complex)
+    return sol, first, "krylov_rank", 2
+
+
+def invariant_line_in_kernel():
+    # e_0 is an eigenvector of B_in and b kills it
+    sol = two_x_closed_form(0, 3)
+    second = x_ids(sol)[1]
+    sol.triangles[second].b = np.array([[0, 1, 1]], dtype=complex)
+    return sol, second, "chain_dim", 1
+
+
+def test_stability_zero_span_fails():
+    for build in (
+        zeroed_tail,
+        all_zero_maps,
+        constructed_without_span,
+        span_in_invariant_block,
+        invariant_line_in_kernel,
+    ):
+        sol, xid, field, value = build()
+        assert moment_residual(sol) < 1e-8, build.__name__
+        assert getattr(stability_report(sol).entries[xid], field) == value, build.__name__
+        assert not stability_check(sol), build.__name__
+
+
+def test_scaled_stable_zero_stays_stable():
+    # both conditions are invariant under scaling every triangle map
+    sol = construct_solution(parse_diagram("( 3 x 2 o 2 x 1 o )"))
+    assert sol.stable
+    for t in sol.triangles.values():
+        for name in ("A", "B_in", "B_out", "a", "b"):
+            setattr(t, name, 1e-3 * getattr(t, name))
+    assert stability_check(sol)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["( 32 x 18 x 28 x 40 o )", "( 50 x 58 x 55 x 51 x 59 o )", "( 31 x 37 o 46 o 47 x )"],
+)
+def test_large_dims_construct_stable_zeros(text):
+    # the kernel chain and the raw Krylov rank lost rank on all three
+    sol = construct_solution(parse_diagram(text))
+    assert sol.converged and sol.stable, f"residual {sol.residual:.2e}"
+    for xid, entry in stability_report(sol).entries.items():
+        assert entry.chain_dim == 0
+        assert entry.krylov_rank == sol.triangles[xid].B_out.shape[0]
 
 
 # ---------------------------------------------------------------------------

@@ -86,13 +86,14 @@ def test_solve_loads_numpy_and_converges():
 def test_optimized_mode_changes_no_answer(tmp_path):
     # a negative dimension once tripped an assert only without -O
     argvs = numpy_free_argvs(tmp_path) + [
+        ["solve", "( 32 x 18 x 28 x 40 o )"],
         ["stratum", "[ 0 o 2 x -1 x 0 ]", "--mode", "finite"],
         ["check", "( 2 x 2 )"],
     ]
     plain = [(code, out) for code, _, out in run_verbs(argvs)["calls"]]
     optimized = [(code, out) for code, _, out in run_verbs(argvs, optimize=True)["calls"]]
     assert plain == optimized
-    assert [code for code, _ in plain[-2:]] == [1, 2]
+    assert [code for code, _ in plain[-3:]] == [0, 1, 2]
 
 
 def test_package_has_no_assert_statements():
