@@ -29,9 +29,9 @@ swapped segment off the identity, in O(1 + the pair's branes).
 The from-scratch audit computes the coverage (each brane's laps plus
 its arc as a cyclic range in a difference array) and the fixed-slot
 occupancy in one pass from the index, in O(k + branes).  The public
-checks and :func:`synthesize_finite` use it, and a walker runs it on
-its first move, and on every move for as long as the ledger names a
-node that its host lacks.
+checks use it, and a walker runs it once, on the ledger it starts from;
+:func:`synthesize_finite` starts one on the ledger it builds, so that
+one audit serves both.
 """
 
 from __future__ import annotations
@@ -125,25 +125,22 @@ def _audit(k: int, index: dict, branes: dict[Brane, int]) -> tuple[tuple[int, ..
     return tuple(accumulate(diff, initial=laps))[1:], crowd
 
 
-def _audit_ledger(ledger: BraneLedger) -> tuple[tuple[int, ...], int]:
-    d = ledger.diagram
-    return _audit(d.k, _index(d), ledger.branes)
-
-
 def brane_coverage(d: BowDiagram, brane: Brane) -> tuple[int, ...]:
     """How many times the brane passes over each segment."""
 
-    return _audit_ledger(BraneLedger(d, {brane: 1}))[0]
+    return coverage(BraneLedger(d, {brane: 1}))
 
 
 def coverage(ledger: BraneLedger) -> tuple[int, ...]:
-    return _audit_ledger(ledger)[0]
+    d = ledger.diagram
+    return _audit(d.k, _index(d), ledger.branes)[0]
 
 
 def ledger_is_susy(ledger: BraneLedger) -> bool:
     """No fixed slot may hold more than one brane."""
 
-    return not _audit_ledger(ledger)[1]
+    d = ledger.diagram
+    return not _audit(d.k, _index(d), ledger.branes)[1]
 
 
 def check_ledger(ledger: BraneLedger) -> list[str]:
@@ -256,41 +253,46 @@ class _Walk:
     fixed slots, and the fixed branes grouped by (arrow id, x-point id)
     in the dict's order.
 
+    The walker audits its starting ledger once, when it is built: a
+    node id the host lacks raises KeyError, a negative multiplicity or
+    a coverage other than the host dims raises ValueError, and
+    zero-multiplicity entries are dropped.  The carried state starts
+    from that audit.
+
     A swap rewrites the host lists and two index entries, then takes
     the pair's group out of the dict and puts the rewritten branes back
     at its end, so the dict keeps the order that rewriting the pair's
-    branes in a scan of the whole dict would give.  The first swap also
-    drops every zero-multiplicity entry.  An increment or a cut runs on
-    the walker's lists through the routines that ``apply_entry`` uses
-    on a diagram; an arc subtraction first asks ``arc_increment`` of a
-    built host for its increment.  An increment puts or removes its
-    brane, which is not fixed and covers exactly the segments it
-    raises, so the coverage and the charges take that change.  The
-    first move runs the full audit and takes the carried state from it;
-    so does every move while the ledger names a node that the host
-    lacks, since that audit raises.
+    branes in a scan of the whole dict would give.  An increment or a
+    cut runs on the walker's lists through the routines that
+    ``apply_entry`` uses on a diagram; an arc subtraction first asks
+    ``arc_increment`` of a built host for its increment.  An increment
+    puts or removes its brane, which is not fixed and covers exactly the
+    segments it raises, so the coverage and the charges take that
+    change.
     """
 
-    __slots__ = ("nodes", "dims", "cut", "index", "branes", "groups", "zeros", "cover", "charge", "crowd")
+    __slots__ = ("nodes", "dims", "cut", "index", "branes", "groups", "cover", "charge", "crowd")
 
     def __init__(self, ledger: BraneLedger):
         d = ledger.diagram
         self.nodes, self.dims, self.cut = list(d.nodes), list(d.dims), d.cut
         self.index = index = _index(d)
-        self.branes = dict(ledger.branes)
+        got, self.crowd = _audit(d.k, index, ledger.branes)
+        self.branes: dict[Brane, int] = {}
         self.groups: dict[tuple[int, int], list[Brane]] = {}
-        self.zeros = False
-        for key, mult in self.branes.items():
+        for key, mult in ledger.branes.items():
+            if mult < 0:
+                raise ValueError(f"brane {key} has multiplicity {mult}")
             if not mult:
-                self.zeros = True
                 continue
-            start, end = index.get(key.start), index.get(key.end)
-            if start and end and start[1] != end[1]:
-                pair = (key.start, key.end) if start[1] == NodeKind.ARROW else (key.end, key.start)
+            self.branes[key] = mult
+            start, end = index[key.start][1], index[key.end][1]
+            if start != end:
+                pair = (key.start, key.end) if start == NodeKind.ARROW else (key.end, key.start)
                 self.groups.setdefault(pair, []).append(key)
-        self.cover: list[int] | None = None
-        self.charge: list[int] = []
-        self.crowd = 0
+        self.cover = list(got)
+        self.charge = [got[p] - got[p - 1] for p in range(d.k)]
+        self._check_cover()
 
     def host(self) -> BowDiagram:
         return BowDiagram(nodes=tuple(self.nodes), dims=tuple(self.dims), cut=self.cut)
@@ -320,16 +322,15 @@ class _Walk:
             else:
                 raise TypeError(f"unknown move entry {entry!r}")
 
-        if self.cover is None:
-            got, self.crowd = _audit(len(self.nodes), self.index, self.branes)
-            self.cover = list(got)
-            self.charge = [got[p] - got[p - 1] for p in range(len(got))]
+        self._check_cover()
+        return not self.crowd
+
+    def _check_cover(self) -> None:
         if self.cover != self.dims:
             raise ValueError(
                 f"brane coverage {tuple(self.cover)} lost track of the host dims {tuple(self.dims)}; "
                 "the ledger did not match its host"
             )
-        return not self.crowd
 
     def _swap_pair(self, left: int, right: int) -> None:
         nodes, index = self.nodes, self.index
@@ -351,10 +352,6 @@ class _Walk:
         shrink = Direction.ACW if u == left else Direction.CW
         grow = Direction.CW if u == left else Direction.ACW
         branes = self.branes
-        if self.zeros:
-            for key in [key for key, mult in branes.items() if not mult]:
-                del branes[key]
-            self.zeros = False
         taken = [(key, branes.pop(key)) for key in self.groups.get((u, xp), ())]
         # the brane spanning the shrinking side, if held, is annihilated
         annihilated = False
@@ -372,8 +369,6 @@ class _Walk:
             _put(moved, Brane(u, xp, grow, 0), 1)
         branes.update(moved)
         self.groups[(u, xp)] = list(moved)
-        if self.cover is None:
-            return
 
         # Every brane of the pair runs from pos to after or from after to
         # pos, so off segment pos it covers uniformly: its laps, plus one
@@ -410,11 +405,10 @@ class _Walk:
         # the brane is not fixed and covers exactly segs, anticlockwise
         # from its arc's start to its end; a full loop starts and ends at
         # segs[0], so its charges cancel
-        if self.cover is not None:
-            for seg in segs:
-                self.cover[seg] += delta
-            self.charge[segs[0]] += delta
-            self.charge[(segs[-1] + 1) % len(self.nodes)] -= delta
+        for seg in segs:
+            self.cover[seg] += delta
+        self.charge[segs[0]] += delta
+        self.charge[(segs[-1] + 1) % len(self.nodes)] -= delta
         if entry.amount:
             key = Brane(entry.start, entry.end, entry.direction, 1 if entry.start == entry.end else 0)
             (_remove if inverse else _put)(self.branes, key, entry.amount)
@@ -425,9 +419,9 @@ def ledger_apply_move(
 ) -> BraneLedger:
     """Advance host and branes together through one move.
 
-    The coverage identity is recomputed after the move and raises
-    ValueError when it fails, which means the ledger did not match its
-    host to begin with.
+    The coverage identity is checked before and after the move and
+    raises ValueError when it fails, which means the ledger did not
+    match its host.
     """
 
     walk = _Walk(ledger)
@@ -505,6 +499,13 @@ def synthesize_finite(fin) -> BraneLedger:
     the way; the final audit catches anything else.
     """
 
+    return BraneLedger(fin.diagram, _finite_walk(fin).branes)
+
+
+def _finite_walk(fin) -> _Walk:
+    """The ledger of :func:`synthesize_finite`, held by a walker whose
+    starting audit is the final check."""
+
     if not fin.is_finite_layout:
         raise ValueError("synthesis needs a separated finite layout")
     d = fin.diagram
@@ -537,11 +538,13 @@ def synthesize_finite(fin) -> BraneLedger:
         lo, hi = i + 1, j + 1
         _put(branes, Brane(fin.x_ids[hi], fin.x_ids[lo - 1], Direction.CW, 0), mult)
 
-    ledger = BraneLedger(diagram=d, branes=branes)
-    got, crowd = _audit_ledger(ledger)
-    if got != d.dims or crowd:
+    try:
+        walk = _Walk(BraneLedger(diagram=d, branes=branes))
+    except ValueError:
+        raise ValueError(_NOT_SUSY) from None
+    if walk.crowd:
         raise ValueError(_NOT_SUSY)
-    return ledger
+    return walk
 
 
 def _synthesize_one_kind(d: BowDiagram) -> BraneLedger:
@@ -596,10 +599,10 @@ def _synthesize_decided(d: BowDiagram, cert, fin) -> BraneLedger:
     if d.n_arrows == 0 or d.n_xpoints == 0:
         return _synthesize_one_kind(d)
 
-    # each move checks the carried coverage against its host (the first
-    # one audits it from scratch), so the last one, on a host equal to d,
-    # also covers d; a move that fails here is a fault of this module
-    walk = _Walk(synthesize_finite(fin))
+    # each move checks the carried coverage against its host, so the
+    # last one, on a host equal to d, also covers d; a move that fails
+    # here is a fault of this module
+    walk = _finite_walk(fin)
     for entry in reversed(cert.pipeline):
         try:
             susy = walk.move(entry, inverse=True)

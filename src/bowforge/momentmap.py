@@ -26,6 +26,11 @@ does not change.  The steps compute no residual and no stability;
 ``transport_hw_solution`` and ``extend_increment`` return solutions
 that share no array with their argument.
 
+Construction reads no spectrum and runs no QR: the shifts that keep
+each x-arc unit's B - c invertible are counted off a spiral (see
+``_construct_decided``), and the finished zero is written in a
+closed-form unitary basis (``_generic_basis``).
+
 All computations use dense complex128 arrays; diagram dimensions stay
 small enough that dense linear algebra is the honest choice.  numpy is
 imported on the first matrix operation, not with the package: deciding
@@ -35,7 +40,10 @@ combinatorial CLI verbs never load it.
 
 from __future__ import annotations
 
-import random
+import cmath
+import itertools
+import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 
 from .diagram import (
@@ -529,27 +537,16 @@ def _copy_solution(sol: Solution) -> Solution:
 _SHIFT_GAP = 1e-3
 
 
-def _pick_shift(mats: list[np.ndarray], c: complex | None) -> complex:
-    """Shift scalar at least _SHIFT_GAP away from every spectrum.
+def _spiral(n: int) -> Iterator[complex]:
+    """Shifts c_j = sqrt(1/4 + 3/4 j/n) exp(2 pi i 0.618034 j), j = 0, 1, ...
 
-    A given shift is checked; otherwise the first point of the golden
-    angle walk exp(2 pi i 0.618034 j), j = 1, 2, ..., on the unit
-    circle that is clear of them all is taken.
+    The sunflower packing of a disc (Vogel 1979) fitted into the annulus
+    ½ ≤ |c| ≤ 1: the first n points are clear of 0 and pairwise at least
+    1.4/sqrt(n) apart.  Later points go on outward as sqrt(j).
     """
 
-    spectrum = np.concatenate([np.linalg.eigvals(mat) for mat in mats])
-
-    def clear(z: complex) -> bool:
-        return spectrum.size == 0 or float(np.min(np.abs(spectrum - z))) >= _SHIFT_GAP
-
-    if c is not None:
-        if not clear(complex(c)):
-            raise ValueError(f"shift {c} does not keep the shifted blocks invertible")
-        return complex(c)
-    j = 1
-    while not clear(z := complex(np.exp(2j * np.pi * 0.618034 * j))):
-        j += 1
-    return z
+    for j in itertools.count():
+        yield cmath.rect(math.sqrt(0.25 + 0.75 * j / max(n, 1)), 2 * math.pi * 0.618034 * j)
 
 
 def _shifted_inv(mat: np.ndarray, c: complex) -> np.ndarray:
@@ -557,7 +554,7 @@ def _shifted_inv(mat: np.ndarray, c: complex) -> np.ndarray:
 
 
 def _extend_arc_unit(
-    sol: Solution, entry: IncrementArrows | IncrementX, c: complex | None
+    sol: Solution, entry: IncrementArrows | IncrementX, shifts: Iterator[complex]
 ) -> Solution:
     """Grow every segment of the entry's arc by one dimension, exactly.
 
@@ -571,19 +568,17 @@ def _extend_arc_unit(
     triangle at zero: the end whose incoming segment grows gains the A
     column -(B_out - c)^-1 a and the b entry 1, the end whose outgoing
     segment grows gains the A row b (B_in - c)^-1 and the a entry 1.  A
-    full loop from an x point to itself does both at that point.  Arrow
-    arcs end at arrows, which are zero-padded, so their shift is 0.
+    full loop from an x point to itself does both at that point.  An x
+    arc takes the next of ``shifts``, which the caller keeps clear of
+    the end blocks' spectra; arrow arcs end at arrows, which are
+    zero-padded, so their shift is 0.
     """
 
     if any(abs(complex(v)) > 0 for v in sol.lam.values()):
         raise ValueError("exact arc extension needs level zero")
     d = sol.diagram
     covered = set(_increment_segments(d.nodes, d.cut, d.position, entry))
-    if isinstance(entry, IncrementX):
-        ends = [sol.triangles[entry.start], sol.triangles[entry.end]]
-        c = _pick_shift([m for t in ends for m in (t.B_in, t.B_out)], c)
-    else:
-        c = 0j
+    c = next(shifts) if isinstance(entry, IncrementX) else 0j
     triangles = dict(sol.triangles)
     arrows = dict(sol.arrows)
     for pos, node in enumerate(d.nodes):
@@ -628,28 +623,42 @@ def _extend_arc_unit(
     return replace(sol, diagram=host, triangles=triangles, arrows=arrows)
 
 
-def _increment_step(sol: Solution, entry, c: complex | None = None) -> Solution:
+def _increment_step(sol: Solution, entry, shifts: Iterator[complex]) -> Solution:
     """``extend_increment`` without the final copy: untouched maps stay shared."""
 
     if not isinstance(entry, (IncrementArrows, IncrementX)):
         raise ValueError(f"cannot extend along {entry!r}")
     for _ in range(entry.amount):
-        sol = _extend_arc_unit(sol, entry, c)
-        c = None
+        sol = _extend_arc_unit(sol, entry, shifts)
     return sol
 
 
 def extend_increment(sol: Solution, entry, c: complex | None = None) -> Solution:
     """Exactly extend a level-zero solution along one increment entry.
 
-    The optional shift scalar applies to arcs between two x points.  A
-    given shift is used for the first unit only: that unit puts it on
-    the end triangles' diagonals, so every later unit, and every unit
-    when it is omitted, chooses one clear of the end triangles' spectra.
-    The result shares no array with ``sol``.
+    The spectra of an x arc's end blocks are arbitrary here, so they are
+    read once per call, and the units take the points of
+    ``_spiral(amount)`` that keep ``_SHIFT_GAP`` from them.  A given
+    shift ``c`` applies to arcs between two x points; it is refused
+    unless it keeps that gap too, and it serves the first unit only:
+    that unit puts it on the end triangles' diagonals, so the later
+    units keep the gap from it as well.  The result shares no array
+    with ``sol``.
     """
 
-    return _copy_solution(_increment_step(sol, entry, c))
+    def shifts():
+        ends = (sol.triangles[entry.start], sol.triangles[entry.end])
+        spectrum = [complex(z) for t in ends for m in (t.B_in, t.B_out) for z in np.linalg.eigvals(m)]
+        if c is not None:
+            if any(abs(complex(c) - z) < _SHIFT_GAP for z in spectrum):
+                raise ValueError(f"shift {c} does not keep the shifted blocks invertible")
+            yield complex(c)
+            spectrum.append(complex(c))
+        for shift in _spiral(entry.amount):
+            if all(abs(shift - z) >= _SHIFT_GAP for z in spectrum):
+                yield shift
+
+    return _copy_solution(_increment_step(sol, entry, shifts()))
 
 
 # ---------------------------------------------------------------------------
@@ -771,19 +780,24 @@ def _generic_basis(sol: Solution) -> Solution:
     The exact steps produce coordinate-aligned zeros (diagonal B blocks,
     b = 0 after full loops) on which changing a single entry can land on
     another zero; in a generic basis every entry is tied to the
-    relations.  The basis comes from a fixed generator, so the result
-    does not depend on any seed; the standard-library one keeps the
-    exact path clear of the memory numpy.random takes up.
+    relations.  The basis of an m-dimensional segment is closed-form:
+    the unitary Fourier matrix between two fixed diagonal chirps,
+    entry (j, l) = exp(i (sqrt2 j² + sqrt3 l² - 2 pi j l / m)) / sqrt m.
+    It takes one exp per distinct dimension of the zero, no QR and no
+    random draw, and it depends on m alone, so the result depends on no
+    seed.
     """
 
     d = sol.diagram
-    rng = random.Random(0)
-    bases = []
-    for m in d.dims:
-        z = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(m * m)]
-        g = np.linalg.qr(np.array(z).reshape(m, m))[0]
-        bases.append((g, g.conj().T))
-    sides = {node.id: (bases[(pos - 1) % d.k], bases[pos]) for pos, node in enumerate(d.nodes)}
+    bases = {}
+    for m in set(d.dims):
+        # j l mod m keeps each root of unity, and so g, unitary to rounding
+        r = np.arange(m)
+        n = max(m, 1)
+        fourier = np.exp((-2j * math.pi / n) * (np.outer(r, r) % n)) / math.sqrt(n)
+        g = np.exp(1j * math.sqrt(2) * r**2)[:, None] * fourier * np.exp(1j * math.sqrt(3) * r**2)
+        bases[m] = (g, g.conj().T)
+    sides = {node.id: (bases[d.dims[pos - 1]], bases[d.dims[pos]]) for pos, node in enumerate(d.nodes)}
     triangles = {}
     for nid, t in sol.triangles.items():
         (g_in, h_in), (g_out, h_out) = sides[nid]
@@ -801,7 +815,7 @@ def _generic_basis(sol: Solution) -> Solution:
     return replace(sol, triangles=triangles, arrows=arrows)
 
 
-def _exact_step(sol: Solution, entry) -> Solution:
+def _exact_step(sol: Solution, entry, shifts: Iterator[complex]) -> Solution:
     """Grow ``sol`` along an increment, or carry it back across a move:
     a swap by transport, an arc subtraction by the increment that undoes
     it, a cut by the diagram alone.  A failure raises RuntimeError
@@ -814,8 +828,8 @@ def _exact_step(sol: Solution, entry) -> Solution:
         if isinstance(entry, CutAt):
             return replace(sol, diagram=apply_entry(sol.diagram, entry, inverse=True))
         if isinstance(entry, SubtractArrowArc):
-            return _increment_step(sol, arc_increment(sol.diagram, entry))
-        return _increment_step(sol, entry)
+            return _increment_step(sol, arc_increment(sol.diagram, entry), shifts)
+        return _increment_step(sol, entry, shifts)
     except ValueError as err:
         raise RuntimeError(f"exact step {entry!r} failed: {err}") from err
 
@@ -839,58 +853,52 @@ def construct_solution(d: BowDiagram, seed: int = 0) -> Solution:
 
 def _construct_decided(d: BowDiagram, cert, fin, seed: int) -> Solution:
     """:func:`construct_solution` from the certificate and the layout that
-    ``susy._decide_full`` returned for ``d``."""
+    ``susy._decide_full`` returned for ``d``.
 
-    from .branes import (
-        BraneLedger,
-        _synthesize_one_kind,
-        _Walk,
-        brane_is_fixed,
-        coverage,
-        synthesize_finite,
-    )
+    Every x-arc unit takes the next point of ``_spiral(N)``: N counts
+    the units of the unfixed x-to-x branes, and the units of an undone
+    arc subtraction, replayed after them, go on just outside the
+    annulus.  Every B spectrum stays on 0 and the shifts already placed,
+    which the spiral keeps apart, so no spectrum is read.
+    """
+
+    from .branes import _finite_walk, _synthesize_one_kind, _Walk
 
     if not cert.verdict:
         raise ValueError("diagram is not supersymmetric; no stable zero exists")
-    if fin is None:
-        # one node kind: no brane is fixed, and the skeleton is all zero
-        sol = zero_solution(BowDiagram(d.nodes, (0,) * d.k, d.cut))
-        unfixed = _synthesize_one_kind(d).branes
-    else:
-        fixed, unfixed = {}, {}
-        for brane, mult in synthesize_finite(fin).branes.items():
-            if brane_is_fixed(fin.diagram, brane):
-                fixed[brane] = mult
-            else:
-                unfixed[brane] = mult
-        fix_dims = coverage(BraneLedger(fin.diagram, fixed))
-        walk = _Walk(BraneLedger(BowDiagram(fin.diagram.nodes, fix_dims, fin.diagram.cut), fixed))
+    # a one-kind diagram has no fixed brane, and its skeleton is all zero
+    walk = _Walk(_synthesize_one_kind(d)) if fin is None else _finite_walk(fin)
+    kind = {node_id: node_kind for node_id, (_, node_kind) in walk.index.items()}
 
-        # march every x point, x_1 first, clockwise through the arrows its
-        # fixed branes (arrow to x, one each) attach to; each crossing
-        # annihilates one brane, ending at nothing
-        staging = []
-        for brane in sorted(fixed, key=lambda br: fin.x_ids.index(br.end)):
-            entry = HwMove(left=walk.nodes[walk.index[brane.end][0] - 1].id, right=brane.end)
-            walk.move(entry)
-            staging.append(entry)
-        if walk.branes:
-            raise RuntimeError("staging did not empty the layout")
-
-        sol = zero_solution(walk.host())
-        for entry in reversed(staging):
-            sol = _exact_step(sol, entry)
-
-    # unfixed branes are increments on top of the fixed skeleton: a brane
-    # whose ends coincide is one full loop, any other one has no lap
-    for brane in sorted(unfixed, key=lambda br: (br.start, br.end, br.direction.value, br.laps)):
+    # unfixed branes are increments on top of the fixed skeleton, which
+    # peeling them off the ledger leaves: a brane whose ends coincide is
+    # one full loop, any other one has no lap
+    increments = []
+    for brane in sorted(walk.branes, key=lambda br: (br.start, br.end, br.direction.value, br.laps)):
+        if kind[brane.start] != kind[brane.end]:
+            continue
         if brane.laps != (brane.start == brane.end):
             raise RuntimeError(f"brane {brane} is neither an open arc nor one full loop")
-        kind = sol.diagram.node_by_id(brane.start).kind
-        increment = IncrementArrows if kind == NodeKind.ARROW else IncrementX
-        sol = _exact_step(sol, increment(brane.start, brane.end, brane.direction, unfixed[brane]))
-    for entry in reversed(cert.pipeline):
-        sol = _exact_step(sol, entry)
+        increment = IncrementArrows if kind[brane.start] == NodeKind.ARROW else IncrementX
+        increments.append(increment(brane.start, brane.end, brane.direction, walk.branes[brane]))
+    for entry in increments:
+        walk.move(entry, inverse=True)
+
+    # march every x point, x_1 first, clockwise through the arrows its
+    # fixed branes (arrow to x, one each) attach to; each crossing
+    # annihilates one brane, ending at nothing (a one-kind walk is empty)
+    staging = []
+    for brane in sorted(walk.branes, key=lambda br: fin.x_ids.index(br.end)):
+        entry = HwMove(left=walk.nodes[walk.index[brane.end][0] - 1].id, right=brane.end)
+        walk.move(entry)
+        staging.append(entry)
+    if walk.branes:
+        raise RuntimeError("staging did not empty the layout")
+
+    shifts = _spiral(sum(entry.amount for entry in increments if isinstance(entry, IncrementX)))
+    sol = zero_solution(walk.host())
+    for entry in [*reversed(staging), *increments, *reversed(cert.pipeline)]:
+        sol = _exact_step(sol, entry, shifts)
     if sol.diagram != d:
         raise RuntimeError("constructed zero does not sit on the diagram it was built for")
 
@@ -916,24 +924,16 @@ def _matrix_from_json(data, shape) -> np.ndarray:
     return out
 
 
+def _maps_to_json(owner: TriangleData | ArrowData) -> dict:
+    return {name: _matrix_to_json(mat) for name, mat in vars(owner).items()}
+
+
 def solution_to_json(sol: Solution) -> dict:
     return {
         "diagram": diagram_to_json(sol.diagram),
         "lambda": {str(nid): [float(complex(v).real), float(complex(v).imag)] for nid, v in sol.lam.items()},
-        "triangles": {
-            str(nid): {
-                "A": _matrix_to_json(t.A),
-                "B_in": _matrix_to_json(t.B_in),
-                "B_out": _matrix_to_json(t.B_out),
-                "a": _matrix_to_json(t.a),
-                "b": _matrix_to_json(t.b),
-            }
-            for nid, t in sol.triangles.items()
-        },
-        "arrows": {
-            str(nid): {"C": _matrix_to_json(ad.C), "D": _matrix_to_json(ad.D)}
-            for nid, ad in sol.arrows.items()
-        },
+        "triangles": {str(nid): _maps_to_json(t) for nid, t in sol.triangles.items()},
+        "arrows": {str(nid): _maps_to_json(ad) for nid, ad in sol.arrows.items()},
         "meta": {
             "seed": sol.seed,
             "residual": sol.residual,
@@ -949,17 +949,11 @@ def solution_from_json(data: dict) -> Solution:
         int(nid): complex(pair[0], pair[1]) for nid, pair in data.get("lambda", {}).items()
     }
     sol = zero_solution(d, lam)
-    for nid, fields in data.get("triangles", {}).items():
-        t = sol.triangles[int(nid)]
-        t.A = _matrix_from_json(fields["A"], t.A.shape)
-        t.B_in = _matrix_from_json(fields["B_in"], t.B_in.shape)
-        t.B_out = _matrix_from_json(fields["B_out"], t.B_out.shape)
-        t.a = _matrix_from_json(fields["a"], t.a.shape)
-        t.b = _matrix_from_json(fields["b"], t.b.shape)
-    for nid, fields in data.get("arrows", {}).items():
-        ad = sol.arrows[int(nid)]
-        ad.C = _matrix_from_json(fields["C"], ad.C.shape)
-        ad.D = _matrix_from_json(fields["D"], ad.D.shape)
+    for group, owners in (("triangles", sol.triangles), ("arrows", sol.arrows)):
+        for nid, fields in data.get(group, {}).items():
+            owner = owners[int(nid)]
+            for name, mat in list(vars(owner).items()):
+                setattr(owner, name, _matrix_from_json(fields[name], mat.shape))
     meta = data.get("meta", {})
     sol.seed = meta.get("seed")
     sol.residual = float(meta["residual"]) if "residual" in meta else moment_residual(sol)

@@ -228,9 +228,36 @@ def test_synthesize_names_the_entry_a_walker_fault_broke(monkeypatch):
         synthesize(parse_diagram("( 1 x 2 o 2 x 1 o )"))
 
 
+@pytest.mark.parametrize("text", ["( 1 x 2 o 2 x 1 o )", "( 3 o 2 x 4 x 1 o 2 x )", "[ 1 x 2 o 3 o 1 x 0 ]"])
+def test_one_audit_per_ledger_walk(text, monkeypatch):
+    # synthesis and construction each audit their starting ledger once,
+    # when the walker is built, and carry the coverage from there
+    from bowforge.momentmap import construct_solution
+
+    calls = []
+    audit = branes._audit
+    monkeypatch.setattr(branes, "_audit", lambda *args: calls.append(1) or audit(*args))
+    d = parse_diagram(text)
+    synthesize(d)
+    assert len(calls) == 1
+    assert construct_solution(d).converged
+    assert len(calls) == 2
+
+
+def test_walker_refuses_a_flawed_start():
+    d = parse_diagram("( 1 o 2 x 1 o 1 x )")
+    swap = HwMove(2, 3)
+    with pytest.raises(KeyError, match="no node with id 9"):
+        ledger_apply_move(BraneLedger(d, {Brane(0, 9, ACW, 0): 0}), swap)
+    with pytest.raises(ValueError, match=r"brane coverage \(0, 0, 0, 0\) lost track of the host dims \(2, 1, 1, 1\)"):
+        ledger_apply_move(BraneLedger(d, {}), swap)
+    with pytest.raises(ValueError, match="has multiplicity -1"):
+        branes._Walk(BraneLedger(parse_diagram("( 0 o 0 x )"), {Brane(0, 1, ACW, 0): -1}))
+
+
 def test_walker_empties_a_crowded_slot_on_a_carried_swap():
-    # the first move audits in full and finds the doubled slot; the swap
-    # of its pair annihilates one brane of it, with coverage still matched
+    # the starting audit finds the doubled slot; the swap of its pair
+    # annihilates one brane of it, with coverage still matched
     ledger = BraneLedger(parse_diagram("( 1 o 2 x 1 o 1 x )"), {Brane(1, 0, ACW, 0): 1, Brane(0, 1, ACW, 0): 2})
     walk = branes._Walk(ledger)
     assert walk.move(HwMove(2, 3)) is False

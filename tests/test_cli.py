@@ -197,6 +197,18 @@ def test_solve_large_dims_and_verify_keys(capsys, tmp_path):
         assert entry["s1"] and entry["s2"] and entry["chain_dim"] == 0
 
 
+def test_solve_converges_where_crowded_shifts_missed(capsys, tmp_path):
+    # shifts crowded on the unit circle once left a residual of 2.1e-7 here (exit 3)
+    sol_file = tmp_path / "sol.json"
+    code, payload = run(capsys, "solve", "--json", "--out", str(sol_file), "( 53 x 29 o 37 x )")
+    assert code == 0
+    assert payload["meta"]["converged"] is True
+
+    code, report = run(capsys, "verify", "--json", "--sol", str(sol_file))
+    assert code == 0
+    assert report["accepted"] is True
+
+
 def test_solve_refuses_non_susy_at_level_zero(capsys):
     code, payload = run(capsys, "solve", "--json", "--seed", "0", "[ 0 o 2 x 0 ]")
     assert code == 1

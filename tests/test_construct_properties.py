@@ -2,6 +2,7 @@
 
 from unittest import mock
 
+import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
@@ -13,6 +14,7 @@ from bowforge import momentmap
 from bowforge.diagram import parse_diagram
 from bowforge.momentmap import construct_solution
 from bowforge.susy import decide_supersymmetry
+from test_cross_routes import drawn
 
 
 @st.composite
@@ -46,3 +48,44 @@ def test_construct_is_exact_on_every_shape(text):
     assert sol.converged and sol.stable, text
     assert sol.diagram == d
     assert sol.residual <= 1e-8, text
+
+
+def _tracked_steps(placed: list, worst: list):
+    """``_spiral`` and ``_exact_step`` stand-ins: the first records every
+    shift it hands out, the second the farthest any B eigenvalue of a
+    step's result lies from those shifts and 0."""
+
+    spiral, step = momentmap._spiral, momentmap._exact_step
+
+    def recording_spiral(n):
+        for shift in spiral(n):
+            placed.append(shift)
+            yield shift
+
+    def checked_step(sol, entry, shifts):
+        out = step(sol, entry, shifts)
+        anchors = np.array([0j, *placed])
+        for t in out.triangles.values():
+            for block in (t.B_in, t.B_out):
+                if block.size:
+                    eig = np.linalg.eigvals(block)
+                    worst.append(float(np.abs(eig[:, None] - anchors[None, :]).min(axis=1).max()))
+        return out
+
+    return recording_spiral, checked_step
+
+
+def test_every_b_spectrum_stays_on_the_placed_shifts():
+    # why construction reads no spectrum: after every exact step, every B
+    # block's eigenvalues sit on shifts already placed or on 0, and the
+    # spiral's next point keeps more than 1.4/sqrt(n) from the placed ones
+    # and ½ from 0; a Jordan block at 0 reads its eigenvalues less
+    # exactly, hence the margin
+    placed, worst = [], []
+    spiral, step = _tracked_steps(placed, worst)
+    with mock.patch.object(momentmap, "_spiral", spiral), mock.patch.object(momentmap, "_exact_step", step):
+        for text in drawn(5, 80, 12, True, max_nodes=6):
+            placed.clear()
+            sol = construct_solution(parse_diagram(text))
+            assert sol.converged and sol.stable, text
+            assert max(worst, default=0.0) < 1e-2, text

@@ -1,8 +1,9 @@
-"""Decide, the brane ledger and the constructed zero agree above the sweeps.
+"""Decide, the brane ledger, the constructed zero and S-duality agree above
+the sweeps.
 
 The exhaustive sweeps stop at dims 4; the numerical routes first failed
-near dims 30.  This draws supersymmetric diagrams with k ≤ 5 and dims
-≤ 60 from a fixed seed and runs every route on each.
+near dims 30.  This draws diagrams with k ≤ 5 and dims ≤ 60 from a fixed
+seed, with both verdicts, and runs every route on each.
 """
 
 import random
@@ -10,7 +11,7 @@ import random
 import pytest
 
 from bowforge.branes import check_ledger, synthesize
-from bowforge.diagram import parse_diagram
+from bowforge.diagram import parse_diagram, s_dual
 from bowforge.momentmap import construct_solution
 from bowforge.susy import decide_supersymmetry
 
@@ -18,20 +19,21 @@ SEED = 11
 COUNT = 40
 MAX_DIM = 60
 
-# stable zeros whose residual misses 1e-8, or a swap that loses rank: the
-# increment shifts crowd the unit circle, so (B - c)^-1 and the swap
-# kernels are ill-conditioned
-KNOWN_FAILURES = ("( 31 x 48 o 58 x )", "( 53 x 29 o 37 x )", "( 138 o 110 o 121 x 129 x )")
-CAUSE_2 = "ill-conditioned shifts in the exact construction (ROADMAP item 1, cause 2)"
+# once stable zeros whose residual missed 1e-8, when the increment shifts
+# crowded the unit circle
+PINNED = ("( 31 x 48 o 58 x )", "( 53 x 29 o 37 x )")
+# a swap that loses rank, and a stable zero whose residual is 2.6e-8
+KNOWN_FAILURES = ("( 138 o 110 o 121 x 129 x )", "( 182 x 169 o 187 o 182 o 187 x 180 x )")
+CONDITIONING = "ill-conditioned exact construction at large dims (ROADMAP item 1)"
 
 
-def drawn_positives(seed: int, count: int, max_dim: int) -> list[str]:
-    """The first ``count`` supersymmetric draws, affine or finite, k 2..5."""
+def drawn(seed: int, count: int, max_dim: int, verdict: bool, max_nodes: int = 5) -> list[str]:
+    """The first ``count`` draws with that verdict, affine or finite, k 2..max_nodes."""
 
     rng = random.Random(seed)
     found = []
     while len(found) < count:
-        k = rng.randint(2, 5)
+        k = rng.randint(2, max_nodes)
         kinds = [rng.choice("xo") for _ in range(k)]
         if rng.random() < 0.5:
             dims = [rng.randint(0, max_dim) for _ in range(k)]
@@ -39,16 +41,16 @@ def drawn_positives(seed: int, count: int, max_dim: int) -> list[str]:
         else:
             dims = [rng.randint(0, max_dim) for _ in range(k + 1)]
             text = "[ " + " ".join(f"{v} {c}" for v, c in zip(dims, kinds)) + f" {dims[-1]} ]"
-        if decide_supersymmetry(parse_diagram(text)).verdict:
+        if decide_supersymmetry(parse_diagram(text)).verdict == verdict:
             found.append(text)
     return found
 
 
 def cases():
-    texts = drawn_positives(SEED, COUNT, MAX_DIM)
-    texts += [text for text in KNOWN_FAILURES if text not in texts]
+    texts = drawn(SEED, COUNT, MAX_DIM, True)
+    texts += [text for text in PINNED + KNOWN_FAILURES if text not in texts]
     for text in texts:
-        marks = pytest.mark.xfail(strict=True, reason=CAUSE_2) if text in KNOWN_FAILURES else ()
+        marks = pytest.mark.xfail(strict=True, reason=CONDITIONING) if text in KNOWN_FAILURES else ()
         yield pytest.param(text, marks=marks)
 
 
@@ -59,3 +61,19 @@ def test_routes_agree_on_mid_size_positives(text):
     assert check_ledger(synthesize(d)) == []
     sol = construct_solution(d)
     assert sol.converged and sol.stable, f"residual {sol.residual:.2e}, stable {sol.stable}"
+
+
+@pytest.mark.parametrize("text", drawn(SEED, COUNT, MAX_DIM, False))
+def test_routes_refuse_mid_size_negatives(text):
+    d = parse_diagram(text)
+    with pytest.raises(ValueError, match="not supersymmetric"):
+        synthesize(d)
+    with pytest.raises(ValueError, match="not supersymmetric"):
+        construct_solution(d)
+
+
+def test_s_dual_keeps_the_verdict_on_every_draw():
+    for verdict in (True, False):
+        for text in drawn(SEED + 1, 200, MAX_DIM, verdict):
+            d = parse_diagram(text)
+            assert decide_supersymmetry(s_dual(d)).verdict is verdict, text

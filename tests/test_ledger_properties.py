@@ -192,14 +192,26 @@ def oracle_move(ledger: BraneLedger, entry, inverse: bool) -> tuple[BraneLedger,
                 _remove(branes, key, entry.amount)
             else:
                 _put(branes, key, entry.amount)
-    moved = BraneLedger(host, branes)
-    got = coverage(moved)
-    if got != host.dims:
+    moved = _matched(BraneLedger(host, branes))
+    return moved, ledger_is_susy(moved)
+
+
+def _matched(ledger: BraneLedger) -> BraneLedger:
+    got = coverage(ledger)
+    if got != ledger.diagram.dims:
         raise ValueError(
-            f"brane coverage {got} lost track of the host dims {host.dims}; "
+            f"brane coverage {got} lost track of the host dims {ledger.diagram.dims}; "
             "the ledger did not match its host"
         )
-    return moved, ledger_is_susy(moved)
+    return ledger
+
+
+def oracle_start(ledger: BraneLedger) -> BraneLedger:
+    """The audit a walker makes of the ledger it starts from: every id on
+    the host and the coverage equal to the dims; zero entries dropped."""
+
+    _matched(ledger)
+    return BraneLedger(ledger.diagram, {key: mult for key, mult in ledger.branes.items() if mult})
 
 
 def _outcome(call):
@@ -207,6 +219,20 @@ def _outcome(call):
         return "ok", call()
     except (KeyError, ValueError, TypeError) as exc:
         return "raised", (type(exc), str(exc))
+
+
+def _started(ledger: BraneLedger):
+    """The oracle's and a walker's start on ``ledger``: both raise alike,
+    or the checked ledger comes back with the walker."""
+
+    want = _outcome(lambda: oracle_start(ledger))
+    got = _outcome(lambda: _Walk(ledger))
+    assert got[0] == want[0], (got, want)
+    if want[0] == "raised":
+        assert got[1] == want[1]
+        return None, None
+    assert list(got[1].branes.items()) == list(want[1].branes.items())
+    return want[1], got[1]
 
 
 @st.composite
@@ -274,7 +300,9 @@ def _draw_entry(data, ledger: BraneLedger, inverse: bool):
 @settings(max_examples=300, deadline=None)
 @given(walk_ledgers(), st.data())
 def test_walker_matches_per_move_transport(ledger, data):
-    walk = _Walk(ledger)
+    ledger, walk = _started(ledger)
+    if walk is None:
+        return
     for _ in range(data.draw(st.integers(1, 16))):
         inverse = data.draw(st.booleans())
         entry = _draw_entry(data, ledger, inverse)
@@ -377,7 +405,9 @@ def _draw_walk_entry(data, ledger: BraneLedger):
 @settings(max_examples=300, deadline=None)
 @given(carried_ledgers(), st.data())
 def test_walker_carries_what_a_full_audit_computes(ledger, data):
-    walk = _Walk(ledger)
+    ledger, walk = _started(ledger)
+    if walk is None:
+        return
     for _ in range(data.draw(st.integers(1, 64))):
         entry, inverse = _draw_walk_entry(data, ledger)
         want = _outcome(lambda: oracle_move(ledger, entry, inverse))

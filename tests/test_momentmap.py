@@ -190,12 +190,29 @@ def test_scaled_stable_zero_stays_stable():
     assert stability_check(sol)
 
 
+# the k = 40 diagram of ROADMAP item 4: unbounded shift sequences (the
+# integers, or sqrt(j) exp(2 pi i 0.618034 j)) lose rank at one of its swaps
+K40 = (
+    "( 11 x 12 o 12 x 12 x 12 o 11 x 10 o 12 o 10 o 10 o 10 x 11 o 11 x 10 x 11 o 12 o 12 x 10 o "
+    "10 x 10 x 10 o 11 o 10 x 11 o 11 x 11 o 11 o 12 x 12 o 11 x 11 o 11 o 12 o 10 o 12 o 10 o 12 x "
+    "10 o 11 o 12 o )"
+)
+
+
 @pytest.mark.parametrize(
     "text",
-    ["( 32 x 18 x 28 x 40 o )", "( 50 x 58 x 55 x 51 x 59 o )", "( 31 x 37 o 46 o 47 x )"],
+    [
+        # the kernel chain and the raw Krylov rank lost rank on these three
+        "( 32 x 18 x 28 x 40 o )",
+        "( 50 x 58 x 55 x 51 x 59 o )",
+        "( 31 x 37 o 46 o 47 x )",
+        # shifts crowded on the unit circle left residuals of 2.1e-7 and 3.0e-8
+        "( 57 o 21 x 56 x 34 o )",
+        "( 27 x 30 x 34 o )",
+        K40,
+    ],
 )
 def test_large_dims_construct_stable_zeros(text):
-    # the kernel chain and the raw Krylov rank lost rank on all three
     sol = construct_solution(parse_diagram(text))
     assert sol.converged and sol.stable, f"residual {sol.residual:.2e}"
     for xid, entry in stability_report(sol).entries.items():
@@ -319,6 +336,60 @@ def test_extend_x_segment_explicit_shift_several_units():
     assert stability_check(out)
     spectrum = np.linalg.eigvals(out.triangles[1].B_out)
     assert np.sum(np.isclose(spectrum, 7.5)) == 1
+
+
+def test_spiral_shifts_are_bounded_and_spread():
+    # the first n points lie in the annulus ½ ≤ |c| ≤ 1, pairwise at
+    # least 1.4/sqrt(n) apart, so none comes near 0 or another
+    for n in [*range(1, 65), 100, 333, 1000, 2500, 4000]:
+        z = np.array(list(itertools.islice(momentmap._spiral(n), n)))
+        assert np.all(np.abs(z) >= 0.5 - 1e-12) and np.all(np.abs(z) <= 1 + 1e-12), n
+        nearest = np.inf
+        for lo in range(0, n, 500):
+            gaps = np.abs(z[lo : lo + 500, None] - z[None, :])
+            gaps[np.arange(gaps.shape[0]), np.arange(lo, lo + gaps.shape[0])] = np.inf
+            nearest = min(nearest, float(gaps.min()))
+        assert nearest >= 1.4 / np.sqrt(n), n
+
+
+def _count_calls(monkeypatch, module, names):
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(module, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_construct_reads_no_spectrum_and_runs_no_qr(monkeypatch):
+    # the shifts come from a counter and the basis is closed-form; checked
+    # on every eighth supersymmetric affine diagram with k <= 4, dims 0..3
+    texts = [
+        "( " + " ".join(f"{v} {c}" for v, c in zip(dims, kinds)) + " )"
+        for k in range(1, 5)
+        for kinds in itertools.product("xo", repeat=k)
+        for dims in itertools.product(range(4), repeat=k)
+    ]
+    sample = [d for d in map(parse_diagram, texts) if decide_supersymmetry(d).verdict][::8]
+    calls = _count_calls(monkeypatch, np.linalg, ["eigvals", "eig", "qr"])
+    for d in sample:
+        sol = construct_solution(d)
+        assert sol.converged and sol.stable, d
+    assert calls == {"eigvals": 0, "eig": 0, "qr": 0}
+
+
+def test_extend_reads_the_end_spectra_once_per_call(monkeypatch):
+    base = construct_solution(parse_diagram("( 1 o 2 x 2 x 1 o )"), seed=2)
+    calls = _count_calls(monkeypatch, np.linalg, ["eigvals"])
+    out = extend_increment(base, IncrementX(start=1, end=2, direction=ACW, amount=5))
+    assert moment_residual(out) < 1e-10
+    assert stability_check(out)
+    # two end triangles, two B blocks each, whatever the amount
+    assert calls == {"eigvals": 4}
 
 
 # ---------------------------------------------------------------------------
@@ -602,7 +673,7 @@ def test_construct_chain_steps_share_but_never_write():
     moved = momentmap._swap_step(base, 0, 1)
     assert moved.triangles[2] is base.triangles[2]
     assert moved.arrows[3] is base.arrows[3]
-    grown = momentmap._increment_step(base, IncrementX(start=1, end=2, direction=ACW, amount=1))
+    grown = momentmap._increment_step(base, IncrementX(start=1, end=2, direction=ACW, amount=1), momentmap._spiral(1))
     assert grown.arrows[0] is base.arrows[0]
     assert grown.arrows[3] is base.arrows[3]
     assert all(np.array_equal(x, y) for x, y in zip(_snapshot(base), kept, strict=True))
