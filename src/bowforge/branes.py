@@ -26,12 +26,17 @@ swap adds the pair's uniform change to the coverage, updates the
 pair's charges and the count of over-full fixed slots, and reads the
 swapped segment off the identity, in O(1 + the pair's branes).
 
+The walker, the audit and synthesis key branes by plain tuples
+``(start, end, anticlockwise, laps)``, far cheaper to build and hash.  A
+:class:`Brane` exists only in a :class:`BraneLedger`: keyed where a
+ledger comes in, built back in the same order where one goes out.
+
 The from-scratch audit computes the coverage (each brane's laps plus
 its arc as a cyclic range in a difference array) and the fixed-slot
 occupancy in one pass from the index, in O(k + branes).  The public
 checks use it, and a walker runs it once, on the ledger it starts from;
-:func:`synthesize_finite` starts one on the ledger it builds, so that
-one audit serves both.
+:func:`synthesize_finite` starts one on the tuple keys it builds, so
+that one audit serves both.
 """
 
 from __future__ import annotations
@@ -81,6 +86,18 @@ def brane_is_fixed(d: BowDiagram, brane: Brane) -> bool:
     return d.node_by_id(brane.start).kind != d.node_by_id(brane.end).kind
 
 
+def _keyed(branes: dict[Brane, int]) -> dict[tuple, int]:
+    """A ledger's branes as tuple keys ``(start, end, anticlockwise, laps)``."""
+
+    acw = Direction.ACW
+    return {(b.start, b.end, b.direction == acw, b.laps): mult for b, mult in branes.items()}
+
+
+def _brane(key: tuple) -> Brane:
+    start, end, acw, laps = key
+    return Brane(start, end, Direction.ACW if acw else Direction.CW, laps)
+
+
 # The audit indexes the host's nodes once instead of scanning for each
 # brane endpoint.  Ids are indexed first-match, as
 # ``BowDiagram.position`` looks them up, and a missing id raises the
@@ -91,9 +108,9 @@ def _index(d: BowDiagram) -> dict[int, tuple[int, NodeKind]]:
     return {d.nodes[i].id: (i, d.nodes[i].kind) for i in range(d.k - 1, -1, -1)}
 
 
-def _audit(k: int, index: dict, branes: dict[Brane, int]) -> tuple[tuple[int, ...], int]:
-    """Coverage of ``branes`` on the k-node host that ``index`` indexes,
-    and the number of fixed slots that hold more than one.
+def _audit(k: int, index: dict, branes: dict[tuple, int]) -> tuple[tuple[int, ...], int]:
+    """Coverage of the tuple-keyed ``branes`` on the k-node host that
+    ``index`` indexes, and the number of fixed slots holding more than one.
 
     Laps cover every segment alike.  The open arc is a cyclic range
     accumulated in a difference array: anticlockwise from position i to
@@ -101,20 +118,19 @@ def _audit(k: int, index: dict, branes: dict[Brane, int]) -> tuple[tuple[int, ..
     range from j to i.  Equal endpoints give no arc.
     """
 
-    acw = Direction.ACW
-    laps = 0
+    total = 0
     diff = [0] * k
     crowd = 0
     try:
-        for brane, mult in branes.items():
-            i, kind_i = index[brane.start]
-            j, kind_j = index[brane.end]
-            laps += mult * brane.laps
+        for (start, end, acw, laps), mult in branes.items():
+            i, kind_i = index[start]
+            j, kind_j = index[end]
+            total += mult * laps
             if kind_i != kind_j and mult > 1:
                 crowd += 1
             if i == j:
                 continue
-            if brane.direction != acw:
+            if not acw:
                 i, j = j, i
             diff[i] += mult
             diff[j] -= mult
@@ -122,7 +138,7 @@ def _audit(k: int, index: dict, branes: dict[Brane, int]) -> tuple[tuple[int, ..
                 diff[0] += mult
     except KeyError as err:
         raise KeyError(f"no node with id {err.args[0]}") from None
-    return tuple(accumulate(diff, initial=laps))[1:], crowd
+    return tuple(accumulate(diff, initial=total))[1:], crowd
 
 
 def brane_coverage(d: BowDiagram, brane: Brane) -> tuple[int, ...]:
@@ -133,14 +149,14 @@ def brane_coverage(d: BowDiagram, brane: Brane) -> tuple[int, ...]:
 
 def coverage(ledger: BraneLedger) -> tuple[int, ...]:
     d = ledger.diagram
-    return _audit(d.k, _index(d), ledger.branes)[0]
+    return _audit(d.k, _index(d), _keyed(ledger.branes))[0]
 
 
 def ledger_is_susy(ledger: BraneLedger) -> bool:
     """No fixed slot may hold more than one brane."""
 
     d = ledger.diagram
-    return not _audit(d.k, _index(d), ledger.branes)[1]
+    return not _audit(d.k, _index(d), _keyed(ledger.branes))[1]
 
 
 def check_ledger(ledger: BraneLedger) -> list[str]:
@@ -222,7 +238,7 @@ def ledger_from_json(data: dict) -> BraneLedger:
 # pair keep their keys; their coverage follows the moved endpoints.
 
 
-def _put(branes: dict[Brane, int], key: Brane, mult: int) -> None:
+def _put(branes: dict, key, mult: int) -> None:
     if mult == 0:
         return
     total = branes.get(key, 0) + mult
@@ -232,10 +248,10 @@ def _put(branes: dict[Brane, int], key: Brane, mult: int) -> None:
         branes.pop(key, None)
 
 
-def _remove(branes: dict[Brane, int], key: Brane, mult: int) -> None:
+def _remove(branes: dict[tuple, int], key: tuple, mult: int) -> None:
     have = branes.get(key, 0)
     if have < mult:
-        raise ValueError(f"ledger holds {have} of {key}, cannot remove {mult}")
+        raise ValueError(f"ledger holds {have} of {_brane(key)}, cannot remove {mult}")
     if have == mult:
         del branes[key]
     else:
@@ -243,7 +259,7 @@ def _remove(branes: dict[Brane, int], key: Brane, mult: int) -> None:
 
 
 class _Walk:
-    """A ledger carried through moves in place.
+    """A ledger carried through moves in place, its branes as tuple keys.
 
     Each :meth:`move` checks its entry as :func:`rewrite.apply_entry`
     does, with the same errors, moves host and branes together, and
@@ -253,11 +269,12 @@ class _Walk:
     fixed slots, and the fixed branes grouped by (arrow id, x-point id)
     in the dict's order.
 
-    The walker audits its starting ledger once, when it is built: a
-    node id the host lacks raises KeyError, a negative multiplicity or
-    a coverage other than the host dims raises ValueError, and
-    zero-multiplicity entries are dropped.  The carried state starts
-    from that audit.
+    ``_Walk(ledger)`` keys a ledger's branes; :meth:`from_keys` starts from
+    tuple keys.  The walker audits its starting branes once, when it is
+    built: a node id the host lacks raises KeyError, a negative
+    multiplicity or a coverage other than the host dims raises
+    ValueError, and zero-multiplicity entries are dropped.  The carried
+    state starts from that audit.
 
     A swap rewrites the host lists and two index entries, then takes
     the pair's group out of the dict and puts the rewritten branes back
@@ -274,21 +291,29 @@ class _Walk:
     __slots__ = ("nodes", "dims", "cut", "index", "branes", "groups", "cover", "charge", "crowd")
 
     def __init__(self, ledger: BraneLedger):
-        d = ledger.diagram
+        self._start(ledger.diagram, _keyed(ledger.branes))
+
+    @classmethod
+    def from_keys(cls, d: BowDiagram, branes: dict[tuple, int]) -> _Walk:
+        walk = cls.__new__(cls)
+        walk._start(d, branes)
+        return walk
+
+    def _start(self, d: BowDiagram, branes: dict[tuple, int]) -> None:
         self.nodes, self.dims, self.cut = list(d.nodes), list(d.dims), d.cut
         self.index = index = _index(d)
-        got, self.crowd = _audit(d.k, index, ledger.branes)
-        self.branes: dict[Brane, int] = {}
-        self.groups: dict[tuple[int, int], list[Brane]] = {}
-        for key, mult in ledger.branes.items():
+        got, self.crowd = _audit(d.k, index, branes)
+        self.branes: dict[tuple, int] = {}
+        self.groups: dict[tuple[int, int], list[tuple]] = {}
+        for key, mult in branes.items():
             if mult < 0:
-                raise ValueError(f"brane {key} has multiplicity {mult}")
+                raise ValueError(f"brane {_brane(key)} has multiplicity {mult}")
             if not mult:
                 continue
             self.branes[key] = mult
-            start, end = index[key.start][1], index[key.end][1]
+            start, end = index[key[0]][1], index[key[1]][1]
             if start != end:
-                pair = (key.start, key.end) if start == NodeKind.ARROW else (key.end, key.start)
+                pair = key[:2] if start == NodeKind.ARROW else (key[1], key[0])
                 self.groups.setdefault(pair, []).append(key)
         self.cover = list(got)
         self.charge = [got[p] - got[p - 1] for p in range(d.k)]
@@ -298,7 +323,7 @@ class _Walk:
         return BowDiagram(nodes=tuple(self.nodes), dims=tuple(self.dims), cut=self.cut)
 
     def ledger(self) -> BraneLedger:
-        return BraneLedger(diagram=self.host(), branes=self.branes)
+        return BraneLedger(diagram=self.host(), branes={_brane(key): mult for key, mult in self.branes.items()})
 
     def _position(self, node_id: int) -> int:
         try:
@@ -348,41 +373,35 @@ class _Walk:
         index[left] = (after, kind)
         index[right] = (pos, nodes[pos].kind)
 
-        u, xp = (left, right) if kind == NodeKind.ARROW else (right, left)
-        shrink = Direction.ACW if u == left else Direction.CW
-        grow = Direction.CW if u == left else Direction.ACW
-        branes = self.branes
-        taken = [(key, branes.pop(key)) for key in self.groups.get((u, xp), ())]
-        # the brane spanning the shrinking side, if held, is annihilated
-        annihilated = False
-        moved: dict[Brane, int] = {}
-        for key, mult in taken:
-            if key.direction == shrink:
-                if key.start == u and key.laps == 0 and mult >= 1:
-                    annihilated = True
-                    mult -= 1
-                key = Brane(key.start, key.end, shrink, max(key.laps - 1, 0))
-            else:
-                key = Brane(key.start, key.end, grow, key.laps + 1)
-            _put(moved, key, mult)
-        if not annihilated:
-            _put(moved, Brane(u, xp, grow, 0), 1)
-        branes.update(moved)
-        self.groups[(u, xp)] = list(moved)
-
         # Every brane of the pair runs from pos to after or from after to
         # pos, so off segment pos it covers uniformly: its laps, plus one
         # when its anticlockwise arc starts at the node that is not at pos.
-        acw = Direction.ACW
+        # A brane keeps its sense; anticlockwise shrinks when the arrow is left.
+        u, xp = (left, right) if kind == NodeKind.ARROW else (right, left)
+        shrink = u == left
+        branes = self.branes
         uniform = flux = crowd = 0
-        for key, mult in taken:
-            first = (key.start if key.direction == acw else key.end) == left
-            uniform -= mult * (key.laps + (not first))
+        annihilated = False
+        moved: dict[tuple, int] = {}
+        for key in self.groups.get((u, xp), ()):
+            mult = branes.pop(key)
+            start, end, acw, laps = key
+            first = (start if acw else end) == left
+            uniform -= mult * (laps + (not first))
             flux -= mult if first else -mult
             crowd -= mult > 1
-        for key, mult in moved.items():
-            first = (key.start if key.direction == acw else key.end) == left
-            uniform += mult * (key.laps + first)
+            if acw == shrink and start == u and laps == 0:
+                annihilated = True
+                mult -= 1
+            laps = max(laps - 1, 0) if acw == shrink else laps + 1
+            _put(moved, (start, end, acw, laps), mult)
+        if not annihilated:
+            _put(moved, (u, xp, not shrink, 0), 1)
+        branes.update(moved)
+        self.groups[(u, xp)] = list(moved)
+        for (start, end, acw, laps), mult in moved.items():
+            first = (start if acw else end) == left
+            uniform += mult * (laps + first)
             flux += mult if first else -mult
             crowd += mult > 1
         charge, cover = self.charge, self.cover
@@ -410,7 +429,7 @@ class _Walk:
         self.charge[segs[0]] += delta
         self.charge[(segs[-1] + 1) % len(self.nodes)] -= delta
         if entry.amount:
-            key = Brane(entry.start, entry.end, entry.direction, 1 if entry.start == entry.end else 0)
+            key = (entry.start, entry.end, entry.direction == Direction.ACW, int(entry.start == entry.end))
             (_remove if inverse else _put)(self.branes, key, entry.amount)
 
 
@@ -447,11 +466,13 @@ def greedy_fixed_counts(v_arr, v_x) -> tuple[tuple[int, ...], list[int]]:
     cur = list(v_x)
     counts = []
     for _ in range(n):
-        best = 0
-        for f in range(w, -1, -1):
-            if all(f <= cur[j] + j for j in range(f + 1)):
-                best = f
+        # the admissible f, those with f <= cur[j] + j for all j <= f, are 0..best
+        best, low = 0, cur[0]
+        for f in range(1, w + 1):
+            low = min(low, cur[f] + f)
+            if f > low:
                 break
+            best = f
         counts.append(best)
         for j in range(best):
             cur[j] -= best - j
@@ -499,7 +520,7 @@ def synthesize_finite(fin) -> BraneLedger:
     the way; the final audit catches anything else.
     """
 
-    return BraneLedger(fin.diagram, _finite_walk(fin).branes)
+    return _finite_walk(fin).ledger()
 
 
 def _finite_walk(fin) -> _Walk:
@@ -516,10 +537,10 @@ def _finite_walk(fin) -> _Walk:
     if cur[0] or cur[w]:
         raise ValueError(_NOT_SUSY)
 
-    branes: dict[Brane, int] = {}
+    branes: dict[tuple, int] = {}
     for s in range(1, n + 1):
         for k in range(1, counts[s - 1] + 1):
-            _put(branes, Brane(fin.arrow_ids[s - 1], fin.x_ids[k - 1], Direction.ACW, 0), 1)
+            _put(branes, (fin.arrow_ids[s - 1], fin.x_ids[k - 1], True, 0), 1)
 
     # leftover arrow-arc dimensions become arrow-to-arrow branes
     for m in range(1, n):
@@ -527,19 +548,14 @@ def _finite_walk(fin) -> _Walk:
         if residual < 0:
             raise ValueError(_NOT_SUSY)
         if residual:
-            _put(
-                branes,
-                Brane(fin.arrow_ids[m - 1], fin.arrow_ids[m], Direction.CW, 0),
-                residual,
-            )
+            _put(branes, (fin.arrow_ids[m - 1], fin.arrow_ids[m], False, 0), residual)
 
     # leftover x-side profile becomes x-to-x branes
     for i, j, mult in _histogram_runs(cur[1:w]):
-        lo, hi = i + 1, j + 1
-        _put(branes, Brane(fin.x_ids[hi], fin.x_ids[lo - 1], Direction.CW, 0), mult)
+        _put(branes, (fin.x_ids[j + 1], fin.x_ids[i], False, 0), mult)
 
     try:
-        walk = _Walk(BraneLedger(diagram=d, branes=branes))
+        walk = _Walk.from_keys(d, branes)
     except ValueError:
         raise ValueError(_NOT_SUSY) from None
     if walk.crowd:
@@ -547,34 +563,30 @@ def _finite_walk(fin) -> _Walk:
     return walk
 
 
-def _synthesize_one_kind(d: BowDiagram) -> BraneLedger:
-    """Ledger for a diagram whose nodes are all of one kind.
+def _synthesize_one_kind(d: BowDiagram) -> _Walk:
+    """A walker on the ledger of a diagram whose nodes are all of one kind.
 
     Every brane is unfixed, so only coverage matters: peel the global
     minimum off as full loops, then decompose what is left into runs
     anchored at a zero.
     """
 
-    branes: dict[Brane, int] = {}
+    branes: dict[tuple, int] = {}
     k = d.k
     floor = min(d.dims)
     if floor > 0:
         anchor = min(node.id for node in d.nodes)
-        _put(branes, Brane(anchor, anchor, Direction.CW, 1), floor)
+        _put(branes, (anchor, anchor, False, 1), floor)
     residual = [v - floor for v in d.dims]
     zero = d.cut if d.cut is not None else residual.index(0)
     line = [(zero + 1 + i) % k for i in range(k - 1)]
     for i, j, mult in _histogram_runs([residual[seg] for seg in line]):
         first, last = line[i], line[j]
-        _put(
-            branes,
-            Brane(d.nodes[(last + 1) % k].id, d.nodes[first].id, Direction.CW, 0),
-            mult,
-        )
-    ledger = BraneLedger(diagram=d, branes=branes)
-    if coverage(ledger) != d.dims:
-        raise RuntimeError(f"one-kind ledger does not cover the dims {d.dims}")
-    return ledger
+        _put(branes, (d.nodes[(last + 1) % k].id, d.nodes[first].id, False, 0), mult)
+    try:
+        return _Walk.from_keys(d, branes)
+    except ValueError:
+        raise RuntimeError(f"one-kind ledger does not cover the dims {d.dims}") from None
 
 
 def synthesize(d: BowDiagram) -> BraneLedger:
@@ -597,7 +609,7 @@ def _synthesize_decided(d: BowDiagram, cert, fin) -> BraneLedger:
     that ``susy._decide_full`` returned for ``d``."""
 
     if d.n_arrows == 0 or d.n_xpoints == 0:
-        return _synthesize_one_kind(d)
+        return _synthesize_one_kind(d).ledger()
 
     # each move checks the carried coverage against its host, so the
     # last one, on a host equal to d, also covers d; a move that fails

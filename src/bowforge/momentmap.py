@@ -49,6 +49,7 @@ from dataclasses import dataclass, field, replace
 from .diagram import (
     BowDiagram,
     CutAt,
+    Direction,
     HwMove,
     IncrementArrows,
     IncrementX,
@@ -862,25 +863,26 @@ def _construct_decided(d: BowDiagram, cert, fin, seed: int) -> Solution:
     which the spiral keeps apart, so no spectrum is read.
     """
 
-    from .branes import _finite_walk, _synthesize_one_kind, _Walk
+    from .branes import _brane, _finite_walk, _synthesize_one_kind
 
     if not cert.verdict:
         raise ValueError("diagram is not supersymmetric; no stable zero exists")
     # a one-kind diagram has no fixed brane, and its skeleton is all zero
-    walk = _Walk(_synthesize_one_kind(d)) if fin is None else _finite_walk(fin)
+    walk = _synthesize_one_kind(d) if fin is None else _finite_walk(fin)
     kind = {node_id: node_kind for node_id, (_, node_kind) in walk.index.items()}
 
     # unfixed branes are increments on top of the fixed skeleton, which
     # peeling them off the ledger leaves: a brane whose ends coincide is
-    # one full loop, any other one has no lap
+    # one full loop, any other one has no lap; keys sort as branes do
     increments = []
-    for brane in sorted(walk.branes, key=lambda br: (br.start, br.end, br.direction.value, br.laps)):
-        if kind[brane.start] != kind[brane.end]:
+    for key in sorted(walk.branes, key=lambda key: (key[0], key[1], not key[2], key[3])):
+        start, end, acw, laps = key
+        if kind[start] != kind[end]:
             continue
-        if brane.laps != (brane.start == brane.end):
-            raise RuntimeError(f"brane {brane} is neither an open arc nor one full loop")
-        increment = IncrementArrows if kind[brane.start] == NodeKind.ARROW else IncrementX
-        increments.append(increment(brane.start, brane.end, brane.direction, walk.branes[brane]))
+        if laps != (start == end):
+            raise RuntimeError(f"brane {_brane(key)} is neither an open arc nor one full loop")
+        increment = IncrementArrows if kind[start] == NodeKind.ARROW else IncrementX
+        increments.append(increment(start, end, Direction.ACW if acw else Direction.CW, walk.branes[key]))
     for entry in increments:
         walk.move(entry, inverse=True)
 
@@ -888,8 +890,8 @@ def _construct_decided(d: BowDiagram, cert, fin, seed: int) -> Solution:
     # fixed branes (arrow to x, one each) attach to; each crossing
     # annihilates one brane, ending at nothing (a one-kind walk is empty)
     staging = []
-    for brane in sorted(walk.branes, key=lambda br: fin.x_ids.index(br.end)):
-        entry = HwMove(left=walk.nodes[walk.index[brane.end][0] - 1].id, right=brane.end)
+    for _, end, _, _ in sorted(walk.branes, key=lambda key: fin.x_ids.index(key[1])):
+        entry = HwMove(left=walk.nodes[walk.index[end][0] - 1].id, right=end)
         walk.move(entry)
         staging.append(entry)
     if walk.branes:

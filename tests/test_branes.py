@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import json
+import random
 
 import pytest
 
@@ -187,6 +188,47 @@ def test_greedy_counts_pinned():
     assert cur == [0, 0]
 
 
+def descending_fixed_counts(v_arr, v_x):
+    """``greedy_fixed_counts`` as it was: every f tried from w down."""
+
+    n = len(v_arr) - 1
+    w = len(v_x) - 1
+    cur = list(v_x)
+    counts = []
+    for _ in range(n):
+        best = 0
+        for f in range(w, -1, -1):
+            if all(f <= cur[j] + j for j in range(f + 1)):
+                best = f
+                break
+        counts.append(best)
+        for j in range(best):
+            cur[j] -= best - j
+        if min(cur) < 0:
+            raise RuntimeError(f"greedy fixed counts left a negative x-side budget {cur}")
+    return tuple(counts), cur
+
+
+def _counted(call):
+    try:
+        return call()
+    except RuntimeError as exc:
+        return str(exc)
+
+
+def test_greedy_counts_match_the_descending_search():
+    # every x-side profile with n <= 3 arrows, w <= 4 x points, values -1..4
+    checked = 0
+    for n in range(1, 4):
+        v_arr = (0,) * (n + 1)
+        for w in range(1, 5):
+            for v_x in itertools.product(range(-1, 5), repeat=w + 1):
+                want = _counted(lambda: descending_fixed_counts(v_arr, v_x))
+                assert _counted(lambda: greedy_fixed_counts(v_arr, v_x)) == want, (n, v_x)
+                checked += 1
+    assert checked == 27_972
+
+
 def test_synthesize_finite_pinned_ledger():
     fin = separated_view(parse_diagram("[ 0 o 1 o 2 x 1 x 0 ]"))
     ledger = synthesize_finite(fin)
@@ -255,6 +297,56 @@ def test_walker_refuses_a_flawed_start():
         branes._Walk(BraneLedger(parse_diagram("( 0 o 0 x )"), {Brane(0, 1, ACW, 0): -1}))
 
 
+def ledger_built(k: int, seed: int) -> BowDiagram:
+    """A diagram on the coverage of a random certifying ledger, drawn as
+    the benchmark's certify-ledger inputs are: fixed arrow-to-x branes in
+    distinct slots, unfixed branes with laps and multiplicities."""
+
+    rng = random.Random(seed)
+    while True:
+        kinds = [rng.choice((NodeKind.ARROW, NodeKind.XPOINT)) for _ in range(k)]
+        if kinds.count(NodeKind.ARROW) >= 2 and kinds.count(NodeKind.XPOINT) >= 2:
+            break
+    nodes = tuple(Node(i, kind) for i, kind in enumerate(kinds))
+    arrows = [n.id for n in nodes if n.kind == NodeKind.ARROW]
+    xs = [n.id for n in nodes if n.kind == NodeKind.XPOINT]
+    ledger = {}
+    for a, x, direction, laps in itertools.product(arrows, xs, (CW, ACW), range(3)):
+        if rng.random() < 0.3:
+            ledger[Brane(a, x, direction, laps)] = 1
+    for _ in range(8):
+        ids = arrows if rng.random() < 0.5 else xs
+        start, end = rng.choice(ids), rng.choice(ids)
+        key = Brane(start, end, rng.choice((CW, ACW)), rng.randint(1 if start == end else 0, 2))
+        ledger[key] = ledger.get(key, 0) + rng.randint(1, 6)
+    return BowDiagram(nodes, coverage(BraneLedger(BowDiagram(nodes, (0,) * k), ledger)))
+
+
+@pytest.mark.parametrize("k, seed", [(8, 1), (8, 2), (14, 1), (14, 2)])
+def test_branes_are_built_only_at_the_ledger_boundary(k, seed, monkeypatch):
+    # the walker and synthesis carry tuple keys: synthesis builds one
+    # Brane per ledger entry, whatever its pipeline length, and a
+    # construction, whose ledger never leaves the walker, builds none
+    from bowforge.momentmap import construct_solution
+
+    d = ledger_built(k, seed)
+    assert len(decide_supersymmetry(d).pipeline) > k
+    built = []
+
+    def counting(*args, **kwargs):
+        built.append(1)
+        return Brane(*args, **kwargs)
+
+    monkeypatch.setattr(branes, "Brane", counting)
+    ledger = synthesize(d)
+    assert len(built) == len(ledger.branes)
+    assert check_ledger(ledger) == []
+    built.clear()
+    assert construct_solution(parse_diagram("( 1 x 2 o 2 x 1 o )")).converged
+    assert construct_solution(parse_diagram("[ 1 x 2 o 3 o 1 x 0 ]")).converged
+    assert built == []
+
+
 def test_walker_empties_a_crowded_slot_on_a_carried_swap():
     # the starting audit finds the doubled slot; the swap of its pair
     # annihilates one brane of it, with coverage still matched
@@ -264,7 +356,7 @@ def test_walker_empties_a_crowded_slot_on_a_carried_swap():
     assert walk.crowd == 1
     assert walk.move(HwMove(0, 1)) is True
     assert walk.crowd == 0
-    assert walk.branes == {Brane(2, 3, CW, 0): 1, Brane(1, 0, ACW, 0): 1, Brane(0, 1, ACW, 0): 1}
+    assert walk.ledger().branes == {Brane(2, 3, CW, 0): 1, Brane(1, 0, ACW, 0): 1, Brane(0, 1, ACW, 0): 1}
 
 
 # An x-first fixed brane keeps coverage and dims equal for three swaps, so

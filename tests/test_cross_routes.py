@@ -1,9 +1,11 @@
-"""Decide, the brane ledger, the constructed zero and S-duality agree above
-the sweeps.
+"""Decide, the brane ledger, the constructed zero, the weight side and
+S-duality agree above the sweeps.
 
 The exhaustive sweeps stop at dims 4; the numerical routes first failed
 near dims 30.  This draws diagrams with k ≤ 5 and dims ≤ 60 from a fixed
-seed, with both verdicts, and runs every route on each.
+seed, with both verdicts, and runs every route on each.  At k 6..8 it
+runs the combinatorial routes only: the construction's conditioning is
+still open there.
 """
 
 import random
@@ -13,7 +15,9 @@ import pytest
 from bowforge.branes import check_ledger, synthesize
 from bowforge.diagram import parse_diagram, s_dual
 from bowforge.momentmap import construct_solution
+from bowforge.rewrite import NegativeWitness, normalize_gap, separate
 from bowforge.susy import decide_supersymmetry
+from bowforge.weights import stratum_check_affine
 
 SEED = 11
 COUNT = 40
@@ -27,13 +31,13 @@ KNOWN_FAILURES = ("( 138 o 110 o 121 x 129 x )", "( 182 x 169 o 187 o 182 o 187 
 CONDITIONING = "ill-conditioned exact construction at large dims (ROADMAP item 1)"
 
 
-def drawn(seed: int, count: int, max_dim: int, verdict: bool, max_nodes: int = 5) -> list[str]:
-    """The first ``count`` draws with that verdict, affine or finite, k 2..max_nodes."""
+def drawn(seed: int, count: int, max_dim: int, verdict: bool, max_nodes: int = 5, min_nodes: int = 2) -> list[str]:
+    """The first ``count`` draws with that verdict, affine or finite, k min_nodes..max_nodes."""
 
     rng = random.Random(seed)
     found = []
     while len(found) < count:
-        k = rng.randint(2, max_nodes)
+        k = rng.randint(min_nodes, max_nodes)
         kinds = [rng.choice("xo") for _ in range(k)]
         if rng.random() < 0.5:
             dims = [rng.randint(0, max_dim) for _ in range(k)]
@@ -77,3 +81,32 @@ def test_s_dual_keeps_the_verdict_on_every_draw():
         for text in drawn(SEED + 1, 200, MAX_DIM, verdict):
             d = parse_diagram(text)
             assert decide_supersymmetry(s_dual(d)).verdict is verdict, text
+
+
+def weight_route(d) -> bool:
+    """The weight side's verdict: separate, normalize the gap, search a
+    stratum weight; a negative witness on the way is a no."""
+
+    res = separate(d)
+    if isinstance(res, NegativeWitness):
+        return False
+    res = normalize_gap(res[0])
+    if isinstance(res, NegativeWitness):
+        return False
+    return stratum_check_affine(res[0]) is not None
+
+
+@pytest.mark.parametrize("verdict", [True, False])
+def test_combinatorial_routes_agree_at_k_6_to_8(verdict):
+    weighed = 0
+    for text in drawn(SEED + 2, 300, MAX_DIM, verdict, max_nodes=8, min_nodes=6):
+        d = parse_diagram(text)
+        if verdict:
+            assert check_ledger(synthesize(d)) == [], text
+        else:
+            with pytest.raises(ValueError, match="not supersymmetric"):
+                synthesize(d)
+        if not d.is_finite and d.n_arrows and d.n_xpoints:
+            assert weight_route(d) is verdict, text
+            weighed += 1
+    assert weighed >= 100

@@ -1,7 +1,11 @@
 """Property tests for brane ledgers: coverage arithmetic, move round trips,
 the in-place ledger walker against the per-move ledger transport it
-replaced, kept here as the oracle, and the walker's carried coverage and
-fixed-slot count against a from-scratch audit after every move."""
+replaced, kept here as the oracle, the walker's carried coverage and
+fixed-slot count against a from-scratch audit after every move, and the
+tuple-keyed walker against the ``Brane``-keyed walker it replaced, also
+kept here as the oracle."""
+
+from itertools import accumulate
 
 import pytest
 
@@ -14,8 +18,7 @@ from bowforge.branes import (
     Brane,
     BraneLedger,
     _audit,
-    _put,
-    _remove,
+    _index,
     _Walk,
     coverage,
     ledger_apply_move,
@@ -33,7 +36,7 @@ from bowforge.diagram import (
     SubtractArrowArc,
     separated_view,
 )
-from bowforge.rewrite import apply_entry, arc_increment, legal_swaps
+from bowforge.rewrite import _cut_after, _increment_segments, _swap, apply_entry, arc_increment, legal_swaps
 
 CW, ACW = Direction.CW, Direction.ACW
 ARROW, XPOINT = NodeKind.ARROW, NodeKind.XPOINT
@@ -140,6 +143,26 @@ def test_move_then_inverse_restores_ledger(ledger, data):
 # the in-place walker against the per-move transport
 
 
+def _put(branes: dict, key, mult: int) -> None:
+    if mult == 0:
+        return
+    total = branes.get(key, 0) + mult
+    if total:
+        branes[key] = total
+    else:
+        branes.pop(key, None)
+
+
+def _remove(branes: dict[Brane, int], key: Brane, mult: int) -> None:
+    have = branes.get(key, 0)
+    if have < mult:
+        raise ValueError(f"ledger holds {have} of {key}, cannot remove {mult}")
+    if have == mult:
+        del branes[key]
+    else:
+        branes[key] = have - mult
+
+
 def oracle_transport_hw(branes: dict, index: dict, left: int, right: int) -> dict:
     """The swap transport on a copy of the brane dict, as ledgers were once moved."""
 
@@ -231,7 +254,7 @@ def _started(ledger: BraneLedger):
     if want[0] == "raised":
         assert got[1] == want[1]
         return None, None
-    assert list(got[1].branes.items()) == list(want[1].branes.items())
+    assert list(got[1].ledger().branes.items()) == list(want[1].branes.items())
     return want[1], got[1]
 
 
@@ -315,7 +338,7 @@ def test_walker_matches_per_move_transport(ledger, data):
         ledger, susy = want[1]
         assert got[1] == susy
         assert walk.host() == ledger.diagram
-        assert list(walk.branes.items()) == list(ledger.branes.items())
+        assert list(walk.ledger().branes.items()) == list(ledger.branes.items())
 
 
 # ---------------------------------------------------------------------------
@@ -422,4 +445,203 @@ def test_walker_carries_what_a_full_audit_computes(ledger, data):
         assert walk.charge == [cover[p] - cover[p - 1] for p in range(len(cover))]
         assert walk.crowd == crowd
         assert got[1] == (crowd == 0) == want[1][1]
-        assert list(walk.branes.items()) == list(ledger.branes.items())
+        assert list(walk.ledger().branes.items()) == list(ledger.branes.items())
+
+
+# ---------------------------------------------------------------------------
+# the tuple-keyed walker against the Brane-keyed walker it replaced
+
+
+def brane_audit(k: int, index: dict, branes: dict[Brane, int]) -> tuple[tuple[int, ...], int]:
+    """The from-scratch audit over ``Brane`` keys: coverage and over-full fixed slots."""
+
+    laps = 0
+    diff = [0] * k
+    crowd = 0
+    try:
+        for brane, mult in branes.items():
+            i, kind_i = index[brane.start]
+            j, kind_j = index[brane.end]
+            laps += mult * brane.laps
+            if kind_i != kind_j and mult > 1:
+                crowd += 1
+            if i == j:
+                continue
+            if brane.direction != ACW:
+                i, j = j, i
+            diff[i] += mult
+            diff[j] -= mult
+            if i > j:
+                diff[0] += mult
+    except KeyError as err:
+        raise KeyError(f"no node with id {err.args[0]}") from None
+    return tuple(accumulate(diff, initial=laps))[1:], crowd
+
+
+class BraneWalk:
+    """The ledger walker as it was with a ``Brane``-keyed dict: same carried
+    coverage, charges, crowd count and fixed-brane groups."""
+
+    def __init__(self, ledger: BraneLedger):
+        d = ledger.diagram
+        self.nodes, self.dims, self.cut = list(d.nodes), list(d.dims), d.cut
+        self.index = index = _index(d)
+        got, self.crowd = brane_audit(d.k, index, ledger.branes)
+        self.branes: dict[Brane, int] = {}
+        self.groups: dict[tuple[int, int], list[Brane]] = {}
+        for key, mult in ledger.branes.items():
+            if mult < 0:
+                raise ValueError(f"brane {key} has multiplicity {mult}")
+            if not mult:
+                continue
+            self.branes[key] = mult
+            start, end = index[key.start][1], index[key.end][1]
+            if start != end:
+                pair = (key.start, key.end) if start == ARROW else (key.end, key.start)
+                self.groups.setdefault(pair, []).append(key)
+        self.cover = list(got)
+        self.charge = [got[p] - got[p - 1] for p in range(d.k)]
+        self._check_cover()
+
+    def host(self) -> BowDiagram:
+        return BowDiagram(nodes=tuple(self.nodes), dims=tuple(self.dims), cut=self.cut)
+
+    def ledger(self) -> BraneLedger:
+        return BraneLedger(diagram=self.host(), branes=self.branes)
+
+    def _position(self, node_id: int) -> int:
+        try:
+            return self.index[node_id][0]
+        except KeyError:
+            raise KeyError(f"no node with id {node_id}") from None
+
+    def move(self, entry, inverse: bool = False) -> bool:
+        if isinstance(entry, HwMove):
+            left, right = (entry.right, entry.left) if inverse else (entry.left, entry.right)
+            self._swap_pair(left, right)
+        else:
+            if isinstance(entry, SubtractArrowArc):
+                entry, inverse = arc_increment(self.host(), entry), not inverse
+            if isinstance(entry, (IncrementArrows, IncrementX)):
+                self._increment(entry, inverse)
+            elif isinstance(entry, CutAt):
+                self.cut = _cut_after(self.cut, self.dims, entry, inverse)
+            else:
+                raise TypeError(f"unknown move entry {entry!r}")
+        self._check_cover()
+        return not self.crowd
+
+    def _check_cover(self) -> None:
+        if self.cover != self.dims:
+            raise ValueError(
+                f"brane coverage {tuple(self.cover)} lost track of the host dims {tuple(self.dims)}; "
+                "the ledger did not match its host"
+            )
+
+    def _swap_pair(self, left: int, right: int) -> None:
+        nodes, index = self.nodes, self.index
+        k = len(nodes)
+        pos = self._position(left)
+        after = (pos + 1) % k
+        if after != self._position(right):
+            raise ValueError(f"nodes {left} and {right} are not adjacent in that order")
+        kind = nodes[pos].kind
+        if kind == nodes[after].kind:
+            raise ValueError("cannot swap two nodes of the same kind")
+        if self.cut is not None and pos == self.cut:
+            raise ValueError("cannot swap across the cut segment")
+        _swap(nodes, self.dims, pos)
+        index[left] = (after, kind)
+        index[right] = (pos, nodes[pos].kind)
+
+        u, xp = (left, right) if kind == ARROW else (right, left)
+        shrink = ACW if u == left else CW
+        grow = CW if u == left else ACW
+        branes = self.branes
+        taken = [(key, branes.pop(key)) for key in self.groups.get((u, xp), ())]
+        annihilated = False
+        moved: dict[Brane, int] = {}
+        for key, mult in taken:
+            if key.direction == shrink:
+                if key.start == u and key.laps == 0 and mult >= 1:
+                    annihilated = True
+                    mult -= 1
+                key = Brane(key.start, key.end, shrink, max(key.laps - 1, 0))
+            else:
+                key = Brane(key.start, key.end, grow, key.laps + 1)
+            _put(moved, key, mult)
+        if not annihilated:
+            _put(moved, Brane(u, xp, grow, 0), 1)
+        branes.update(moved)
+        self.groups[(u, xp)] = list(moved)
+
+        uniform = flux = crowd = 0
+        for key, mult in taken:
+            first = (key.start if key.direction == ACW else key.end) == left
+            uniform -= mult * (key.laps + (not first))
+            flux -= mult if first else -mult
+            crowd -= mult > 1
+        for key, mult in moved.items():
+            first = (key.start if key.direction == ACW else key.end) == left
+            uniform += mult * (key.laps + first)
+            flux += mult if first else -mult
+            crowd += mult > 1
+        charge, cover = self.charge, self.cover
+        charge[pos], charge[after] = charge[after] - flux, charge[pos] + flux
+        if uniform:
+            cover[:] = [value + uniform for value in cover]
+        cover[pos] = cover[pos - 1] + charge[pos]
+        self.crowd += crowd
+
+    def _increment(self, entry, inverse: bool) -> None:
+        if not inverse and entry.amount < 0:
+            raise ValueError("increment amount must be nonnegative")
+        segs = _increment_segments(self.nodes, self.cut, self._position, entry)
+        delta = -entry.amount if inverse else entry.amount
+        for seg in segs:
+            self.dims[seg] += delta
+        for seg in segs:
+            self.cover[seg] += delta
+        self.charge[segs[0]] += delta
+        self.charge[(segs[-1] + 1) % len(self.nodes)] -= delta
+        if entry.amount:
+            key = Brane(entry.start, entry.end, entry.direction, 1 if entry.start == entry.end else 0)
+            (_remove if inverse else _put)(self.branes, key, entry.amount)
+
+
+@st.composite
+def negative_lap_ledgers(draw):
+    """Ledgers on their coverage whose branes may wind negative laps, which
+    a swap of their pair clamps at zero."""
+
+    d = draw(hosts())
+    ids = [node.id for node in d.nodes]
+    brane = st.builds(Brane, st.sampled_from(ids), st.sampled_from(ids), st.sampled_from([CW, ACW]), st.integers(-2, 2))
+    branes = draw(st.dictionaries(brane, st.integers(1, 3), max_size=12))
+    return BraneLedger(BowDiagram(d.nodes, coverage(BraneLedger(d, branes))), branes)
+
+
+def _walk_state(walk) -> tuple:
+    ledger = walk.ledger()
+    return list(ledger.branes.items()), ledger.diagram, list(walk.cover), list(walk.charge), walk.crowd
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(carried_ledgers(), walk_ledgers(), negative_lap_ledgers()), st.data())
+def test_walker_matches_the_brane_keyed_walker(ledger, data):
+    want = _outcome(lambda: BraneWalk(ledger))
+    got = _outcome(lambda: _Walk(ledger))
+    assert got[0] == want[0], (got, want)
+    if want[0] == "raised":
+        assert got[1] == want[1]
+        return
+    oracle, walk = want[1], got[1]
+    assert _walk_state(walk) == _walk_state(oracle)
+    for _ in range(data.draw(st.integers(1, 64))):
+        entry, inverse = _draw_walk_entry(data, oracle.ledger())
+        want = _outcome(lambda: oracle.move(entry, inverse))
+        got = _outcome(lambda: walk.move(entry, inverse))
+        assert got == want, (entry, inverse)
+        if want[0] == "raised":
+            return
+        assert _walk_state(walk) == _walk_state(oracle)
