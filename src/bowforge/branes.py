@@ -12,8 +12,9 @@ supersymmetric diagram precisely when no fixed slot (ordered endpoint
 pair, sense, lap count) is occupied more than once.
 
 A ledger is carried through a move log in place by one private walker,
-:class:`_Walk`: the host is held as mutable node and dimension lists
-with an ``{id: (position, kind)}`` index, and one brane dict is mutated
+:class:`_Walk`: a ``rewrite._Host``, which holds the host diagram as
+mutable node and dimension lists with an ``{id: (position, kind)}``
+index and checks and applies every move, plus one brane dict mutated
 throughout.  Coverage and the fixed-slot occupancy are carried, not
 recomputed.  A node's *charge* is the multiplicity of anticlockwise arcs
 that start at it minus those that end there; it depends on the branes
@@ -44,18 +45,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .diagram import (
-    BowDiagram,
-    CutAt,
-    Direction,
-    HwMove,
-    IncrementArrows,
-    IncrementX,
-    MoveEntry,
-    NodeKind,
-    SubtractArrowArc,
-)
-from .rewrite import _cut_after, _increment_segments, _swap, arc_increment
+from .diagram import BowDiagram, Direction, IncrementArrows, IncrementX, MoveEntry, NodeKind
+from .rewrite import _Host, _index
 
 # ---------------------------------------------------------------------------
 # branes and ledgers
@@ -98,16 +89,6 @@ def _brane(key: tuple) -> Brane:
     return Brane(start, end, Direction.ACW if acw else Direction.CW, laps)
 
 
-# The audit indexes the host's nodes once instead of scanning for each
-# brane endpoint.  Ids are indexed first-match, as
-# ``BowDiagram.position`` looks them up, and a missing id raises the
-# same KeyError, start before end.
-
-
-def _index(d: BowDiagram) -> dict[int, tuple[int, NodeKind]]:
-    return {d.nodes[i].id: (i, d.nodes[i].kind) for i in range(d.k - 1, -1, -1)}
-
-
 def _audit(k: int, index: dict, branes: dict[tuple, int]) -> tuple[tuple[int, ...], int]:
     """Coverage of the tuple-keyed ``branes`` on the k-node host that
     ``index`` indexes, and the number of fixed slots holding more than one.
@@ -115,7 +96,9 @@ def _audit(k: int, index: dict, branes: dict[tuple, int]) -> tuple[tuple[int, ..
     Laps cover every segment alike.  The open arc is a cyclic range
     accumulated in a difference array: anticlockwise from position i to
     j covers i .. j-1, and clockwise from i to j is the anticlockwise
-    range from j to i.  Equal endpoints give no arc.
+    range from j to i.  Equal endpoints give no arc.  The index is read
+    once per brane endpoint, and a missing id raises the KeyError that
+    ``BowDiagram.position`` raises, start before end.
     """
 
     total = 0
@@ -258,56 +241,46 @@ def _remove(branes: dict[tuple, int], key: tuple, mult: int) -> None:
         branes[key] = have - mult
 
 
-class _Walk:
+class _Walk(_Host):
     """A ledger carried through moves in place, its branes as tuple keys.
 
-    Each :meth:`move` checks its entry as :func:`rewrite.apply_entry`
-    does, with the same errors, moves host and branes together, and
-    checks the coverage against the host dims and the fixed slots.  The
-    walker carries what those checks need: the coverage list, a charge
-    per position (see the module docstring), the count of over-full
-    fixed slots, and the fixed branes grouped by (arrow id, x-point id)
-    in the dict's order.
+    The host half is a ``rewrite._Host``: its :meth:`move` checks and
+    applies each entry, with the same errors as ``rewrite.apply_entry``.
+    The walker extends the host's swap and increment to move the branes
+    along, and checks the coverage against the host dims after every
+    move.  It calls the host's methods by name, not through ``super()``,
+    which builds a proxy object on every call of the per-move path.  It carries what that check and the fixed-slot verdict need:
+    the coverage list, a charge per position (see the module
+    docstring), the count of over-full fixed slots, and the fixed
+    branes grouped by (arrow id, x-point id) in the dict's order.
 
-    ``_Walk(ledger)`` keys a ledger's branes; :meth:`from_keys` starts from
-    tuple keys.  The walker audits its starting branes once, when it is
-    built: a node id the host lacks raises KeyError, a negative
-    multiplicity or a coverage other than the host dims raises
-    ValueError, and zero-multiplicity entries are dropped.  The carried
-    state starts from that audit.
+    ``_Walk(d, branes)`` starts from tuple keys on the host ``d`` and
+    audits them once: a node id the host lacks raises KeyError, a
+    negative multiplicity, negative laps or a coverage other than the
+    host dims raises ValueError, and zero-multiplicity entries are
+    dropped.  The carried state starts from that audit.
 
-    A swap rewrites the host lists and two index entries, then takes
-    the pair's group out of the dict and puts the rewritten branes back
-    at its end, so the dict keeps the order that rewriting the pair's
-    branes in a scan of the whole dict would give.  An increment or a
-    cut runs on the walker's lists through the routines that
-    ``apply_entry`` uses on a diagram; an arc subtraction first asks
-    ``arc_increment`` of a built host for its increment.  An increment
-    puts or removes its brane, which is not fixed and covers exactly the
-    segments it raises, so the coverage and the charges take that
-    change.
+    A swap takes the pair's group out of the dict and puts the
+    rewritten branes back at its end, so the dict keeps the order that
+    rewriting the pair's branes in a scan of the whole dict would give.
+    An increment puts or removes its brane, which is not fixed and
+    covers exactly the segments it raises, so the coverage and the
+    charges take that change.
     """
 
-    __slots__ = ("nodes", "dims", "cut", "index", "branes", "groups", "cover", "charge", "crowd")
+    __slots__ = ("branes", "groups", "cover", "charge", "crowd")
 
-    def __init__(self, ledger: BraneLedger):
-        self._start(ledger.diagram, _keyed(ledger.branes))
-
-    @classmethod
-    def from_keys(cls, d: BowDiagram, branes: dict[tuple, int]) -> _Walk:
-        walk = cls.__new__(cls)
-        walk._start(d, branes)
-        return walk
-
-    def _start(self, d: BowDiagram, branes: dict[tuple, int]) -> None:
-        self.nodes, self.dims, self.cut = list(d.nodes), list(d.dims), d.cut
-        self.index = index = _index(d)
+    def __init__(self, d: BowDiagram, branes: dict[tuple, int]):
+        super().__init__(d)
+        index = self.index
         got, self.crowd = _audit(d.k, index, branes)
         self.branes: dict[tuple, int] = {}
         self.groups: dict[tuple[int, int], list[tuple]] = {}
         for key, mult in branes.items():
             if mult < 0:
                 raise ValueError(f"brane {_brane(key)} has multiplicity {mult}")
+            if key[3] < 0:
+                raise ValueError(f"brane {_brane(key)} has negative laps")
             if not mult:
                 continue
             self.branes[key] = mult
@@ -319,34 +292,13 @@ class _Walk:
         self.charge = [got[p] - got[p - 1] for p in range(d.k)]
         self._check_cover()
 
-    def host(self) -> BowDiagram:
-        return BowDiagram(nodes=tuple(self.nodes), dims=tuple(self.dims), cut=self.cut)
-
     def ledger(self) -> BraneLedger:
-        return BraneLedger(diagram=self.host(), branes={_brane(key): mult for key, mult in self.branes.items()})
-
-    def _position(self, node_id: int) -> int:
-        try:
-            return self.index[node_id][0]
-        except KeyError:
-            raise KeyError(f"no node with id {node_id}") from None
+        return BraneLedger(diagram=self.diagram(), branes={_brane(key): mult for key, mult in self.branes.items()})
 
     def move(self, entry: MoveEntry, inverse: bool = False) -> bool:
         """:func:`ledger_apply_move` in place; returns the fixed-slot verdict."""
 
-        if isinstance(entry, HwMove):
-            left, right = (entry.right, entry.left) if inverse else (entry.left, entry.right)
-            self._swap_pair(left, right)
-        else:
-            if isinstance(entry, SubtractArrowArc):
-                entry, inverse = arc_increment(self.host(), entry), not inverse
-            if isinstance(entry, (IncrementArrows, IncrementX)):
-                self._increment(entry, inverse)
-            elif isinstance(entry, CutAt):
-                self.cut = _cut_after(self.cut, self.dims, entry, inverse)
-            else:
-                raise TypeError(f"unknown move entry {entry!r}")
-
+        _Host.move(self, entry, inverse)
         self._check_cover()
         return not self.crowd
 
@@ -357,27 +309,15 @@ class _Walk:
                 "the ledger did not match its host"
             )
 
-    def _swap_pair(self, left: int, right: int) -> None:
-        nodes, index = self.nodes, self.index
-        k = len(nodes)
-        pos = self._position(left)
-        after = (pos + 1) % k
-        if after != self._position(right):
-            raise ValueError(f"nodes {left} and {right} are not adjacent in that order")
-        kind = nodes[pos].kind
-        if kind == nodes[after].kind:
-            raise ValueError("cannot swap two nodes of the same kind")
-        if self.cut is not None and pos == self.cut:
-            raise ValueError("cannot swap across the cut segment")
-        _swap(nodes, self.dims, pos)
-        index[left] = (after, kind)
-        index[right] = (pos, nodes[pos].kind)
+    def swap(self, left: int, right: int) -> int:
+        pos = _Host.swap(self, left, right)
+        after = (pos + 1) % len(self.nodes)
 
         # Every brane of the pair runs from pos to after or from after to
         # pos, so off segment pos it covers uniformly: its laps, plus one
         # when its anticlockwise arc starts at the node that is not at pos.
         # A brane keeps its sense; anticlockwise shrinks when the arrow is left.
-        u, xp = (left, right) if kind == NodeKind.ARROW else (right, left)
+        u, xp = (left, right) if self.nodes[after].kind == NodeKind.ARROW else (right, left)
         shrink = u == left
         branes = self.branes
         uniform = flux = crowd = 0
@@ -410,17 +350,10 @@ class _Walk:
             cover[:] = [value + uniform for value in cover]
         cover[pos] = cover[pos - 1] + charge[pos]
         self.crowd += crowd
+        return pos
 
-    def _increment(self, entry: IncrementArrows | IncrementX, inverse: bool) -> None:
-        """An increment or its inverse, as :func:`rewrite.apply_entry`
-        applies it, with its brane put or removed."""
-
-        if not inverse and entry.amount < 0:
-            raise ValueError("increment amount must be nonnegative")
-        segs = _increment_segments(self.nodes, self.cut, self._position, entry)
-        delta = -entry.amount if inverse else entry.amount
-        for seg in segs:
-            self.dims[seg] += delta
+    def increment(self, entry: IncrementArrows | IncrementX, delta: int) -> range | list[int]:
+        segs = _Host.increment(self, entry, delta)
         # the brane is not fixed and covers exactly segs, anticlockwise
         # from its arc's start to its end; a full loop starts and ends at
         # segs[0], so its charges cancel
@@ -428,9 +361,12 @@ class _Walk:
             self.cover[seg] += delta
         self.charge[segs[0]] += delta
         self.charge[(segs[-1] + 1) % len(self.nodes)] -= delta
-        if entry.amount:
-            key = (entry.start, entry.end, entry.direction == Direction.ACW, int(entry.start == entry.end))
-            (_remove if inverse else _put)(self.branes, key, entry.amount)
+        key = (entry.start, entry.end, entry.direction == Direction.ACW, int(entry.start == entry.end))
+        if delta > 0:
+            _put(self.branes, key, delta)
+        elif delta:
+            _remove(self.branes, key, -delta)
+        return segs
 
 
 def ledger_apply_move(
@@ -443,7 +379,7 @@ def ledger_apply_move(
     match its host.
     """
 
-    walk = _Walk(ledger)
+    walk = _Walk(ledger.diagram, _keyed(ledger.branes))
     walk.move(entry, inverse)
     return walk.ledger()
 
@@ -555,7 +491,7 @@ def _finite_walk(fin) -> _Walk:
         _put(branes, (fin.x_ids[j + 1], fin.x_ids[i], False, 0), mult)
 
     try:
-        walk = _Walk.from_keys(d, branes)
+        walk = _Walk(d, branes)
     except ValueError:
         raise ValueError(_NOT_SUSY) from None
     if walk.crowd:
@@ -584,7 +520,7 @@ def _synthesize_one_kind(d: BowDiagram) -> _Walk:
         first, last = line[i], line[j]
         _put(branes, (d.nodes[(last + 1) % k].id, d.nodes[first].id, False, 0), mult)
     try:
-        return _Walk.from_keys(d, branes)
+        return _Walk(d, branes)
     except ValueError:
         raise RuntimeError(f"one-kind ledger does not cover the dims {d.dims}") from None
 

@@ -416,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--replay", required=True, help="path to a move-log JSON file")
     p.add_argument("--inverse", action="store_true", help="undo the log instead")
 
-    add("sdual", _cmd_sdual, "swap node kinds and reverse orientation")
+    add("sdual", _cmd_sdual, "swap node kinds")
 
     p = add("equiv", _cmd_equiv, "breadth-first sample of the swap-equivalence class")
     p.add_argument("--budget", type=int, default=1000, help="maximum diagrams to visit")

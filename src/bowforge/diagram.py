@@ -11,7 +11,7 @@ affine diagram has no cut.
 This module owns parsing/rendering of the text grammar, the JSON
 mirrors for diagrams and move logs, structural validation, the
 separated view (all x-points contiguous) with its standard segment
-labelling, arc walks, and the reflection swapping the two node kinds.
+labelling, and the reflection swapping the two node kinds.
 
 :func:`validate` runs at the public entry points: ``separated_view``,
 ``render_diagram`` and the JSON codecs.  ``_separated_view`` is the
@@ -376,37 +376,6 @@ def log_to_json(log: Iterable[MoveEntry]) -> list[dict]:
 
 def log_from_json(data: Iterable[dict]) -> MoveLog:
     return tuple(entry_from_json(item) for item in data)
-
-
-# ---------------------------------------------------------------------------
-# arcs
-
-def arc_segments(d: BowDiagram, start_id: int, end_id: int, direction: Direction) -> tuple[int, ...]:
-    """Segment indices of the directed open arc from start to end.
-
-    Walking anticlockwise from position ``i`` to position ``j`` covers
-    the segments ``i, i+1, ..., j-1``; clockwise covers
-    ``i-1, i-2, ..., j``.  Equal endpoints give the empty arc: a full
-    loop is bookkept as a lap count, not an arc.
-    """
-
-    k = d.k
-    i = d.position(start_id)
-    j = d.position(end_id)
-    if i == j:
-        return ()
-    segs = []
-    if direction == Direction.ACW:
-        pos = i
-        while pos != j:
-            segs.append(pos)
-            pos = (pos + 1) % k
-    else:
-        pos = i
-        while pos != j:
-            pos = (pos - 1) % k
-            segs.append(pos)
-    return tuple(segs)
 
 
 # ---------------------------------------------------------------------------

@@ -14,9 +14,11 @@ the stable locus; only stable zeros count.
 
 ``construct_solution`` builds the level-zero zero of every
 supersymmetric diagram, with one node kind or both, by replaying its
-brane ledger as exact steps: swap transports and arc increments.  The
-Levenberg-Marquardt solver is used only by ``solve_numeric``, which
-serves non-zero levels alone.
+brane ledger as exact steps: swap transports and arc increments.
+Each step moves its diagram through ``rewrite``'s one move host, so a
+swap or an increment is refused with the errors of
+``rewrite.apply_entry``.  The Levenberg-Marquardt solver is used only
+by ``solve_numeric``, which serves non-zero levels alone.
 
 The exact steps replace maps and never write into them: a step builds
 new arrays for the nodes it touches and leaves every other node's maps
@@ -58,7 +60,7 @@ from .diagram import (
     diagram_from_json,
     diagram_to_json,
 )
-from .rewrite import _increment_segments, apply_entry, arc_increment
+from .rewrite import _Host, apply_entry, arc_increment
 
 
 class _LazyNumpy:
@@ -578,7 +580,8 @@ def _extend_arc_unit(
     if any(abs(complex(v)) > 0 for v in sol.lam.values()):
         raise ValueError("exact arc extension needs level zero")
     d = sol.diagram
-    covered = set(_increment_segments(d.nodes, d.cut, d.position, entry))
+    host = _Host(d)
+    covered = set(host.increment(entry, 1))
     c = next(shifts) if isinstance(entry, IncrementX) else 0j
     triangles = dict(sol.triangles)
     arrows = dict(sol.arrows)
@@ -619,9 +622,7 @@ def _extend_arc_unit(
             B_out = _extend_block(B_out, 1, 1)
             B_out[-1, -1] = c
         triangles[node.id] = TriangleData(A=A, B_in=B_in, B_out=B_out, a=a, b=b)
-    dims = tuple(v + (1 if seg in covered else 0) for seg, v in enumerate(d.dims))
-    host = BowDiagram(nodes=d.nodes, dims=dims, cut=d.cut)
-    return replace(sol, diagram=host, triangles=triangles, arrows=arrows)
+    return replace(sol, diagram=host.diagram(), triangles=triangles, arrows=arrows)
 
 
 def _increment_step(sol: Solution, entry, shifts: Iterator[complex]) -> Solution:
@@ -634,27 +635,18 @@ def _increment_step(sol: Solution, entry, shifts: Iterator[complex]) -> Solution
     return sol
 
 
-def extend_increment(sol: Solution, entry, c: complex | None = None) -> Solution:
+def extend_increment(sol: Solution, entry) -> Solution:
     """Exactly extend a level-zero solution along one increment entry.
 
     The spectra of an x arc's end blocks are arbitrary here, so they are
     read once per call, and the units take the points of
-    ``_spiral(amount)`` that keep ``_SHIFT_GAP`` from them.  A given
-    shift ``c`` applies to arcs between two x points; it is refused
-    unless it keeps that gap too, and it serves the first unit only:
-    that unit puts it on the end triangles' diagonals, so the later
-    units keep the gap from it as well.  The result shares no array
-    with ``sol``.
+    ``_spiral(amount)`` that keep ``_SHIFT_GAP`` from them.  The result
+    shares no array with ``sol``.
     """
 
     def shifts():
         ends = (sol.triangles[entry.start], sol.triangles[entry.end])
         spectrum = [complex(z) for t in ends for m in (t.B_in, t.B_out) for z in np.linalg.eigvals(m)]
-        if c is not None:
-            if any(abs(complex(c) - z) < _SHIFT_GAP for z in spectrum):
-                raise ValueError(f"shift {c} does not keep the shifted blocks invertible")
-            yield complex(c)
-            spectrum.append(complex(c))
         for shift in _spiral(entry.amount):
             if all(abs(shift - z) >= _SHIFT_GAP for z in spectrum):
                 yield shift
@@ -695,30 +687,26 @@ def _kernel_with_dim(mat: np.ndarray, want: int) -> np.ndarray:
 def _swap_step(sol: Solution, left: int, right: int) -> Solution:
     """Exactly carry a level-zero stable zero across one swap.
 
-    The two named nodes must sit on adjacent positions in that order.
-    The segment between them is replaced the same way the diagram move
-    replaces it; the new maps come from an orthonormal kernel (x before
-    arrow) or cokernel (arrow before x) basis of the three maps stacked
-    over the disappearing segment, so no numerical search is involved
-    and the residual stays at the input level.  Copy-on-write: only the
-    two swapped nodes get new maps, and no residual is computed.
+    ``rewrite._Host.swap`` checks the swap, with its errors, and moves
+    the diagram.  The segment between the pair is replaced the same way
+    the diagram move replaces it; the new maps come from an orthonormal
+    kernel (x before arrow) or cokernel (arrow before x) basis of the
+    three maps stacked over the disappearing segment, so no numerical
+    search is involved and the residual stays at the input level.
+    Copy-on-write: only the two swapped nodes get new maps, and no
+    residual is computed.
     """
 
     if any(abs(complex(v)) > 0 for v in sol.lam.values()):
         raise ValueError("exact swap transport needs level zero")
     d = sol.diagram
-    pos_l = d.position(left)
-    pos_r = d.position(right)
-    if (pos_l + 1) % d.k != pos_r:
-        raise ValueError("swap transport needs adjacent nodes")
-    host = apply_entry(d, HwMove(left=left, right=right))
-    v_minus = d.dims[(pos_l - 1) % d.k]
-    v_plus = d.dims[pos_r]
-    v_new = host.dims[pos_l]
+    host = _Host(d)
+    pos = host.swap(left, right)
+    v_minus, v_plus, v_new = d.dims[pos - 1], d.dims[(pos + 1) % d.k], host.dims[pos]
     triangles = dict(sol.triangles)
     arrows = dict(sol.arrows)
 
-    if d.node_by_id(left).kind == NodeKind.XPOINT:
+    if d.nodes[pos].kind == NodeKind.XPOINT:
         # x moves right past the arrow; the new segment is the kernel
         # of [A | D | a], which is onto by the spanning rank condition
         t = sol.triangles[left]
@@ -756,7 +744,7 @@ def _swap_step(sol: Solution, left: int, right: int) -> Solution:
             a=q_tail.conj().T,
             b=t.b @ ad.C,
         )
-    return replace(sol, diagram=host, triangles=triangles, arrows=arrows)
+    return replace(sol, diagram=host.diagram(), triangles=triangles, arrows=arrows)
 
 
 def transport_hw_solution(sol: Solution, left: int, right: int) -> Solution:
@@ -898,7 +886,7 @@ def _construct_decided(d: BowDiagram, cert, fin, seed: int) -> Solution:
         raise RuntimeError("staging did not empty the layout")
 
     shifts = _spiral(sum(entry.amount for entry in increments if isinstance(entry, IncrementX)))
-    sol = zero_solution(walk.host())
+    sol = zero_solution(walk.diagram())
     for entry in [*reversed(staging), *increments, *reversed(cert.pipeline)]:
         sol = _exact_step(sol, entry, shifts)
     if sol.diagram != d:

@@ -8,13 +8,20 @@ v_0 − v_{−w}, uniform arc raises) are words in that one move plus the
 two bookkeeping entries for arc subtraction and cutting, and every
 word is recorded as a replayable, invertible move log.
 
-Validation happens at the public entry points (``apply_hw``,
-``separate``, ``normalize_gap``).  Inside a word the diagram is held as
-mutable node and dimension lists with tracked positions; every pass of
-a node through its w neighbours is the one routine ``_pass`` on those
-lists.  A word or a whole phase of passes builds one ``BowDiagram``
-and takes one unchecked ``diagram._separated_view`` at its end: a swap
-of a valid diagram is valid.
+One private host, :class:`_Host`, holds a diagram as mutable node and
+dimension lists with an id index; its ``move`` is the one routine that
+checks and applies a move-log entry.  ``apply_hw``, ``apply_increment``
+and ``apply_entry`` are a host and one call, ``replay`` runs a whole
+log on one host, and the ledger walker ``branes._Walk`` is a host that
+carries branes along.
+
+Validation happens at the public entry points (``separate``,
+``normalize_gap``, ``arc_increment``).  Inside a word the diagram is
+held as mutable node and dimension lists with tracked positions; every
+pass of a node through its neighbours is the one routine ``_pass`` on
+those lists.  A word or a whole phase of passes builds one
+``BowDiagram`` and takes one unchecked ``diagram._separated_view`` at
+its end: a swap of a valid diagram is valid.
 """
 
 from __future__ import annotations
@@ -67,21 +74,20 @@ class EquivClassSample:
 # the elementary swap
 
 
-def _swap(nodes: list, dims: list, pos: int) -> int:
-    """Swap the nodes at pos and pos + 1 of mutable lists; return the new middle dim."""
+def _swap(nodes: list, dims: list, cut: int | None, pos: int) -> int:
+    """Swap the nodes at pos and pos + 1 of mutable lists; return the new middle dim.
 
-    k = len(nodes)
-    after = (pos + 1) % k
+    Refuses two nodes of one kind and a swap of the cut segment.
+    """
+
+    after = (pos + 1) % len(nodes)
+    if nodes[pos].kind == nodes[after].kind:
+        raise ValueError("cannot swap two nodes of the same kind")
+    if pos == cut:
+        raise ValueError("cannot swap across the cut segment")
     nodes[pos], nodes[after] = nodes[after], nodes[pos]
     dims[pos] = dims[pos - 1] + dims[after] + 1 - dims[pos]
     return dims[pos]
-
-
-def _check_swap(nodes: list, cut: int | None, pos: int) -> None:
-    if nodes[pos].kind == nodes[(pos + 1) % len(nodes)].kind:
-        raise ValueError("cannot swap two nodes of the same kind")
-    if cut is not None and pos == cut:
-        raise ValueError("cannot swap across the cut segment")
 
 
 def apply_hw(d: BowDiagram, left: int, right: int) -> BowDiagram:
@@ -89,16 +95,12 @@ def apply_hw(d: BowDiagram, left: int, right: int) -> BowDiagram:
 
     The middle dimension v becomes v⁻ + v⁺ + 1 − v where v⁻/v⁺ are the
     outer neighbour segments; a negative result is legal data.  Raises
-    for non-adjacent pairs, same-kind pairs, and swaps across the cut.
+    as :meth:`_Host.swap` does.
     """
 
-    pos_l = d.position(left)
-    if (pos_l + 1) % d.k != d.position(right):
-        raise ValueError(f"nodes {left} and {right} are not adjacent in that order")
-    nodes, dims = list(d.nodes), list(d.dims)
-    _check_swap(nodes, d.cut, pos_l)
-    _swap(nodes, dims, pos_l)
-    return BowDiagram(nodes=tuple(nodes), dims=tuple(dims), cut=d.cut)
+    host = _Host(d)
+    host.swap(left, right)
+    return host.diagram()
 
 
 def legal_swaps(d: BowDiagram) -> list[tuple[int, int]]:
@@ -121,32 +123,6 @@ def legal_swaps(d: BowDiagram) -> list[tuple[int, int]]:
 # uniform arc raises
 
 
-def _increment_segments(
-    nodes, cut: int | None, position, entry: IncrementArrows | IncrementX
-) -> range | list[int]:
-    """The segments an increment raises, anticlockwise from the arc's start.
-
-    Works on a node list whose ids ``position`` looks up, so that a
-    ``BowDiagram`` and a walker over mutable lists share it.  The ends
-    must be of the entry's kind and the arc may not hold the cut.
-    """
-
-    want = NodeKind.ARROW if isinstance(entry, IncrementArrows) else NodeKind.XPOINT
-    for node_id in (entry.start, entry.end):
-        if nodes[position(node_id)].kind != want:
-            raise ValueError(f"node {node_id} is not of kind {want.value!r}")
-    # the anticlockwise arc runs from position i to j; equal ends are a
-    # full loop
-    k = len(nodes)
-    i, j = position(entry.start), position(entry.end)
-    if entry.direction != Direction.ACW:
-        i, j = j, i
-    segs = range(k) if i == j else [(i + step) % k for step in range((j - i) % k)]
-    if cut is not None and cut in segs:
-        raise ValueError("increment arc crosses the cut segment")
-    return segs
-
-
 def apply_increment(d: BowDiagram, entry: IncrementArrows | IncrementX) -> BowDiagram:
     """Raise every segment of the entry's arc by the entry's amount.
 
@@ -155,13 +131,7 @@ def apply_increment(d: BowDiagram, entry: IncrementArrows | IncrementX) -> BowDi
     every segment.  For finite diagrams the arc may not contain the cut.
     """
 
-    if entry.amount < 0:
-        raise ValueError("increment amount must be nonnegative")
-    segs = _increment_segments(d.nodes, d.cut, d.position, entry)
-    dims = list(d.dims)
-    for seg in segs:
-        dims[seg] += entry.amount
-    return BowDiagram(nodes=d.nodes, dims=tuple(dims), cut=d.cut)
+    return apply_entry(d, entry)
 
 
 def arc_increment(d: BowDiagram, entry: SubtractArrowArc) -> IncrementX:
@@ -190,59 +160,131 @@ def arc_increment(d: BowDiagram, entry: SubtractArrowArc) -> IncrementX:
 
 
 # ---------------------------------------------------------------------------
-# move-log replay
+# the move host
+
+
+def _index(d: BowDiagram) -> dict[int, tuple[int, NodeKind]]:
+    """``{id: (position, kind)}``, first match first, as ``BowDiagram.position``
+    looks ids up."""
+
+    nodes = d.nodes
+    return {nodes[i].id: (i, nodes[i].kind) for i in range(len(nodes) - 1, -1, -1)}
+
+
+class _Host:
+    """A diagram held for moves in place: mutable node and dim lists, the
+    cut, and the :func:`_index` of its nodes, kept at each swap.
+
+    :meth:`move` is the one routine that checks and applies a move-log
+    entry, so a whole log runs on one host.  A swap names adjacent
+    nodes in that order (:meth:`swap`); an increment raises its arc, and
+    its inverse lowers it (:meth:`increment`); an arc subtraction is the
+    inverse of the increment :func:`arc_increment` gives; a cut goes on
+    a zero segment and comes off where it sits.  A node id the host
+    lacks raises KeyError, any other refusal ValueError.
+    ``branes._Walk`` extends :meth:`swap` and :meth:`increment` to carry
+    a ledger's branes along.
+    """
+
+    __slots__ = ("nodes", "dims", "cut", "index")
+
+    def __init__(self, d: BowDiagram):
+        self.nodes, self.dims, self.cut = list(d.nodes), list(d.dims), d.cut
+        self.index = _index(d)
+
+    def diagram(self) -> BowDiagram:
+        return BowDiagram(nodes=tuple(self.nodes), dims=tuple(self.dims), cut=self.cut)
+
+    def move(self, entry: MoveEntry, inverse: bool = False) -> None:
+        """Apply one move-log entry, or its inverse, in place."""
+
+        if isinstance(entry, HwMove):
+            if inverse:
+                self.swap(entry.right, entry.left)
+            else:
+                self.swap(entry.left, entry.right)
+            return
+        if isinstance(entry, SubtractArrowArc):
+            entry, inverse = arc_increment(self.diagram(), entry), not inverse
+        if isinstance(entry, (IncrementArrows, IncrementX)):
+            if not inverse and entry.amount < 0:
+                raise ValueError("increment amount must be nonnegative")
+            self.increment(entry, -entry.amount if inverse else entry.amount)
+        elif isinstance(entry, CutAt):
+            if inverse:
+                if self.cut != entry.segment:
+                    raise ValueError("inverse cut does not match the diagram's cut")
+                self.cut = None
+            elif self.cut is not None:
+                raise ValueError("diagram is already cut")
+            elif self.dims[entry.segment] != 0:
+                raise ValueError("can only cut a zero segment")
+            else:
+                self.cut = entry.segment
+        else:
+            raise TypeError(f"unknown move entry {entry!r}")
+
+    def swap(self, left: int, right: int) -> int:
+        """Swap node ``left`` with ``right``, which must sit just
+        anticlockwise of it; return the position ``left`` left."""
+
+        index = self.index
+        try:
+            pos, got = index[left][0], index[right][0]
+        except KeyError as err:
+            raise KeyError(f"no node with id {err.args[0]}") from None
+        after = (pos + 1) % len(self.nodes)
+        if got != after:
+            raise ValueError(f"nodes {left} and {right} are not adjacent in that order")
+        _swap(self.nodes, self.dims, self.cut, pos)
+        index[left] = (after, self.nodes[after].kind)
+        index[right] = (pos, self.nodes[pos].kind)
+        return pos
+
+    def increment(self, entry: IncrementArrows | IncrementX, delta: int) -> range | list[int]:
+        """Add ``delta`` to the segments of the entry's arc and return them,
+        anticlockwise from the arc's start.
+
+        The ends must be of the entry's kind and the arc may not hold the
+        cut; equal ends are a full loop.
+        """
+
+        index = self.index
+        want = NodeKind.ARROW if isinstance(entry, IncrementArrows) else NodeKind.XPOINT
+        try:
+            for node_id in (entry.start, entry.end):
+                if index[node_id][1] != want:
+                    raise ValueError(f"node {node_id} is not of kind {want.value!r}")
+        except KeyError as err:
+            raise KeyError(f"no node with id {err.args[0]}") from None
+        # the anticlockwise arc runs from position i to j
+        k = len(self.nodes)
+        i, j = index[entry.start][0], index[entry.end][0]
+        if entry.direction != Direction.ACW:
+            i, j = j, i
+        segs = range(k) if i == j else [(i + step) % k for step in range((j - i) % k)]
+        if self.cut is not None and self.cut in segs:
+            raise ValueError("increment arc crosses the cut segment")
+        for seg in segs:
+            self.dims[seg] += delta
+        return segs
 
 
 def apply_entry(d: BowDiagram, entry: MoveEntry, inverse: bool = False) -> BowDiagram:
     """Apply one move-log entry, or its inverse, to the diagram."""
 
-    if isinstance(entry, HwMove):
-        if inverse:
-            return apply_hw(d, entry.right, entry.left)
-        return apply_hw(d, entry.left, entry.right)
-
-    if isinstance(entry, SubtractArrowArc):
-        entry, inverse = arc_increment(d, entry), not inverse
-
-    if isinstance(entry, (IncrementArrows, IncrementX)):
-        if not inverse:
-            return apply_increment(d, entry)
-        segs = _increment_segments(d.nodes, d.cut, d.position, entry)
-        dims = list(d.dims)
-        for seg in segs:
-            dims[seg] -= entry.amount
-        return BowDiagram(nodes=d.nodes, dims=tuple(dims), cut=d.cut)
-
-    if isinstance(entry, CutAt):
-        return BowDiagram(nodes=d.nodes, dims=d.dims, cut=_cut_after(d.cut, d.dims, entry, inverse))
-
-    raise TypeError(f"unknown move entry {entry!r}")
-
-
-def _cut_after(cut: int | None, dims, entry: CutAt, inverse: bool) -> int | None:
-    """The cut after a CutAt entry or its inverse, on a diagram's cut and dims."""
-
-    if inverse:
-        if cut != entry.segment:
-            raise ValueError("inverse cut does not match the diagram's cut")
-        return None
-    if cut is not None:
-        raise ValueError("diagram is already cut")
-    if dims[entry.segment] != 0:
-        raise ValueError("can only cut a zero segment")
-    return entry.segment
+    host = _Host(d)
+    host.move(entry, inverse)
+    return host.diagram()
 
 
 def replay(d: BowDiagram, log: MoveLog, inverse: bool = False) -> BowDiagram:
     """Fold a move log over the diagram, backwards and inverted on request."""
 
-    if inverse:
-        for entry in reversed(log):
-            d = apply_entry(d, entry, inverse=True)
-        return d
-    for entry in log:
-        d = apply_entry(d, entry)
-    return d
+    host = _Host(d)
+    for entry in reversed(log) if inverse else log:
+        host.move(entry, inverse)
+    return host.diagram()
 
 
 # ---------------------------------------------------------------------------
@@ -288,24 +330,13 @@ def separate(d: BowDiagram) -> tuple[SeparatedForm, MoveLog] | NegativeWitness:
         hi += 1
     first, last = line[lo], line[hi]
     log: list[MoveEntry] = []
-
-    def step(i: int) -> NegativeWitness | None:
-        # swap the nodes at line indices i and i + 1
-        pos = (start + i) % k
-        left, right = nodes[pos].id, nodes[(pos + 1) % k].id
-        value = _swap(nodes, dims, pos)
-        log.append(HwMove(left, right))
-        return NegativeWitness(tuple(log), pos, value) if value < 0 else None
-
     for i in reversed(line[:lo]):
-        for j in range(i, first - 1):
-            if witness := step(j):
-                return witness
+        if witness := _pass(nodes, dims, d.cut, (start + i) % k, True, first - 1 - i, log):
+            return witness
         first -= 1
     for i in line[hi + 1:]:
-        for j in range(i - 1, last, -1):
-            if witness := step(j):
-                return witness
+        if witness := _pass(nodes, dims, d.cut, (start + i) % k, False, i - 1 - last, log):
+            return witness
         last += 1
     view = _separated_view(BowDiagram(nodes=tuple(nodes), dims=tuple(dims), cut=d.cut))
     if view is None:
@@ -329,18 +360,18 @@ def _pass(
 ) -> NegativeWitness | None:
     """Move the node at ``pos`` through its next w neighbours, in place.
 
-    Each swap is checked as :func:`apply_hw` checks it (different kinds,
-    not across the cut) and appended to ``log``.  Returns the
-    NegativeWitness of the first negative dimension, unless
-    ``allow_negative``, which the weight side's balancing uses.
+    Each swap is checked by ``_swap``, as the host's swap is, and
+    appended to ``log``.  Returns the NegativeWitness of the first
+    negative dimension, unless ``allow_negative``, which the weight
+    side's balancing uses.
     """
 
     k = len(nodes)
     for _ in range(w):
         left = pos if acw else (pos - 1) % k
-        _check_swap(nodes, cut, left)
-        log.append(HwMove(nodes[left].id, nodes[(left + 1) % k].id))
-        value = _swap(nodes, dims, left)
+        entry = HwMove(nodes[left].id, nodes[(left + 1) % k].id)
+        value = _swap(nodes, dims, cut, left)
+        log.append(entry)
         if value < 0 and not allow_negative:
             return NegativeWitness(tuple(log), left, value)
         pos = (left + 1) % k if acw else left

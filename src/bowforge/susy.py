@@ -38,6 +38,7 @@ from .rewrite import (
     _pass,
     apply_entry,
     normalize_gap,
+    replay,
     separate,
 )
 
@@ -244,13 +245,10 @@ def reduce_to_finite(sep: SeparatedForm) -> tuple[SeparatedForm, MoveLog] | Nega
         # lowering the arrow arc by its minimum moves no node, so the
         # first zero label is the first minimum of the normalized view
         a = min(sep.v_arr)
-        if a > 0:
-            entry = SubtractArrowArc(amount=a)
-            d = apply_entry(d, entry)
-            log.append(entry)
-        cut_entry = CutAt(segment=sep.seg_arr[sep.v_arr.index(a)])
-        d = apply_entry(d, cut_entry)
-        log.append(cut_entry)
+        entries = [SubtractArrowArc(amount=a)] if a > 0 else []
+        entries.append(CutAt(segment=sep.seg_arr[sep.v_arr.index(a)]))
+        d = replay(d, entries)
+        log.extend(entries)
     k, w, cut, p1 = d.k, sep.w, d.cut, sep.seg_x[1]
     nodes, dims = list(d.nodes), list(d.dims)
     guard = k + 2

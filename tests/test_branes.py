@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import random
+import re
 
 import pytest
 
@@ -38,6 +39,11 @@ from bowforge.susy import check_finite_separated, decide_supersymmetry
 from test_rewrite import run_optimized
 
 CW, ACW = Direction.CW, Direction.ACW
+
+
+def walker(ledger: BraneLedger) -> branes._Walk:
+    return branes._Walk(ledger.diagram, branes._keyed(ledger.branes))
+
 
 # ---------------------------------------------------------------------------
 # coverage arithmetic
@@ -294,7 +300,17 @@ def test_walker_refuses_a_flawed_start():
     with pytest.raises(ValueError, match=r"brane coverage \(0, 0, 0, 0\) lost track of the host dims \(2, 1, 1, 1\)"):
         ledger_apply_move(BraneLedger(d, {}), swap)
     with pytest.raises(ValueError, match="has multiplicity -1"):
-        branes._Walk(BraneLedger(parse_diagram("( 0 o 0 x )"), {Brane(0, 1, ACW, 0): -1}))
+        walker(BraneLedger(parse_diagram("( 0 o 0 x )"), {Brane(0, 1, ACW, 0): -1}))
+
+
+def test_walker_refuses_negative_laps():
+    # coverage alone matches the dims here: the ACW brane covers segment 0
+    # once and every segment -1 times, and the two full loops add 2
+    d = parse_diagram("( 1 o 2 x 1 o 1 x )")
+    ledger = BraneLedger(d, {Brane(0, 1, ACW, -1): 1, Brane(2, 2, CW, 1): 2})
+    assert coverage(ledger) == d.dims
+    with pytest.raises(ValueError, match=re.escape(f"brane {Brane(0, 1, ACW, -1)} has negative laps")):
+        ledger_apply_move(ledger, HwMove(0, 1))
 
 
 def ledger_built(k: int, seed: int) -> BowDiagram:
@@ -351,7 +367,7 @@ def test_walker_empties_a_crowded_slot_on_a_carried_swap():
     # the starting audit finds the doubled slot; the swap of its pair
     # annihilates one brane of it, with coverage still matched
     ledger = BraneLedger(parse_diagram("( 1 o 2 x 1 o 1 x )"), {Brane(1, 0, ACW, 0): 1, Brane(0, 1, ACW, 0): 2})
-    walk = branes._Walk(ledger)
+    walk = walker(ledger)
     assert walk.move(HwMove(2, 3)) is False
     assert walk.crowd == 1
     assert walk.move(HwMove(0, 1)) is True
@@ -363,14 +379,14 @@ def test_walker_empties_a_crowded_slot_on_a_carried_swap():
 # the walker carries them; the fourth swap breaks the identity.
 LOSES_TRACK = """
 import json
-from bowforge.branes import Brane, BraneLedger, _Walk
+from bowforge.branes import Brane, BraneLedger, _keyed, _Walk
 from bowforge.diagram import Direction, HwMove, parse_diagram
 
 ledger = BraneLedger(
     parse_diagram("( 3 o 2 o 1 x 3 x )"),
     {Brane(0, 2, Direction.CW, 1): 1, Brane(2, 1, Direction.ACW, 0): 1},
 )
-walk = _Walk(ledger)
+walk = _Walk(ledger.diagram, _keyed(ledger.branes))
 for step, (left, right) in enumerate([(3, 0), (2, 0), (3, 1), (2, 1)]):
     try:
         walk.move(HwMove(left, right))

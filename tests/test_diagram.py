@@ -14,7 +14,6 @@ from bowforge.diagram import (
     Node,
     NodeKind,
     SubtractArrowArc,
-    arc_segments,
     diagram_from_json,
     diagram_to_json,
     entry_from_json,
@@ -151,27 +150,6 @@ def test_validate_flags_dim_count():
     nodes = (Node(0, NodeKind.ARROW),)
     d = BowDiagram(nodes=nodes, dims=(1, 2), cut=None)
     assert validate(d) != []
-
-
-# ---------------------------------------------------------------------------
-# arcs
-
-
-def test_arc_segments_acw_and_cw():
-    d = parse_diagram("( 0 o 1 x 2 o 3 x )")
-    a, b = d.nodes[1].id, d.nodes[3].id
-    assert arc_segments(d, a, b, Direction.ACW) == (1, 2)
-    assert arc_segments(d, a, b, Direction.CW) == (0, 3)
-    assert arc_segments(d, a, a, Direction.ACW) == ()
-    assert arc_segments(d, a, a, Direction.CW) == ()
-
-
-def test_arc_segments_cover_whole_circle_between_complements():
-    d = parse_diagram("( 0 o 1 x 2 o 3 x )")
-    a, b = d.nodes[0].id, d.nodes[2].id
-    acw = arc_segments(d, a, b, Direction.ACW)
-    cw = arc_segments(d, a, b, Direction.CW)
-    assert sorted(acw + cw) == [0, 1, 2, 3]
 
 
 # ---------------------------------------------------------------------------

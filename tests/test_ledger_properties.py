@@ -18,7 +18,7 @@ from bowforge.branes import (
     Brane,
     BraneLedger,
     _audit,
-    _index,
+    _keyed,
     _Walk,
     coverage,
     ledger_apply_move,
@@ -36,7 +36,7 @@ from bowforge.diagram import (
     SubtractArrowArc,
     separated_view,
 )
-from bowforge.rewrite import _cut_after, _increment_segments, _swap, apply_entry, arc_increment, legal_swaps
+from bowforge.rewrite import _index, _swap, apply_entry, arc_increment, legal_swaps
 
 CW, ACW = Direction.CW, Direction.ACW
 ARROW, XPOINT = NodeKind.ARROW, NodeKind.XPOINT
@@ -249,7 +249,7 @@ def _started(ledger: BraneLedger):
     or the checked ledger comes back with the walker."""
 
     want = _outcome(lambda: oracle_start(ledger))
-    got = _outcome(lambda: _Walk(ledger))
+    got = _outcome(lambda: _Walk(ledger.diagram, _keyed(ledger.branes)))
     assert got[0] == want[0], (got, want)
     if want[0] == "raised":
         assert got[1] == want[1]
@@ -337,7 +337,7 @@ def test_walker_matches_per_move_transport(ledger, data):
             return
         ledger, susy = want[1]
         assert got[1] == susy
-        assert walk.host() == ledger.diagram
+        assert walk.diagram() == ledger.diagram
         assert list(walk.ledger().branes.items()) == list(ledger.branes.items())
 
 
@@ -478,6 +478,37 @@ def brane_audit(k: int, index: dict, branes: dict[Brane, int]) -> tuple[tuple[in
     return tuple(accumulate(diff, initial=laps))[1:], crowd
 
 
+def _increment_segments(nodes, cut, position, entry):
+    """The segments an increment raises, as the walker once found them on its lists."""
+
+    want = ARROW if isinstance(entry, IncrementArrows) else XPOINT
+    for node_id in (entry.start, entry.end):
+        if nodes[position(node_id)].kind != want:
+            raise ValueError(f"node {node_id} is not of kind {want.value!r}")
+    k = len(nodes)
+    i, j = position(entry.start), position(entry.end)
+    if entry.direction != ACW:
+        i, j = j, i
+    segs = range(k) if i == j else [(i + step) % k for step in range((j - i) % k)]
+    if cut is not None and cut in segs:
+        raise ValueError("increment arc crosses the cut segment")
+    return segs
+
+
+def _cut_after(cut, dims, entry, inverse):
+    """The cut after a CutAt entry or its inverse, as the walker once set it."""
+
+    if inverse:
+        if cut != entry.segment:
+            raise ValueError("inverse cut does not match the diagram's cut")
+        return None
+    if cut is not None:
+        raise ValueError("diagram is already cut")
+    if dims[entry.segment] != 0:
+        raise ValueError("can only cut a zero segment")
+    return entry.segment
+
+
 class BraneWalk:
     """The ledger walker as it was with a ``Brane``-keyed dict: same carried
     coverage, charges, crowd count and fixed-brane groups."""
@@ -492,6 +523,8 @@ class BraneWalk:
         for key, mult in ledger.branes.items():
             if mult < 0:
                 raise ValueError(f"brane {key} has multiplicity {mult}")
+            if key.laps < 0:
+                raise ValueError(f"brane {key} has negative laps")
             if not mult:
                 continue
             self.branes[key] = mult
@@ -550,7 +583,7 @@ class BraneWalk:
             raise ValueError("cannot swap two nodes of the same kind")
         if self.cut is not None and pos == self.cut:
             raise ValueError("cannot swap across the cut segment")
-        _swap(nodes, self.dims, pos)
+        _swap(nodes, self.dims, self.cut, pos)
         index[left] = (after, kind)
         index[right] = (pos, nodes[pos].kind)
 
@@ -612,7 +645,7 @@ class BraneWalk:
 @st.composite
 def negative_lap_ledgers(draw):
     """Ledgers on their coverage whose branes may wind negative laps, which
-    a swap of their pair clamps at zero."""
+    both walkers refuse when they start."""
 
     d = draw(hosts())
     ids = [node.id for node in d.nodes]
@@ -630,7 +663,7 @@ def _walk_state(walk) -> tuple:
 @given(st.one_of(carried_ledgers(), walk_ledgers(), negative_lap_ledgers()), st.data())
 def test_walker_matches_the_brane_keyed_walker(ledger, data):
     want = _outcome(lambda: BraneWalk(ledger))
-    got = _outcome(lambda: _Walk(ledger))
+    got = _outcome(lambda: _Walk(ledger.diagram, _keyed(ledger.branes)))
     assert got[0] == want[0], (got, want)
     if want[0] == "raised":
         assert got[1] == want[1]

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from bowforge import momentmap
+from bowforge.branes import ledger_apply_move, synthesize
 from bowforge.diagram import (
     Direction,
     HwMove,
@@ -316,28 +317,6 @@ def test_extend_arrow_arc_needs_level_zero():
         extend_increment(sol, IncrementArrows(start=0, end=3, direction=CW, amount=1))
 
 
-def test_extend_x_segment_shift_choices():
-    base = construct_solution(parse_diagram("( 1 o 2 x 2 x 1 o )"), seed=2)
-    entry = IncrementX(start=1, end=2, direction=ACW, amount=1)
-    shifted = extend_increment(base, entry, c=7.5)
-    assert moment_residual(shifted) < 1e-10
-    spectrum = np.linalg.eigvals(base.triangles[1].B_out)
-    with pytest.raises(ValueError):
-        extend_increment(base, entry, c=complex(spectrum[0]))
-
-
-def test_extend_x_segment_explicit_shift_several_units():
-    # the given shift serves the first unit; later units pick their own
-    base = construct_solution(parse_diagram("( 1 o 2 x 2 x 1 o )"), seed=2)
-    entry = IncrementX(start=1, end=2, direction=ACW, amount=2)
-    out = extend_increment(base, entry, c=7.5)
-    assert out.diagram == apply_entry(base.diagram, entry)
-    assert moment_residual(out) <= 1e-12
-    assert stability_check(out)
-    spectrum = np.linalg.eigvals(out.triangles[1].B_out)
-    assert np.sum(np.isclose(spectrum, 7.5)) == 1
-
-
 def test_spiral_shifts_are_bounded_and_spread():
     # the first n points lie in the annulus ½ ≤ |c| ≤ 1, pairwise at
     # least 1.4/sqrt(n) apart, so none comes near 0 or another
@@ -431,6 +410,33 @@ def test_transport_needs_level_zero_and_adjacency():
     sol = zero_solution(parse_diagram("( 1 x 1 o 1 x 1 o )"))
     with pytest.raises(ValueError):
         transport_hw_solution(sol, 0, 2)
+
+
+@pytest.mark.parametrize(
+    "text, left, right, reason",
+    [
+        ("( 3 o 2 x 4 x 1 o 2 x )", 0, 2, "not adjacent"),
+        ("( 3 o 2 x 4 x 1 o 2 x )", 1, 0, "not adjacent"),
+        ("( 3 o 2 x 4 x 1 o 2 x )", 1, 2, "same kind"),
+        ("[ 1 x 2 o 3 o 1 x 0 ]", 4, 0, "across the cut"),
+        ("( 3 o 2 x 4 x 1 o 2 x )", 0, 9, "no node with id 9"),
+        ("( 3 o 2 x 4 x 1 o 2 x )", 9, 0, "no node with id 9"),
+    ],
+)
+def test_bad_swaps_are_refused_alike(text, left, right, reason):
+    # the diagram move, the ledger walker and the exact transport check a
+    # swap in one place, so each refuses it with one exception and message
+    d = parse_diagram(text)
+
+    def refusal(call):
+        with pytest.raises((KeyError, ValueError)) as info:
+            call()
+        return type(info.value), str(info.value)
+
+    want = refusal(lambda: apply_entry(d, HwMove(left, right)))
+    assert reason in want[1]
+    assert refusal(lambda: ledger_apply_move(synthesize(d), HwMove(left, right))) == want
+    assert refusal(lambda: transport_hw_solution(zero_solution(d), left, right)) == want
 
 
 def test_transport_detects_rank_collapse():
