@@ -247,12 +247,14 @@ class _Walk(_Host):
     The host half is a ``rewrite._Host``: its :meth:`move` checks and
     applies each entry, with the same errors as ``rewrite.apply_entry``.
     The walker extends the host's swap and increment to move the branes
-    along, and checks the coverage against the host dims after every
-    move.  It calls the host's methods by name, not through ``super()``,
-    which builds a proxy object on every call of the per-move path.  It carries what that check and the fixed-slot verdict need:
-    the coverage list, a charge per position (see the module
-    docstring), the count of over-full fixed slots, and the fixed
-    branes grouped by (arrow id, x-point id) in the dict's order.
+    along, as ``momentmap._Zero`` extends them to move a zero's maps,
+    and checks the coverage against the host dims after every move.  It
+    calls the host's methods by name, not through ``super()``, which
+    builds a proxy object on every call of the per-move path.  It
+    carries what that check and the fixed-slot verdict need: the
+    coverage list, a charge per position (see the module docstring),
+    the count of over-full fixed slots, and the fixed branes grouped by
+    (arrow id, x-point id) in the dict's order.
 
     ``_Walk(d, branes)`` starts from tuple keys on the host ``d`` and
     audits them once: a node id the host lacks raises KeyError, a

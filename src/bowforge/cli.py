@@ -419,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     add("sdual", _cmd_sdual, "swap node kinds")
 
     p = add("equiv", _cmd_equiv, "breadth-first sample of the swap-equivalence class")
-    p.add_argument("--budget", type=int, default=1000, help="maximum diagrams to visit")
+    p.add_argument("--budget", type=int, default=1000, help="breadth-first depth: visit the diagrams at most this many swaps away")
 
     p = add("synth", _cmd_synth, "synthesize a covering brane ledger")
     p.add_argument("--out", help="also write the ledger JSON to this path")

@@ -13,20 +13,16 @@ level.  Two rank conditions per x point cut the solution set down to
 the stable locus; only stable zeros count.
 
 ``construct_solution`` builds the level-zero zero of every
-supersymmetric diagram, with one node kind or both, by replaying its
-brane ledger as exact steps: swap transports and arc increments.
-Each step moves its diagram through ``rewrite``'s one move host, so a
-swap or an increment is refused with the errors of
-``rewrite.apply_entry``.  The Levenberg-Marquardt solver is used only
-by ``solve_numeric``, which serves non-zero levels alone.
+supersymmetric diagram, with one node kind or both, by carrying a zero
+(``_Zero``) through the moves of its brane ledger: exact transport
+across swaps, exact extension along increments.  The
+Levenberg-Marquardt solver is used only by ``solve_numeric``, which
+serves non-zero levels alone.
 
-The exact steps replace maps and never write into them: a step builds
-new arrays for the nodes it touches and leaves every other node's maps
-shared with its input, so a construction chain copies no matrix it
-does not change.  The steps compute no residual and no stability;
-``settle`` does both, once, on the finished zero.  The public
-``transport_hw_solution`` and ``extend_increment`` return solutions
-that share no array with their argument.
+The moves compute no residual and no stability; ``settle`` does both,
+once, on the finished zero.  The public ``transport_hw_solution`` and
+``extend_increment`` are one move each and return solutions that share
+no array with their argument.
 
 Construction reads no spectrum and runs no QR: the shifts that keep
 each x-arc unit's B - c invertible are counted off a spiral (see
@@ -45,22 +41,20 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, replace
 
 from .diagram import (
     BowDiagram,
-    CutAt,
     Direction,
     HwMove,
     IncrementArrows,
     IncrementX,
     NodeKind,
-    SubtractArrowArc,
     diagram_from_json,
     diagram_to_json,
 )
-from .rewrite import _Host, apply_entry, arc_increment
+from .rewrite import _Host
 
 
 class _LazyNumpy:
@@ -131,7 +125,11 @@ def _seg_dims(d: BowDiagram, node_id: int) -> tuple[int, int]:
 
 
 def zero_solution(d: BowDiagram, lam: dict[int, complex] | None = None) -> Solution:
-    """All maps zero; exact when every product term vanishes anyway."""
+    """All maps zero; exact when every product term vanishes anyway.
+
+    A level sits on an arrow: a key of ``lam`` that names no arrow
+    raises ValueError.
+    """
 
     triangles = {}
     arrows = {}
@@ -150,7 +148,10 @@ def zero_solution(d: BowDiagram, lam: dict[int, complex] | None = None) -> Solut
                 C=np.zeros((v_out, v_in), dtype=complex),
                 D=np.zeros((v_in, v_out), dtype=complex),
             )
-    return Solution(diagram=d, triangles=triangles, arrows=arrows, lam=dict(lam or {}))
+    lam = dict(lam or {})
+    if strays := sorted(lam.keys() - arrows.keys()):
+        raise ValueError(f"levels sit on arrows only; nodes {strays} are not arrows of the diagram")
+    return Solution(diagram=d, triangles=triangles, arrows=arrows, lam=lam)
 
 
 # ---------------------------------------------------------------------------
@@ -510,7 +511,7 @@ def solve_numeric(
 
 
 # ---------------------------------------------------------------------------
-# exact extensions along increments
+# exact steps: a zero carried through moves
 
 
 def _extend_block(mat: np.ndarray, rows: int, cols: int) -> np.ndarray:
@@ -556,108 +557,6 @@ def _shifted_inv(mat: np.ndarray, c: complex) -> np.ndarray:
     return np.linalg.inv(mat - c * np.eye(mat.shape[0]))
 
 
-def _extend_arc_unit(
-    sol: Solution, entry: IncrementArrows | IncrementX, shifts: Iterator[complex]
-) -> Solution:
-    """Grow every segment of the entry's arc by one dimension, exactly.
-
-    Copy-on-write: nodes on the arc get new maps, the others keep the
-    input's arrays, and no residual is computed.
-
-    Every segment block gains the entry -c from its anticlockwise node
-    and +c from its clockwise node.  Inside the arc an arrow gets the
-    pair C = 1, D = -c and an x point the unit in A.  An x point ending
-    the arc grows one side only; the (B - c)^-1 trick keeps its
-    triangle at zero: the end whose incoming segment grows gains the A
-    column -(B_out - c)^-1 a and the b entry 1, the end whose outgoing
-    segment grows gains the A row b (B_in - c)^-1 and the a entry 1.  A
-    full loop from an x point to itself does both at that point.  An x
-    arc takes the next of ``shifts``, which the caller keeps clear of
-    the end blocks' spectra; arrow arcs end at arrows, which are
-    zero-padded, so their shift is 0.
-    """
-
-    if any(abs(complex(v)) > 0 for v in sol.lam.values()):
-        raise ValueError("exact arc extension needs level zero")
-    d = sol.diagram
-    host = _Host(d)
-    covered = set(host.increment(entry, 1))
-    c = next(shifts) if isinstance(entry, IncrementX) else 0j
-    triangles = dict(sol.triangles)
-    arrows = dict(sol.arrows)
-    for pos, node in enumerate(d.nodes):
-        grow_in = (pos - 1) % d.k in covered
-        grow_out = pos in covered
-        if not (grow_in or grow_out):
-            continue
-        if node.kind == NodeKind.ARROW:
-            ad = arrows[node.id]
-            # head rows track the outgoing segment, tail columns the incoming
-            C = _extend_block(ad.C, grow_out, grow_in)
-            D = _extend_block(ad.D, grow_in, grow_out)
-            if grow_in and grow_out:
-                C[-1, -1] = 1.0
-                D[-1, -1] = -c
-            arrows[node.id] = ArrowData(C=C, D=D)
-            continue
-        t = triangles[node.id]
-        A, B_in, B_out, a, b = t.A, t.B_in, t.B_out, t.a, t.b
-        if grow_in and grow_out:
-            # a full loop is its own outgoing end: b feeds the new row
-            loop = node.id == entry.start == entry.end
-            row = b @ _shifted_inv(B_in, c) if loop else np.zeros((1, A.shape[1]))
-            A = np.block([[A, np.zeros((A.shape[0], 1))], [row, np.ones((1, 1))]])
-            a = np.vstack([a, np.full((1, 1), 1.0 if loop else 0.0)])
-            b = _extend_block(b, 0, 1)
-        elif grow_out:
-            A = np.vstack([A, b @ _shifted_inv(B_in, c)])
-            a = np.vstack([a, np.ones((1, 1))])
-        else:
-            A = np.hstack([A, -_shifted_inv(B_out, c) @ a])
-            b = np.hstack([b, np.ones((1, 1))])
-        if grow_in:
-            B_in = _extend_block(B_in, 1, 1)
-            B_in[-1, -1] = c
-        if grow_out:
-            B_out = _extend_block(B_out, 1, 1)
-            B_out[-1, -1] = c
-        triangles[node.id] = TriangleData(A=A, B_in=B_in, B_out=B_out, a=a, b=b)
-    return replace(sol, diagram=host.diagram(), triangles=triangles, arrows=arrows)
-
-
-def _increment_step(sol: Solution, entry, shifts: Iterator[complex]) -> Solution:
-    """``extend_increment`` without the final copy: untouched maps stay shared."""
-
-    if not isinstance(entry, (IncrementArrows, IncrementX)):
-        raise ValueError(f"cannot extend along {entry!r}")
-    for _ in range(entry.amount):
-        sol = _extend_arc_unit(sol, entry, shifts)
-    return sol
-
-
-def extend_increment(sol: Solution, entry) -> Solution:
-    """Exactly extend a level-zero solution along one increment entry.
-
-    The spectra of an x arc's end blocks are arbitrary here, so they are
-    read once per call, and the units take the points of
-    ``_spiral(amount)`` that keep ``_SHIFT_GAP`` from them.  The result
-    shares no array with ``sol``.
-    """
-
-    def shifts():
-        ends = (sol.triangles[entry.start], sol.triangles[entry.end])
-        spectrum = [complex(z) for t in ends for m in (t.B_in, t.B_out) for z in np.linalg.eigvals(m)]
-        for shift in _spiral(entry.amount):
-            if all(abs(shift - z) >= _SHIFT_GAP for z in spectrum):
-                yield shift
-
-    return _copy_solution(_increment_step(sol, entry, shifts()))
-
-
-# ---------------------------------------------------------------------------
-# exact transport across a swap
-
-
 def _kernel_with_dim(mat: np.ndarray, want: int) -> np.ndarray:
     """Orthonormal kernel basis whose dimension is known in advance.
 
@@ -684,77 +583,191 @@ def _kernel_with_dim(mat: np.ndarray, want: int) -> np.ndarray:
     return vh[rank:].conj().T
 
 
-def _swap_step(sol: Solution, left: int, right: int) -> Solution:
-    """Exactly carry a level-zero stable zero across one swap.
+class _Zero(_Host):
+    """A level-zero zero carried through moves in place, as
+    ``branes._Walk`` carries a ledger.
 
-    ``rewrite._Host.swap`` checks the swap, with its errors, and moves
-    the diagram.  The segment between the pair is replaced the same way
-    the diagram move replaces it; the new maps come from an orthonormal
-    kernel (x before arrow) or cokernel (arrow before x) basis of the
-    three maps stacked over the disappearing segment, so no numerical
-    search is involved and the residual stays at the input level.
-    Copy-on-write: only the two swapped nodes get new maps, and no
-    residual is computed.
+    The host half is a ``rewrite._Host``: its :meth:`move` checks and
+    applies each entry, with the errors of ``rewrite.apply_entry``.  The
+    zero extends the host's swap and increment to carry the maps along;
+    a cut moves the diagram alone.  Maps are replaced and never written
+    into: a move builds new arrays for the nodes it touches, and every
+    other node keeps the arrays of ``sol``, so a construction copies no
+    matrix it does not change.
+
+    ``_Zero(sol, shifts)`` refuses a solution at a non-zero level.  An
+    x-arc unit takes the next of ``shifts``, which the caller keeps
+    clear of the end blocks' spectra; arrow arcs end at arrows, which
+    are zero-padded, so their shift is 0.
     """
 
-    if any(abs(complex(v)) > 0 for v in sol.lam.values()):
-        raise ValueError("exact swap transport needs level zero")
-    d = sol.diagram
-    host = _Host(d)
-    pos = host.swap(left, right)
-    v_minus, v_plus, v_new = d.dims[pos - 1], d.dims[(pos + 1) % d.k], host.dims[pos]
-    triangles = dict(sol.triangles)
-    arrows = dict(sol.arrows)
+    __slots__ = ("sol", "triangles", "arrows", "shifts")
 
-    if d.nodes[pos].kind == NodeKind.XPOINT:
-        # x moves right past the arrow; the new segment is the kernel
-        # of [A | D | a], which is onto by the spanning rank condition
-        t = sol.triangles[left]
-        ad = sol.arrows[right]
-        basis = _kernel_with_dim(np.hstack([t.A, ad.D, t.a]), v_new)
-        k_minus = basis[:v_minus]
-        k_tail = basis[v_minus + v_plus :]
-        stack = np.vstack([-t.B_in, -ad.C @ t.A, t.b])
-        c_new = basis.conj().T @ stack
-        arrows[right] = ArrowData(C=c_new, D=k_minus)
-        triangles[left] = TriangleData(
-            A=basis[v_minus : v_minus + v_plus],
-            B_in=-c_new @ k_minus,
-            B_out=-ad.C @ ad.D,
-            a=-ad.C @ t.a,
-            b=k_tail,
-        )
-    else:
-        # arrow moves right past the x; the new segment is the cokernel
-        # of stacked [D; A; b], injective by the kernel rank condition
-        ad = sol.arrows[left]
-        t = sol.triangles[right]
-        theta = np.vstack([ad.D, t.A, t.b])
-        basis = _kernel_with_dim(theta.conj().T, v_new)
-        q_minus = basis[:v_minus]
-        q_plus = basis[v_minus : v_minus + v_plus]
-        q_tail = basis[v_minus + v_plus :]
-        c_new = -t.A @ ad.C @ q_minus - t.B_out @ q_plus - t.a @ q_tail
-        d_new = q_plus.conj().T
-        arrows[left] = ArrowData(C=c_new, D=d_new)
-        triangles[right] = TriangleData(
-            A=q_minus.conj().T,
-            B_in=-ad.D @ ad.C,
-            B_out=-d_new @ c_new,
-            a=q_tail.conj().T,
-            b=t.b @ ad.C,
-        )
-    return replace(sol, diagram=host.diagram(), triangles=triangles, arrows=arrows)
+    def __init__(self, sol: Solution, shifts: Iterable[complex] = ()):
+        if any(abs(complex(v)) > 0 for v in sol.lam.values()):
+            raise ValueError("exact transport needs level zero")
+        super().__init__(sol.diagram)
+        self.sol, self.shifts = sol, iter(shifts)
+        self.triangles, self.arrows = dict(sol.triangles), dict(sol.arrows)
+
+    def solution(self) -> Solution:
+        """``sol`` moved: the host's diagram with the carried maps."""
+
+        return replace(self.sol, diagram=self.diagram(), triangles=self.triangles, arrows=self.arrows)
+
+    def swap(self, left: int, right: int) -> int:
+        """Carry the zero across the swap exactly.
+
+        The segment between the pair is replaced the same way the
+        diagram move replaces it; the new maps come from an orthonormal
+        kernel (x before arrow) or cokernel (arrow before x) basis of the
+        three maps stacked over the disappearing segment, so no numerical
+        search is involved and the residual stays at level zero.  Only
+        the two swapped nodes get new maps.
+        """
+
+        pos = _Host.swap(self, left, right)
+        dims = self.dims
+        v_minus, v_plus, v_new = dims[pos - 1], dims[(pos + 1) % len(dims)], dims[pos]
+        triangles, arrows = self.triangles, self.arrows
+
+        if self.index[left][1] == NodeKind.XPOINT:
+            # x moves right past the arrow; the new segment is the kernel
+            # of [A | D | a], which is onto by the spanning rank condition
+            t = triangles[left]
+            ad = arrows[right]
+            basis = _kernel_with_dim(np.hstack([t.A, ad.D, t.a]), v_new)
+            k_minus = basis[:v_minus]
+            k_tail = basis[v_minus + v_plus :]
+            stack = np.vstack([-t.B_in, -ad.C @ t.A, t.b])
+            c_new = basis.conj().T @ stack
+            arrows[right] = ArrowData(C=c_new, D=k_minus)
+            triangles[left] = TriangleData(
+                A=basis[v_minus : v_minus + v_plus],
+                B_in=-c_new @ k_minus,
+                B_out=-ad.C @ ad.D,
+                a=-ad.C @ t.a,
+                b=k_tail,
+            )
+        else:
+            # arrow moves right past the x; the new segment is the cokernel
+            # of stacked [D; A; b], injective by the kernel rank condition
+            ad = arrows[left]
+            t = triangles[right]
+            theta = np.vstack([ad.D, t.A, t.b])
+            basis = _kernel_with_dim(theta.conj().T, v_new)
+            q_minus = basis[:v_minus]
+            q_plus = basis[v_minus : v_minus + v_plus]
+            q_tail = basis[v_minus + v_plus :]
+            c_new = -t.A @ ad.C @ q_minus - t.B_out @ q_plus - t.a @ q_tail
+            d_new = q_plus.conj().T
+            arrows[left] = ArrowData(C=c_new, D=d_new)
+            triangles[right] = TriangleData(
+                A=q_minus.conj().T,
+                B_in=-ad.D @ ad.C,
+                B_out=-d_new @ c_new,
+                a=q_tail.conj().T,
+                b=t.b @ ad.C,
+            )
+        return pos
+
+    def increment(self, entry: IncrementArrows | IncrementX, delta: int) -> range | list[int]:
+        """Grow every segment of the entry's arc by ``delta`` dimensions,
+        one unit at a time, exactly; an arc cannot shrink.
+
+        Every segment block gains the entry -c from its anticlockwise node
+        and +c from its clockwise node.  Inside the arc an arrow gets the
+        pair C = 1, D = -c and an x point the unit in A.  An x point ending
+        the arc grows one side only; the (B - c)^-1 trick keeps its
+        triangle at zero: the end whose incoming segment grows gains the A
+        column -(B_out - c)^-1 a and the b entry 1, the end whose outgoing
+        segment grows gains the A row b (B_in - c)^-1 and the a entry 1.  A
+        full loop from an x point to itself does both at that point.
+        """
+
+        segs = _Host.increment(self, entry, delta)
+        if delta < 0:
+            raise ValueError("exact extension cannot shrink an arc")
+        covered = set(segs)
+        k = len(self.nodes)
+        grown = [(node, (pos - 1) % k in covered, pos in covered) for pos, node in enumerate(self.nodes)]
+        triangles, arrows = self.triangles, self.arrows
+        for _ in range(delta):
+            c = next(self.shifts) if isinstance(entry, IncrementX) else 0j
+            for node, grow_in, grow_out in grown:
+                if not (grow_in or grow_out):
+                    continue
+                if node.kind == NodeKind.ARROW:
+                    ad = arrows[node.id]
+                    # head rows track the outgoing segment, tail columns the incoming
+                    C = _extend_block(ad.C, grow_out, grow_in)
+                    D = _extend_block(ad.D, grow_in, grow_out)
+                    if grow_in and grow_out:
+                        C[-1, -1] = 1.0
+                        D[-1, -1] = -c
+                    arrows[node.id] = ArrowData(C=C, D=D)
+                    continue
+                t = triangles[node.id]
+                A, B_in, B_out, a, b = t.A, t.B_in, t.B_out, t.a, t.b
+                if grow_in and grow_out:
+                    # a full loop is its own outgoing end: b feeds the new row
+                    loop = node.id == entry.start == entry.end
+                    row = b @ _shifted_inv(B_in, c) if loop else np.zeros((1, A.shape[1]))
+                    A = np.block([[A, np.zeros((A.shape[0], 1))], [row, np.ones((1, 1))]])
+                    a = np.vstack([a, np.full((1, 1), 1.0 if loop else 0.0)])
+                    b = _extend_block(b, 0, 1)
+                elif grow_out:
+                    A = np.vstack([A, b @ _shifted_inv(B_in, c)])
+                    a = np.vstack([a, np.ones((1, 1))])
+                else:
+                    A = np.hstack([A, -_shifted_inv(B_out, c) @ a])
+                    b = np.hstack([b, np.ones((1, 1))])
+                if grow_in:
+                    B_in = _extend_block(B_in, 1, 1)
+                    B_in[-1, -1] = c
+                if grow_out:
+                    B_out = _extend_block(B_out, 1, 1)
+                    B_out[-1, -1] = c
+                triangles[node.id] = TriangleData(A=A, B_in=B_in, B_out=B_out, a=a, b=b)
+        return segs
+
+
+def extend_increment(sol: Solution, entry) -> Solution:
+    """Exactly extend a level-zero solution along one increment entry.
+
+    The entry is refused as ``rewrite.apply_entry`` refuses it.  The
+    spectra of an x arc's end blocks are arbitrary here, so they are read
+    once per call, and the units take the points of ``_spiral(amount)``
+    that keep ``_SHIFT_GAP`` from them.  The result shares no array with
+    ``sol``.
+    """
+
+    if not isinstance(entry, (IncrementArrows, IncrementX)):
+        raise ValueError(f"cannot extend along {entry!r}")
+
+    def shifts():
+        ends = (sol.triangles[entry.start], sol.triangles[entry.end])
+        spectrum = [complex(z) for t in ends for m in (t.B_in, t.B_out) for z in np.linalg.eigvals(m)]
+        for shift in _spiral(entry.amount):
+            if all(abs(shift - z) >= _SHIFT_GAP for z in spectrum):
+                yield shift
+
+    zero = _Zero(sol, shifts())
+    zero.move(entry)
+    return _copy_solution(zero.solution())
 
 
 def transport_hw_solution(sol: Solution, left: int, right: int) -> Solution:
     """The exact swap transport as a standalone solution.
 
-    The result shares no array with ``sol`` and carries its recomputed
+    The swap is refused as ``rewrite.apply_entry`` refuses it.  The
+    result shares no array with ``sol`` and carries its recomputed
     residual; stability is left to ``settle``.
     """
 
-    out = _copy_solution(_swap_step(sol, left, right))
+    zero = _Zero(sol)
+    zero.swap(left, right)
+    out = _copy_solution(zero.solution())
     out.residual = moment_residual(out)
     return out
 
@@ -804,33 +817,16 @@ def _generic_basis(sol: Solution) -> Solution:
     return replace(sol, triangles=triangles, arrows=arrows)
 
 
-def _exact_step(sol: Solution, entry, shifts: Iterator[complex]) -> Solution:
-    """Grow ``sol`` along an increment, or carry it back across a move:
-    a swap by transport, an arc subtraction by the increment that undoes
-    it, a cut by the diagram alone.  A failure raises RuntimeError
-    naming the entry; there is no numerical fallback.
-    """
-
-    try:
-        if isinstance(entry, HwMove):
-            return _swap_step(sol, entry.right, entry.left)
-        if isinstance(entry, CutAt):
-            return replace(sol, diagram=apply_entry(sol.diagram, entry, inverse=True))
-        if isinstance(entry, SubtractArrowArc):
-            return _increment_step(sol, arc_increment(sol.diagram, entry), shifts)
-        return _increment_step(sol, entry, shifts)
-    except ValueError as err:
-        raise RuntimeError(f"exact step {entry!r} failed: {err}") from err
-
-
 def construct_solution(d: BowDiagram, seed: int = 0) -> Solution:
     """Stable level-zero moment-map solution on a supersymmetric diagram.
 
-    Replays the synthesized brane ledger as exact steps: a one-kind
-    diagram grows from the all-zero host, a both-kind one builds its
-    certified finite layout and walks the decision pipeline back to
-    ``d``.  ``seed`` is only recorded, since nothing is drawn; the steps
-    share untouched maps, and ``settle`` computes the residual and the
+    Carries one zero through the synthesized brane ledger's moves: a
+    one-kind diagram grows from the all-zero host, a both-kind one builds
+    its certified finite layout and walks the decision pipeline back to
+    ``d``.  A move that fails raises RuntimeError naming its entry;
+    there is no numerical fallback.
+    ``seed`` is only recorded, since nothing is drawn; the moves share
+    untouched maps, and ``settle`` computes the residual and the
     stability once, on the finished zero.
     """
 
@@ -886,13 +882,17 @@ def _construct_decided(d: BowDiagram, cert, fin, seed: int) -> Solution:
         raise RuntimeError("staging did not empty the layout")
 
     shifts = _spiral(sum(entry.amount for entry in increments if isinstance(entry, IncrementX)))
-    sol = zero_solution(walk.diagram())
-    for entry in [*reversed(staging), *increments, *reversed(cert.pipeline)]:
-        sol = _exact_step(sol, entry, shifts)
-    if sol.diagram != d:
+    zero = _Zero(zero_solution(walk.diagram()), shifts)
+    steps = [(entry, True) for entry in reversed(staging)] + [(entry, False) for entry in increments]
+    for entry, inverse in steps + [(entry, True) for entry in reversed(cert.pipeline)]:
+        try:
+            zero.move(entry, inverse)
+        except ValueError as err:
+            raise RuntimeError(f"exact step {entry!r} failed: {err}") from err
+    if zero.diagram() != d:
         raise RuntimeError("constructed zero does not sit on the diagram it was built for")
 
-    sol = _generic_basis(sol)
+    sol = _generic_basis(zero.solution())
     sol.seed = seed
     settle(sol)
     return sol
@@ -906,7 +906,9 @@ def _matrix_to_json(mat: np.ndarray) -> list:
     return [[[float(z.real), float(z.imag)] for z in row] for row in mat]
 
 
-def _matrix_from_json(data, shape) -> np.ndarray:
+def _matrix_from_json(data, shape, what: str) -> np.ndarray:
+    if len(data) != shape[0] or any(len(row) != shape[1] for row in data):
+        raise ValueError(f"{what} must be a {shape[0]}x{shape[1]} matrix")
     out = np.zeros(shape, dtype=complex)
     for i, row in enumerate(data):
         for j, pair in enumerate(row):
@@ -934,16 +936,24 @@ def solution_to_json(sol: Solution) -> dict:
 
 
 def solution_from_json(data: dict) -> Solution:
+    """The solution ``solution_to_json`` wrote.
+
+    Every node needs its maps, each of the shape its segments give, and
+    every level an arrow; anything else raises ValueError.
+    """
+
     d = diagram_from_json(data["diagram"])
     lam = {
         int(nid): complex(pair[0], pair[1]) for nid, pair in data.get("lambda", {}).items()
     }
     sol = zero_solution(d, lam)
     for group, owners in (("triangles", sol.triangles), ("arrows", sol.arrows)):
-        for nid, fields in data.get(group, {}).items():
-            owner = owners[int(nid)]
+        maps = data.get(group, {})
+        if set(maps) != {str(nid) for nid in owners}:
+            raise ValueError(f"{group} must give the maps of nodes {sorted(owners)}, got {sorted(maps)}")
+        for nid, owner in owners.items():
             for name, mat in list(vars(owner).items()):
-                setattr(owner, name, _matrix_from_json(fields[name], mat.shape))
+                setattr(owner, name, _matrix_from_json(maps[str(nid)][name], mat.shape, f"{group} {nid} {name}"))
     meta = data.get("meta", {})
     sol.seed = meta.get("seed")
     sol.residual = float(meta["residual"]) if "residual" in meta else moment_residual(sol)

@@ -11,9 +11,10 @@ word is recorded as a replayable, invertible move log.
 One private host, :class:`_Host`, holds a diagram as mutable node and
 dimension lists with an id index; its ``move`` is the one routine that
 checks and applies a move-log entry.  ``apply_hw``, ``apply_increment``
-and ``apply_entry`` are a host and one call, ``replay`` runs a whole
-log on one host, and the ledger walker ``branes._Walk`` is a host that
-carries branes along.
+and ``apply_entry`` are a host and one call, and ``replay`` runs a
+whole log on one host.  Two hosts carry more along: the ledger walker
+``branes._Walk`` its branes, the moment-map zero ``momentmap._Zero``
+its maps.
 
 Validation happens at the public entry points (``separate``,
 ``normalize_gap``, ``arc_increment``).  Inside a word the diagram is
@@ -64,7 +65,7 @@ class NegativeWitness:
 
 @dataclass(frozen=True)
 class EquivClassSample:
-    """Swap-reachable diagrams within a move budget, canonically encoded."""
+    """Diagrams at most a budget of swaps away, canonically encoded."""
 
     encodings: frozenset
     min_dim: int
@@ -182,8 +183,9 @@ class _Host:
     inverse of the increment :func:`arc_increment` gives; a cut goes on
     a zero segment and comes off where it sits.  A node id the host
     lacks raises KeyError, any other refusal ValueError.
-    ``branes._Walk`` extends :meth:`swap` and :meth:`increment` to carry
-    a ledger's branes along.
+    ``branes._Walk`` and ``momentmap._Zero`` extend :meth:`swap` and
+    :meth:`increment` to carry a ledger's branes or a zero's maps along,
+    so no other code dispatches on an entry's type.
     """
 
     __slots__ = ("nodes", "dims", "cut", "index")
@@ -462,7 +464,8 @@ def canonical_encoding(d: BowDiagram) -> tuple:
 
 
 def enumerate_equivalent(d: BowDiagram, budget: int) -> EquivClassSample:
-    """Breadth-first sample of the swap-equivalence class within a budget."""
+    """Breadth-first sample of the swap-equivalence class: every diagram
+    reachable from ``d`` in at most ``budget`` swaps."""
 
     if budget < 0:
         raise ValueError(f"budget must be nonnegative, got {budget}")

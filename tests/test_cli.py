@@ -95,6 +95,14 @@ def test_equiv_exit_tracks_min_dim(capsys):
     assert payload["min_dim"] == 0
 
 
+def test_equiv_budget_is_a_swap_depth(capsys):
+    # the budget counts swaps, not diagrams: each depth adds one diagram
+    # per direction of travel, so depth 5 visits 1 + 2 * 5
+    code, payload = run(capsys, "equiv", "--json", "--budget", "5", "( 2 x 2 o )")
+    assert code == 0
+    assert payload["visited"] == 11
+
+
 # ---------------------------------------------------------------------------
 # synthesis
 
@@ -321,6 +329,37 @@ def test_malformed_input_is_a_usage_error(capsys, tmp_path, argv, content):
         target.write_text(content)
     argv = [arg.replace("{file}", str(target)) for arg in argv]
     code = main([argv[0], "--json", *argv[1:]])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "error" in json.loads(captured.out)
+    assert len(captured.err.strip().splitlines()) == 1
+
+
+def _shift_a(data):
+    data["triangles"]["0"]["A"][0][0][0] += 0.5
+
+
+BROKEN_SOLUTIONS = {
+    # a level off the arrows would raise the acceptance threshold of a
+    # broken zero without entering its residual
+    "level-on-x-point": lambda data: (_shift_a(data), data.update({"lambda": {"0": [1e6, 0]}})),
+    "level-on-no-node": lambda data: (_shift_a(data), data.update({"lambda": {"99": [1e6, 0]}})),
+    # truncated maps and missing nodes would load as zeros
+    "short-matrix-rows": lambda data: data["triangles"]["0"]["A"].pop(),
+    "short-matrix-columns": lambda data: [row.pop() for row in data["triangles"]["0"]["B_in"]],
+    "missing-triangle": lambda data: data["triangles"].pop("0"),
+}
+
+
+@pytest.mark.parametrize("spoil", BROKEN_SOLUTIONS.values(), ids=BROKEN_SOLUTIONS.keys())
+def test_verify_refuses_broken_solution_files(capsys, tmp_path, spoil):
+    target = tmp_path / "sol.json"
+    assert main(["solve", "( 2 x 2 o )", "--out", str(target)]) == 0
+    data = json.loads(target.read_text())
+    spoil(data)
+    target.write_text(json.dumps(data))
+    capsys.readouterr()
+    code = main(["verify", "--json", "--sol", str(target)])
     captured = capsys.readouterr()
     assert code == 2
     assert "error" in json.loads(captured.out)

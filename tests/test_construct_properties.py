@@ -51,39 +51,39 @@ def test_construct_is_exact_on_every_shape(text):
 
 
 def _tracked_steps(placed: list, worst: list):
-    """``_spiral`` and ``_exact_step`` stand-ins: the first records every
-    shift it hands out, the second the farthest any B eigenvalue of a
-    step's result lies from those shifts and 0."""
+    """``_spiral`` and ``_Zero`` stand-ins: the first records every shift
+    it hands out, the second the farthest any B eigenvalue lies from
+    those shifts and 0 after each move."""
 
-    spiral, step = momentmap._spiral, momentmap._exact_step
+    spiral = momentmap._spiral
 
     def recording_spiral(n):
         for shift in spiral(n):
             placed.append(shift)
             yield shift
 
-    def checked_step(sol, entry, shifts):
-        out = step(sol, entry, shifts)
-        anchors = np.array([0j, *placed])
-        for t in out.triangles.values():
-            for block in (t.B_in, t.B_out):
-                if block.size:
-                    eig = np.linalg.eigvals(block)
-                    worst.append(float(np.abs(eig[:, None] - anchors[None, :]).min(axis=1).max()))
-        return out
+    class CheckedZero(momentmap._Zero):
+        def move(self, entry, inverse=False):
+            super().move(entry, inverse)
+            anchors = np.array([0j, *placed])
+            for t in self.triangles.values():
+                for block in (t.B_in, t.B_out):
+                    if block.size:
+                        eig = np.linalg.eigvals(block)
+                        worst.append(float(np.abs(eig[:, None] - anchors[None, :]).min(axis=1).max()))
 
-    return recording_spiral, checked_step
+    return recording_spiral, CheckedZero
 
 
 def test_every_b_spectrum_stays_on_the_placed_shifts():
-    # why construction reads no spectrum: after every exact step, every B
+    # why construction reads no spectrum: after every exact move, every B
     # block's eigenvalues sit on shifts already placed or on 0, and the
     # spiral's next point keeps more than 1.4/sqrt(n) from the placed ones
     # and ½ from 0; a Jordan block at 0 reads its eigenvalues less
     # exactly, hence the margin
     placed, worst = [], []
-    spiral, step = _tracked_steps(placed, worst)
-    with mock.patch.object(momentmap, "_spiral", spiral), mock.patch.object(momentmap, "_exact_step", step):
+    spiral, zero = _tracked_steps(placed, worst)
+    with mock.patch.object(momentmap, "_spiral", spiral), mock.patch.object(momentmap, "_Zero", zero):
         for text in drawn(5, 80, 12, True, max_nodes=6):
             placed.clear()
             sol = construct_solution(parse_diagram(text))

@@ -317,6 +317,37 @@ def test_extend_arrow_arc_needs_level_zero():
         extend_increment(sol, IncrementArrows(start=0, end=3, direction=CW, amount=1))
 
 
+@pytest.mark.parametrize(
+    "entry",
+    [
+        IncrementX(start=1, end=2, direction=ACW, amount=-1),
+        IncrementArrows(start=0, end=3, direction=ACW, amount=-2),
+        IncrementX(start=0, end=3, direction=ACW, amount=0),
+    ],
+)
+def test_bad_increments_are_refused_alike(entry):
+    # a negative amount and a wrong node kind, even at amount 0, are
+    # refused by the exact extension as by the diagram move
+    base = construct_solution(parse_diagram("( 1 o 2 x 2 x 1 o )"), seed=2)
+
+    def refusal(call):
+        with pytest.raises((KeyError, ValueError)) as info:
+            call()
+        return type(info.value), str(info.value)
+
+    assert refusal(lambda: extend_increment(base, entry)) == refusal(lambda: apply_entry(base.diagram, entry))
+
+
+def test_zero_refuses_to_shrink_an_arc():
+    # the diagram move lowers an arc on an inverse increment; no exact
+    # step removes dimensions from a zero
+    base = construct_solution(parse_diagram("( 1 o 2 x 2 x 1 o )"), seed=2)
+    entry = IncrementX(start=1, end=2, direction=ACW, amount=1)
+    apply_entry(base.diagram, entry, inverse=True)
+    with pytest.raises(ValueError, match="cannot shrink"):
+        momentmap._Zero(base).move(entry, inverse=True)
+
+
 def test_spiral_shifts_are_bounded_and_spread():
     # the first n points lie in the annulus ½ ≤ |c| ≤ 1, pairwise at
     # least 1.4/sqrt(n) apart, so none comes near 0 or another
@@ -676,10 +707,12 @@ def test_construct_chain_steps_share_but_never_write():
     # and leaves every array of its input as it was
     base = construct_solution(parse_diagram("( 1 o 2 x 2 x 1 o )"), seed=2)
     kept = _snapshot(base)
-    moved = momentmap._swap_step(base, 0, 1)
+    moved = momentmap._Zero(base)
+    moved.swap(0, 1)
     assert moved.triangles[2] is base.triangles[2]
     assert moved.arrows[3] is base.arrows[3]
-    grown = momentmap._increment_step(base, IncrementX(start=1, end=2, direction=ACW, amount=1), momentmap._spiral(1))
+    grown = momentmap._Zero(base, momentmap._spiral(1))
+    grown.move(IncrementX(start=1, end=2, direction=ACW, amount=1))
     assert grown.arrows[0] is base.arrows[0]
     assert grown.arrows[3] is base.arrows[3]
     assert all(np.array_equal(x, y) for x, y in zip(_snapshot(base), kept, strict=True))
