@@ -42,18 +42,16 @@ that one audit serves both.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
 
-from .diagram import BowDiagram, Direction, IncrementArrows, IncrementX, MoveEntry, NodeKind
+from .diagram import BowDiagram, Direction, IncrementArrows, IncrementX, MoveEntry, NodeKind, _set, _Value
 from .rewrite import _Host, _index
 
 # ---------------------------------------------------------------------------
 # branes and ledgers
 
 
-@dataclass(frozen=True, slots=True)
-class Brane:
+class Brane(_Value):
     """One brane: start node to end node, travelling ``direction``.
 
     ``laps`` counts complete extra loops beyond the open arc.  Fixed
@@ -61,16 +59,22 @@ class Brane:
     node as ``start``.
     """
 
-    start: int
-    end: int
-    direction: Direction
-    laps: int
+    __slots__ = ("start", "end", "direction", "laps")
+
+    def __init__(self, start: int, end: int, direction: Direction, laps: int):
+        _set(self, "start", start)
+        _set(self, "end", end)
+        _set(self, "direction", direction)
+        _set(self, "laps", laps)
+
+    def __hash__(self) -> int:
+        return hash((self.start, self.end, self.direction, self.laps))
 
 
-@dataclass
 class BraneLedger:
-    diagram: BowDiagram
-    branes: dict[Brane, int]
+    def __init__(self, diagram: BowDiagram, branes: dict[Brane, int]):
+        self.diagram = diagram
+        self.branes = branes
 
 
 def brane_is_fixed(d: BowDiagram, brane: Brane) -> bool:

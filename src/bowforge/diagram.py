@@ -16,13 +16,19 @@ labelling, and the reflection swapping the two node kinds.
 :func:`validate` runs at the public entry points: ``separated_view``,
 ``render_diagram`` and the JSON codecs.  ``_separated_view`` is the
 unchecked view the rewrite passes take of diagrams they built from a
-valid one.  The value types are frozen slotted dataclasses, since a
-rewrite makes one diagram per move and a ledger holds many branes.
+valid one.
+
+The frozen value types of the package (here, and the branes,
+certificates and weights elsewhere) derive from :class:`_Value`: slotted
+classes with a hand-written ``__init__``, equal only to an instance of
+the same class with equal fields.  Written out, their methods cost
+nothing at import; a class decorator that generates them compiles each
+with ``exec`` and loads ``inspect``, ``ast`` and ``dis``, about a
+quarter of the CPU time of a one-shot ``bowforge check``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Union
 
@@ -40,14 +46,66 @@ class Direction(str, Enum):
     ACW = "acw"
 
 
-@dataclass(frozen=True, slots=True)
-class Node:
-    id: int
-    kind: NodeKind
+# sets a slot of a value type, whose own __setattr__ refuses
+_set = object.__setattr__
 
 
-@dataclass(frozen=True, slots=True)
-class BowDiagram:
+class _Value:
+    """Base of the frozen value types.
+
+    A subclass lists its fields in ``__slots__`` and sets each in its own
+    ``__init__``, which takes them in that order, through ``_set``.  The
+    base compares and hashes the tuple of fields, equal only within one
+    class, prints ``Name(field=value, ...)`` and refuses assignment and
+    deletion.  The hottest types write their own ``__eq__`` or
+    ``__hash__`` out, with the same meaning; a class that defines
+    ``__eq__`` must name a ``__hash__`` too, or Python sets it to None.
+    """
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self):
+        # pickle and copy rebuild through __init__, since __setattr__ refuses
+        return self.__class__, self._fields()
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Node(_Value):
+    __slots__ = ("id", "kind")
+
+    def __init__(self, id: int, kind: NodeKind):
+        _set(self, "id", id)
+        _set(self, "kind", kind)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.id == other.id and self.kind == other.kind
+        return NotImplemented
+
+    __hash__ = _Value.__hash__
+
+
+class BowDiagram(_Value):
     """Circle of nodes with per-segment dimensions and an optional cut.
 
     ``dims[i]`` is the dimension of the segment that follows ``nodes[i]``
@@ -56,9 +114,19 @@ class BowDiagram:
     constraints are enforced by :func:`validate`.
     """
 
-    nodes: tuple[Node, ...]
-    dims: tuple[int, ...]
-    cut: int | None = None
+    __slots__ = ("nodes", "dims", "cut")
+
+    def __init__(self, nodes: tuple[Node, ...], dims: tuple[int, ...], cut: int | None = None):
+        _set(self, "nodes", nodes)
+        _set(self, "dims", dims)
+        _set(self, "cut", cut)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.nodes == other.nodes and self.dims == other.dims and self.cut == other.cut
+        return NotImplemented
+
+    __hash__ = _Value.__hash__
 
     @property
     def k(self) -> int:
@@ -273,46 +341,56 @@ def diagram_from_json(data: dict) -> BowDiagram:
 # ---------------------------------------------------------------------------
 # move log entries
 
-@dataclass(frozen=True, slots=True)
-class HwMove:
+class HwMove(_Value):
     """Swap of the adjacent pair (left, right), left anticlockwise-first."""
 
-    left: int
-    right: int
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: int, right: int):
+        _set(self, "left", left)
+        _set(self, "right", right)
 
 
-@dataclass(frozen=True, slots=True)
-class IncrementArrows:
+class IncrementArrows(_Value):
     """Uniform raise along the arc from one arrow to another."""
 
-    start: int
-    end: int
-    direction: Direction
-    amount: int
+    __slots__ = ("start", "end", "direction", "amount")
+
+    def __init__(self, start: int, end: int, direction: Direction, amount: int):
+        _set(self, "start", start)
+        _set(self, "end", end)
+        _set(self, "direction", direction)
+        _set(self, "amount", amount)
 
 
-@dataclass(frozen=True, slots=True)
-class IncrementX:
+class IncrementX(_Value):
     """Uniform raise along the arc from one x-point to another."""
 
-    start: int
-    end: int
-    direction: Direction
-    amount: int
+    __slots__ = ("start", "end", "direction", "amount")
+
+    def __init__(self, start: int, end: int, direction: Direction, amount: int):
+        _set(self, "start", start)
+        _set(self, "end", end)
+        _set(self, "direction", direction)
+        _set(self, "amount", amount)
 
 
-@dataclass(frozen=True, slots=True)
-class SubtractArrowArc:
+class SubtractArrowArc(_Value):
     """Uniform drop on the arc of segments touching an arrow."""
 
-    amount: int
+    __slots__ = ("amount",)
+
+    def __init__(self, amount: int):
+        _set(self, "amount", amount)
 
 
-@dataclass(frozen=True, slots=True)
-class CutAt:
+class CutAt(_Value):
     """Turn an affine diagram finite by cutting a zero segment."""
 
-    segment: int
+    __slots__ = ("segment",)
+
+    def __init__(self, segment: int):
+        _set(self, "segment", segment)
 
 
 MoveEntry = Union[HwMove, IncrementArrows, IncrementX, SubtractArrowArc, CutAt]
@@ -381,8 +459,7 @@ def log_from_json(data: Iterable[dict]) -> MoveLog:
 # ---------------------------------------------------------------------------
 # separated view
 
-@dataclass(frozen=True, slots=True)
-class SeparatedForm:
+class SeparatedForm(_Value):
     """Labelled view of a diagram whose x-points are contiguous.
 
     Going anticlockwise: ``v_0``, then ``x_1 .. x_w`` with the segments
@@ -394,13 +471,25 @@ class SeparatedForm:
     ``seg_arr``/``seg_x`` give the underlying segment indices.
     """
 
-    diagram: BowDiagram
-    arrow_ids: tuple[int, ...]
-    x_ids: tuple[int, ...]
-    v_arr: tuple[int, ...]
-    v_x: tuple[int, ...]
-    seg_arr: tuple[int, ...]
-    seg_x: tuple[int, ...]
+    __slots__ = ("diagram", "arrow_ids", "x_ids", "v_arr", "v_x", "seg_arr", "seg_x")
+
+    def __init__(
+        self,
+        diagram: BowDiagram,
+        arrow_ids: tuple[int, ...],
+        x_ids: tuple[int, ...],
+        v_arr: tuple[int, ...],
+        v_x: tuple[int, ...],
+        seg_arr: tuple[int, ...],
+        seg_x: tuple[int, ...],
+    ):
+        _set(self, "diagram", diagram)
+        _set(self, "arrow_ids", arrow_ids)
+        _set(self, "x_ids", x_ids)
+        _set(self, "v_arr", v_arr)
+        _set(self, "v_x", v_x)
+        _set(self, "seg_arr", seg_arr)
+        _set(self, "seg_x", seg_x)
 
     @property
     def n(self) -> int:

@@ -42,7 +42,6 @@ import cmath
 import itertools
 import math
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field, replace
 
 from .diagram import (
     BowDiagram,
@@ -78,26 +77,25 @@ np = _LazyNumpy()
 # data model
 
 
-@dataclass
 class TriangleData:
-    """Maps attached to one x point."""
+    """Maps attached to one x point, in the order the JSON codec writes them."""
 
-    A: np.ndarray
-    B_in: np.ndarray
-    B_out: np.ndarray
-    a: np.ndarray
-    b: np.ndarray
+    def __init__(self, A: np.ndarray, B_in: np.ndarray, B_out: np.ndarray, a: np.ndarray, b: np.ndarray):
+        self.A = A
+        self.B_in = B_in
+        self.B_out = B_out
+        self.a = a
+        self.b = b
 
 
-@dataclass
 class ArrowData:
     """Dual pair attached to one arrow."""
 
-    C: np.ndarray
-    D: np.ndarray
+    def __init__(self, C: np.ndarray, D: np.ndarray):
+        self.C = C
+        self.D = D
 
 
-@dataclass
 class Solution:
     """Maps on every node of a diagram, with the verdict ``settle`` gave.
 
@@ -107,14 +105,25 @@ class Solution:
     writes into them, so two solutions may share an array.
     """
 
-    diagram: BowDiagram
-    triangles: dict[int, TriangleData]
-    arrows: dict[int, ArrowData]
-    lam: dict[int, complex] = field(default_factory=dict)
-    seed: int | None = None
-    residual: float = 0.0
-    converged: bool = False
-    stable: bool = False
+    def __init__(
+        self,
+        diagram: BowDiagram,
+        triangles: dict[int, TriangleData],
+        arrows: dict[int, ArrowData],
+        lam: dict[int, complex] | None = None,
+        seed: int | None = None,
+        residual: float = 0.0,
+        converged: bool = False,
+        stable: bool = False,
+    ):
+        self.diagram = diagram
+        self.triangles = triangles
+        self.arrows = arrows
+        self.lam = {} if lam is None else lam
+        self.seed = seed
+        self.residual = residual
+        self.converged = converged
+        self.stable = stable
 
 
 def _seg_dims(d: BowDiagram, node_id: int) -> tuple[int, int]:
@@ -229,7 +238,6 @@ def _closure_dim(op: np.ndarray, gens: np.ndarray) -> int:
     return basis.shape[1]
 
 
-@dataclass
 class XStability:
     """Per x-point stability facts: triangle residual plus both ranks.
 
@@ -239,17 +247,18 @@ class XStability:
     of the B_out-closure of im [A | a]; S2 holds when it is v_out.
     """
 
-    cond_a: float
-    s1: bool
-    s2: bool
-    chain_dim: int
-    krylov_rank: int
+    def __init__(self, cond_a: float, s1: bool, s2: bool, chain_dim: int, krylov_rank: int):
+        self.cond_a = cond_a
+        self.s1 = s1
+        self.s2 = s2
+        self.chain_dim = chain_dim
+        self.krylov_rank = krylov_rank
 
 
-@dataclass
 class StabilityReport:
-    entries: dict[int, XStability]
-    rtol: float
+    def __init__(self, entries: dict[int, XStability], rtol: float):
+        self.entries = entries
+        self.rtol = rtol
 
     @property
     def ok(self) -> bool:
@@ -613,7 +622,8 @@ class _Zero(_Host):
     def solution(self) -> Solution:
         """``sol`` moved: the host's diagram with the carried maps."""
 
-        return replace(self.sol, diagram=self.diagram(), triangles=self.triangles, arrows=self.arrows)
+        s = self.sol
+        return Solution(self.diagram(), self.triangles, self.arrows, s.lam, s.seed, s.residual, s.converged, s.stable)
 
     def swap(self, left: int, right: int) -> int:
         """Carry the zero across the swap exactly.
@@ -814,7 +824,7 @@ def _generic_basis(sol: Solution) -> Solution:
     for nid, ad in sol.arrows.items():
         (g_in, h_in), (g_out, h_out) = sides[nid]
         arrows[nid] = ArrowData(C=g_out @ ad.C @ h_in, D=g_in @ ad.D @ h_out)
-    return replace(sol, triangles=triangles, arrows=arrows)
+    return Solution(d, triangles, arrows, sol.lam, sol.seed, sol.residual, sol.converged, sol.stable)
 
 
 def construct_solution(d: BowDiagram, seed: int = 0) -> Solution:
@@ -913,6 +923,8 @@ def _matrix_from_json(data, shape, what: str) -> np.ndarray:
     for i, row in enumerate(data):
         for j, pair in enumerate(row):
             out[i, j] = complex(pair[0], pair[1])
+    if not np.isfinite(out).all():
+        raise ValueError(f"{what} has an entry that is not finite")
     return out
 
 
@@ -939,13 +951,16 @@ def solution_from_json(data: dict) -> Solution:
     """The solution ``solution_to_json`` wrote.
 
     Every node needs its maps, each of the shape its segments give, and
-    every level an arrow; anything else raises ValueError.
+    every level an arrow; every number must be finite (``json`` reads
+    ``NaN`` and ``Infinity``).  Anything else raises ValueError.
     """
 
     d = diagram_from_json(data["diagram"])
     lam = {
         int(nid): complex(pair[0], pair[1]) for nid, pair in data.get("lambda", {}).items()
     }
+    if strays := sorted(nid for nid, v in lam.items() if not cmath.isfinite(v)):
+        raise ValueError(f"levels must be finite; those of nodes {strays} are not")
     sol = zero_solution(d, lam)
     for group, owners in (("triangles", sol.triangles), ("arrows", sol.arrows)):
         maps = data.get(group, {})

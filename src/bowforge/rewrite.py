@@ -28,7 +28,6 @@ its end: a swap of a valid diagram is valid.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
 from .diagram import (
     BowDiagram,
@@ -44,31 +43,37 @@ from .diagram import (
     SubtractArrowArc,
     _require_valid,
     _separated_view,
+    _set,
+    _Value,
 )
 
 # ---------------------------------------------------------------------------
 # results
 
 
-@dataclass(frozen=True)
-class NegativeWitness:
+class NegativeWitness(_Value):
     """Proof that some move sequence drives a dimension below zero.
 
     Replaying ``move_log`` from the source diagram yields a diagram
     with ``dims[segment] == value < 0``.
     """
 
-    move_log: MoveLog
-    segment: int
-    value: int
+    __slots__ = ("move_log", "segment", "value")
+
+    def __init__(self, move_log: MoveLog, segment: int, value: int):
+        _set(self, "move_log", move_log)
+        _set(self, "segment", segment)
+        _set(self, "value", value)
 
 
-@dataclass(frozen=True)
-class EquivClassSample:
+class EquivClassSample(_Value):
     """Diagrams at most a budget of swaps away, canonically encoded."""
 
-    encodings: frozenset
-    min_dim: int
+    __slots__ = ("encodings", "min_dim")
+
+    def __init__(self, encodings: frozenset, min_dim: int):
+        _set(self, "encodings", encodings)
+        _set(self, "min_dim", min_dim)
 
 
 # ---------------------------------------------------------------------------
@@ -364,8 +369,8 @@ def _pass(
 
     Each swap is checked by ``_swap``, as the host's swap is, and
     appended to ``log``.  Returns the NegativeWitness of the first
-    negative dimension, unless ``allow_negative``, which the weight
-    side's balancing uses.
+    negative dimension, unless ``allow_negative``, which only
+    :func:`full_pass` passes on.
     """
 
     k = len(nodes)

@@ -17,7 +17,6 @@ replay-checkable certificate either way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Union
 
 from .diagram import (
@@ -30,6 +29,8 @@ from .diagram import (
     SubtractArrowArc,
     _require_valid,
     _separated_view,
+    _set,
+    _Value,
     entry_to_json,
     separated_view,
 )
@@ -46,39 +47,47 @@ from .rewrite import (
 # certificates
 
 
-@dataclass(frozen=True)
-class InequalityViolation:
+class InequalityViolation(_Value):
     """A bound value that came out negative, pinned by its indices."""
 
-    direction: Direction
-    t: int
-    s: int
-    k: int
-    value: int
+    __slots__ = ("direction", "t", "s", "k", "value")
+
+    def __init__(self, direction: Direction, t: int, s: int, k: int, value: int):
+        _set(self, "direction", direction)
+        _set(self, "t", t)
+        _set(self, "s", s)
+        _set(self, "k", k)
+        _set(self, "value", value)
 
 
-@dataclass(frozen=True)
-class FiniteCheckPassed:
+class FiniteCheckPassed(_Value):
     """All checked (s, k, value) triples of the t=1 clockwise family."""
 
-    checked: tuple[tuple[int, int, int], ...]
+    __slots__ = ("checked",)
+
+    def __init__(self, checked: tuple[tuple[int, int, int], ...]):
+        _set(self, "checked", checked)
 
 
-@dataclass(frozen=True)
-class TrivialNoNodes:
+class TrivialNoNodes(_Value):
     """Verdict for diagrams with only one node kind: sign of the min dim."""
 
-    min_dim: int
+    __slots__ = ("min_dim",)
+
+    def __init__(self, min_dim: int):
+        _set(self, "min_dim", min_dim)
 
 
 Witness = Union[InequalityViolation, NegativeWitness, FiniteCheckPassed, TrivialNoNodes]
 
 
-@dataclass(frozen=True)
-class Certificate:
-    verdict: bool
-    witness: Witness
-    pipeline: MoveLog
+class Certificate(_Value):
+    __slots__ = ("verdict", "witness", "pipeline")
+
+    def __init__(self, verdict: bool, witness: Witness, pipeline: MoveLog):
+        _set(self, "verdict", verdict)
+        _set(self, "witness", witness)
+        _set(self, "pipeline", pipeline)
 
 
 def witness_to_json(witness: Witness) -> dict:

@@ -13,16 +13,7 @@ weights of the same level and charge is decided by partial sums.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .diagram import (
-    BowDiagram,
-    HwMove,
-    NodeKind,
-    SeparatedForm,
-    separated_view,
-)
-from .rewrite import full_pass
+from .diagram import SeparatedForm, _set, _Value
 
 # ---------------------------------------------------------------------------
 # generalized Young diagrams
@@ -81,11 +72,13 @@ def transpose_gyd(values, level: int) -> tuple[int, ...]:
 # weights
 
 
-@dataclass(frozen=True)
-class AffineWeight:
-    values: tuple[int, ...]
-    level: int
-    dpair: int
+class AffineWeight(_Value):
+    __slots__ = ("values", "level", "dpair")
+
+    def __init__(self, values: tuple[int, ...], level: int, dpair: int):
+        _set(self, "values", values)
+        _set(self, "level", level)
+        _set(self, "dpair", dpair)
 
     @property
     def charge(self) -> int:
@@ -126,11 +119,13 @@ def dominance_ge(a: AffineWeight, b: AffineWeight) -> bool:
 # reading weights off a separated diagram
 
 
-@dataclass(frozen=True)
-class WeightTriple:
-    tlam: tuple[int, ...]
-    mu: tuple[int, ...]
-    v: int
+class WeightTriple(_Value):
+    __slots__ = ("tlam", "mu", "v")
+
+    def __init__(self, tlam: tuple[int, ...], mu: tuple[int, ...], v: int):
+        _set(self, "tlam", tlam)
+        _set(self, "mu", mu)
+        _set(self, "v", v)
 
 
 def separated_triple(sep: SeparatedForm) -> WeightTriple:
@@ -141,100 +136,6 @@ def separated_triple(sep: SeparatedForm) -> WeightTriple:
     tlam = tuple(sep.v_arr[s - 1] - sep.v_arr[s] for s in range(1, sep.n + 1))
     mu = tuple(sep.v_x[i - 1] - sep.v_x[i] for i in range(1, sep.w + 1))
     return WeightTriple(tlam=tlam, mu=mu, v=sep.v_arr[-1])
-
-
-# ---------------------------------------------------------------------------
-# balanced form
-
-
-@dataclass(frozen=True)
-class BalancedForm:
-    diagram: BowDiagram
-    log: tuple[HwMove, ...]
-    lam: AffineWeight
-    mu: AffineWeight
-
-
-def balanced_form(sep: SeparatedForm) -> BalancedForm:
-    """Spread the arrows through the x points until every arrow sits
-    between equal dimensions.
-
-    The consecutive differences along the arrow arc must form a
-    generalized Young diagram at level w; otherwise no balanced
-    representative exists on this side and a ValueError is raised.
-    """
-
-    d = sep.diagram
-    if d.is_finite:
-        raise ValueError("balancing works on diagrams without a cut")
-    n, w = sep.n, sep.w
-    if n < 1 or w < 1:
-        raise ValueError("balancing needs both node kinds")
-    triple = separated_triple(sep)
-    if not is_gyd(triple.tlam, w):
-        raise ValueError(
-            f"arrow-arc differences {triple.tlam} do not form a level-{w} diagram"
-        )
-
-    log: list[HwMove] = []
-    cur = d
-    view = sep
-    # phase one: rotate whole passes until every difference is in [0, w]
-    while True:
-        t = separated_triple(view)
-        if t.tlam[-1] < 0:
-            cur = full_pass(cur, view.arrow_ids[-1], False, w, log, allow_negative=True)
-        elif t.tlam[0] > w:
-            cur = full_pass(cur, view.arrow_ids[0], True, w, log, allow_negative=True)
-        else:
-            break
-        view = separated_view(cur)
-        if view is None:
-            raise RuntimeError("a balancing pass left the x points apart")
-
-    # phase two: walk each arrow to its slot, front arrow first
-    t = separated_triple(view)
-    x_last = view.x_ids[-1]
-    if not all(0 <= step <= w for step in t.tlam):
-        raise RuntimeError(f"arrow-arc differences {t.tlam} outside [0, {w}] after rotation")
-    for s in range(1, view.n + 1):
-        cur = full_pass(cur, view.arrow_ids[s - 1], True, t.tlam[s - 1], log, allow_negative=True)
-
-    for node in cur.nodes:
-        if node.kind == NodeKind.ARROW:
-            pos = cur.position(node.id)
-            if cur.dims[(pos - 1) % cur.k] != cur.dims[pos]:
-                raise RuntimeError(f"arrow {node.id} not balanced")
-
-    vhat = cur.dims[cur.position(x_last)]
-    lam_values = transpose_gyd(triple.tlam, w)
-    lam = AffineWeight(values=lam_values, level=n, dpair=vhat)
-    mu = AffineWeight(values=triple.mu, level=n, dpair=0)
-
-    if w > triple.tlam[0] >= 0:
-        if vhat != triple.v + sum(step for step in triple.tlam if step < 0):
-            raise RuntimeError(f"balanced x-point dimension {vhat} disagrees with the triple")
-
-    # arrows between consecutive x points count column differences
-    x_ids = view.x_ids
-    for i in range(1, w):
-        a, b = cur.position(x_ids[i - 1]), cur.position(x_ids[i])
-        count = 0
-        pos = (a + 1) % cur.k
-        while pos != b:
-            count += cur.nodes[pos].kind == NodeKind.ARROW
-            pos = (pos + 1) % cur.k
-        if count != lam_values[i - 1] - lam_values[i]:
-            raise RuntimeError(f"{count} arrows between x points {i} and {i + 1} disagree with the weight")
-    outer = 0
-    pos = (cur.position(x_ids[-1]) + 1) % cur.k
-    while pos != cur.position(x_ids[0]):
-        outer += cur.nodes[pos].kind == NodeKind.ARROW
-        pos = (pos + 1) % cur.k
-    if outer != n - lam_values[0] + lam_values[-1]:
-        raise RuntimeError(f"{outer} arrows outside the x points disagree with the weight")
-
-    return BalancedForm(diagram=cur, log=tuple(log), lam=lam, mu=mu)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """End-to-end command-line tests driven through main()."""
 
 import json
+import math
 
 import pytest
 
@@ -348,6 +349,9 @@ BROKEN_SOLUTIONS = {
     "short-matrix-rows": lambda data: data["triangles"]["0"]["A"].pop(),
     "short-matrix-columns": lambda data: [row.pop() for row in data["triangles"]["0"]["B_in"]],
     "missing-triangle": lambda data: data["triangles"].pop("0"),
+    # json reads NaN and Infinity; they would print a NaN residual, not JSON
+    "nan-level": lambda data: data.update({"lambda": {"1": [math.nan, 0]}}),
+    "infinite-map-entry": lambda data: data["triangles"]["0"]["A"][0][0].__setitem__(0, math.inf),
 }
 
 

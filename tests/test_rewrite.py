@@ -385,13 +385,13 @@ def test_separate_rejects_duplicate_ids_under_optimize():
 def test_normalize_gap_rejects_invalid_diagram_under_optimize():
     # the labels of a valid view, put on a diagram with duplicate ids
     script = (
-        "import dataclasses\n"
-        "from bowforge.diagram import BowDiagram, Node, NodeKind, parse_diagram, separated_view\n"
+        "from bowforge.diagram import BowDiagram, Node, NodeKind, SeparatedForm, parse_diagram, separated_view\n"
         "from bowforge.rewrite import normalize_gap\n"
         "view = separated_view(parse_diagram('( 5 x 1 o )'))\n"
         "bad = BowDiagram((Node(0, NodeKind.XPOINT), Node(0, NodeKind.ARROW)), view.diagram.dims)\n"
+        "labels = (view.arrow_ids, view.x_ids, view.v_arr, view.v_x, view.seg_arr, view.seg_x)\n"
         "try:\n"
-        "    normalize_gap(dataclasses.replace(view, diagram=bad))\n"
+        "    normalize_gap(SeparatedForm(bad, *labels))\n"
         "except ValueError as exc:\n"
         "    print(exc)\n"
         "else:\n"

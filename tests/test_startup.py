@@ -1,7 +1,8 @@
 """Start-up cost and optimized mode, each in a fresh interpreter.
 
-numpy loads on the first matrix, not with the package, so each test
-runs a new process: this one has numpy loaded already.  The same runner
+numpy loads on the first matrix, not with the package, and neither
+``dataclasses`` nor ``inspect`` loads at all.  This process has all
+three loaded already, so each test runs a new one.  The same runner
 checks that ``python -O`` changes no exit code and no output, and no
 ``assert`` in the package holds a check that ``-O`` would strip.
 """
@@ -33,17 +34,24 @@ NUMPY_FREE = {
 }
 
 # runs main() on each argv of a JSON list and reports, per call, the
-# exit code and whether numpy was loaded afterwards
+# exit code, whether numpy was loaded afterwards and the output; "slow"
+# names the modules of SLOW loaded after the import, and after each call
 SCRIPT = """
 import contextlib, io, json, sys
+SLOW = ("dataclasses", "inspect")
 import bowforge
 from bowforge.cli import main
-report = {"momentmap": "bowforge.momentmap" in sys.modules, "import": "numpy" in sys.modules, "calls": []}
+report = {
+    "momentmap": "bowforge.momentmap" in sys.modules,
+    "import": "numpy" in sys.modules,
+    "slow": [name for name in SLOW if name in sys.modules],
+    "calls": [],
+}
 for argv in json.loads(sys.argv[1]):
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         code = main(argv[:1] + ["--json"] + argv[1:])
-    report["calls"].append([code, "numpy" in sys.modules, out.getvalue()])
+    report["calls"].append([code, "numpy" in sys.modules, out.getvalue(), [name for name in SLOW if name in sys.modules]])
 print(json.dumps(report))
 """
 
@@ -68,15 +76,20 @@ def test_import_and_combinatorial_verbs_leave_numpy_unloaded(tmp_path):
     report = run_verbs(numpy_free_argvs(tmp_path))
     assert report["momentmap"], "bowforge.momentmap must stay an eagerly imported module"
     assert not report["import"], "import bowforge loaded numpy"
-    for name, (code, loaded, _) in zip(NUMPY_FREE, report["calls"]):
+    for name, (code, loaded, _, _) in zip(NUMPY_FREE, report["calls"]):
         assert code in (0, 1), f"{name} exited {code}"
         assert not loaded, f"{name} loaded numpy"
+    # dataclasses compiles methods with exec at import and loads inspect,
+    # ast and dis: about a quarter of a one-shot check's CPU time
+    assert not report["slow"], f"import bowforge loaded {report['slow']}"
+    for name, (_, _, _, slow) in zip(NUMPY_FREE, report["calls"]):
+        assert not slow, f"{name} loaded {slow}"
 
 
 def test_solve_loads_numpy_and_converges():
     report = run_verbs([["solve", "( 2 x 2 o )"], ["solve", "( 1 o 1 x )", "--lambda", "0.5"]])
     assert not report["import"]
-    for code, loaded, out in report["calls"]:
+    for code, loaded, out, _ in report["calls"]:
         assert code == 0
         assert loaded
         meta = json.loads(out)["meta"]
@@ -90,8 +103,8 @@ def test_optimized_mode_changes_no_answer(tmp_path):
         ["stratum", "[ 0 o 2 x -1 x 0 ]", "--mode", "finite"],
         ["check", "( 2 x 2 )"],
     ]
-    plain = [(code, out) for code, _, out in run_verbs(argvs)["calls"]]
-    optimized = [(code, out) for code, _, out in run_verbs(argvs, optimize=True)["calls"]]
+    plain = [(code, out) for code, _, out, _ in run_verbs(argvs)["calls"]]
+    optimized = [(code, out) for code, _, out, _ in run_verbs(argvs, optimize=True)["calls"]]
     assert plain == optimized
     assert [code for code, _ in plain[-3:]] == [0, 1, 2]
 

@@ -2,16 +2,16 @@
 
 import itertools
 import random
+from collections import namedtuple
 
 import pytest
 
-from bowforge.diagram import parse_diagram, separated_view
-from bowforge.rewrite import replay
+from bowforge.diagram import NodeKind, parse_diagram, separated_view
+from bowforge.rewrite import full_pass, replay
 from bowforge.susy import check_finite_separated, decide_supersymmetry
 from bowforge.weights import (
     AffineWeight,
     _gyd_candidates,
-    balanced_form,
     dominance_ge,
     is_gyd,
     separated_triple,
@@ -142,7 +142,92 @@ def test_separated_triple_inverts():
 
 
 # ---------------------------------------------------------------------------
-# balanced form
+# balanced form: an independent route to the affine verdict, kept here as
+# an oracle for decide once the package stopped using it
+
+BalancedForm = namedtuple("BalancedForm", "diagram log lam mu")
+
+
+def balanced_form(sep):
+    """Spread the arrows through the x points until every arrow sits
+    between equal dimensions.
+
+    The consecutive differences along the arrow arc must form a
+    generalized Young diagram at level w; otherwise no balanced
+    representative exists on this side and a ValueError is raised.
+    """
+
+    d = sep.diagram
+    if d.is_finite:
+        raise ValueError("balancing works on diagrams without a cut")
+    n, w = sep.n, sep.w
+    if n < 1 or w < 1:
+        raise ValueError("balancing needs both node kinds")
+    triple = separated_triple(sep)
+    if not is_gyd(triple.tlam, w):
+        raise ValueError(
+            f"arrow-arc differences {triple.tlam} do not form a level-{w} diagram"
+        )
+
+    log = []
+    cur = d
+    view = sep
+    # phase one: rotate whole passes until every difference is in [0, w]
+    while True:
+        t = separated_triple(view)
+        if t.tlam[-1] < 0:
+            cur = full_pass(cur, view.arrow_ids[-1], False, w, log, allow_negative=True)
+        elif t.tlam[0] > w:
+            cur = full_pass(cur, view.arrow_ids[0], True, w, log, allow_negative=True)
+        else:
+            break
+        view = separated_view(cur)
+        if view is None:
+            raise RuntimeError("a balancing pass left the x points apart")
+
+    # phase two: walk each arrow to its slot, front arrow first
+    t = separated_triple(view)
+    x_last = view.x_ids[-1]
+    if not all(0 <= step <= w for step in t.tlam):
+        raise RuntimeError(f"arrow-arc differences {t.tlam} outside [0, {w}] after rotation")
+    for s in range(1, view.n + 1):
+        cur = full_pass(cur, view.arrow_ids[s - 1], True, t.tlam[s - 1], log, allow_negative=True)
+
+    for node in cur.nodes:
+        if node.kind == NodeKind.ARROW:
+            pos = cur.position(node.id)
+            if cur.dims[(pos - 1) % cur.k] != cur.dims[pos]:
+                raise RuntimeError(f"arrow {node.id} not balanced")
+
+    vhat = cur.dims[cur.position(x_last)]
+    lam_values = transpose_gyd(triple.tlam, w)
+    lam = AffineWeight(values=lam_values, level=n, dpair=vhat)
+    mu = AffineWeight(values=triple.mu, level=n, dpair=0)
+
+    if w > triple.tlam[0] >= 0:
+        if vhat != triple.v + sum(step for step in triple.tlam if step < 0):
+            raise RuntimeError(f"balanced x-point dimension {vhat} disagrees with the triple")
+
+    # arrows between consecutive x points count column differences
+    x_ids = view.x_ids
+    for i in range(1, w):
+        a, b = cur.position(x_ids[i - 1]), cur.position(x_ids[i])
+        count = 0
+        pos = (a + 1) % cur.k
+        while pos != b:
+            count += cur.nodes[pos].kind == NodeKind.ARROW
+            pos = (pos + 1) % cur.k
+        if count != lam_values[i - 1] - lam_values[i]:
+            raise RuntimeError(f"{count} arrows between x points {i} and {i + 1} disagree with the weight")
+    outer = 0
+    pos = (cur.position(x_ids[-1]) + 1) % cur.k
+    while pos != cur.position(x_ids[0]):
+        outer += cur.nodes[pos].kind == NodeKind.ARROW
+        pos = (pos + 1) % cur.k
+    if outer != n - lam_values[0] + lam_values[-1]:
+        raise RuntimeError(f"{outer} arrows outside the x points disagree with the weight")
+
+    return BalancedForm(diagram=cur, log=tuple(log), lam=lam, mu=mu)
 
 
 def test_balanced_form_pinned():
