@@ -77,10 +77,6 @@ class BraneLedger:
         self.branes = branes
 
 
-def brane_is_fixed(d: BowDiagram, brane: Brane) -> bool:
-    return d.node_by_id(brane.start).kind != d.node_by_id(brane.end).kind
-
-
 def _keyed(branes: dict[Brane, int]) -> dict[tuple, int]:
     """A ledger's branes as tuple keys ``(start, end, anticlockwise, laps)``."""
 
@@ -128,22 +124,9 @@ def _audit(k: int, index: dict, branes: dict[tuple, int]) -> tuple[tuple[int, ..
     return tuple(accumulate(diff, initial=total))[1:], crowd
 
 
-def brane_coverage(d: BowDiagram, brane: Brane) -> tuple[int, ...]:
-    """How many times the brane passes over each segment."""
-
-    return coverage(BraneLedger(d, {brane: 1}))
-
-
 def coverage(ledger: BraneLedger) -> tuple[int, ...]:
     d = ledger.diagram
     return _audit(d.k, _index(d), _keyed(ledger.branes))[0]
-
-
-def ledger_is_susy(ledger: BraneLedger) -> bool:
-    """No fixed slot may hold more than one brane."""
-
-    d = ledger.diagram
-    return not _audit(d.k, _index(d), _keyed(ledger.branes))[1]
 
 
 def check_ledger(ledger: BraneLedger) -> list[str]:

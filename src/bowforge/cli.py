@@ -208,7 +208,7 @@ def _cmd_hw(args) -> int:
     log = _load_json_file(args.replay, log_from_json, "move log")
     try:
         out = replay(d, log, inverse=args.inverse)
-    except ValueError as exc:
+    except (KeyError, ValueError) as exc:
         raise UsageError(f"replay failed: {exc}")
     _emit(
         args,

@@ -142,9 +142,6 @@ class BowDiagram(_Value):
                 return pos
         raise KeyError(f"no node with id {node_id}")
 
-    def node_by_id(self, node_id: int) -> Node:
-        return self.nodes[self.position(node_id)]
-
     def count(self, kind: NodeKind) -> int:
         return sum(1 for node in self.nodes if node.kind == kind)
 
@@ -400,17 +397,9 @@ MoveLog = tuple[MoveEntry, ...]
 def entry_to_json(entry: MoveEntry) -> dict:
     if isinstance(entry, HwMove):
         return {"op": "hw", "left": entry.left, "right": entry.right}
-    if isinstance(entry, IncrementArrows):
+    if isinstance(entry, (IncrementArrows, IncrementX)):
         return {
-            "op": "increment_arrows",
-            "start": entry.start,
-            "end": entry.end,
-            "dir": entry.direction.value,
-            "amount": entry.amount,
-        }
-    if isinstance(entry, IncrementX):
-        return {
-            "op": "increment_x",
+            "op": "increment_arrows" if isinstance(entry, IncrementArrows) else "increment_x",
             "start": entry.start,
             "end": entry.end,
             "dir": entry.direction.value,
@@ -427,15 +416,9 @@ def entry_from_json(data: dict) -> MoveEntry:
     op = data.get("op")
     if op == "hw":
         return HwMove(left=int(data["left"]), right=int(data["right"]))
-    if op == "increment_arrows":
-        return IncrementArrows(
-            start=int(data["start"]),
-            end=int(data["end"]),
-            direction=Direction(data["dir"]),
-            amount=int(data["amount"]),
-        )
-    if op == "increment_x":
-        return IncrementX(
+    if op in ("increment_arrows", "increment_x"):
+        increment = IncrementArrows if op == "increment_arrows" else IncrementX
+        return increment(
             start=int(data["start"]),
             end=int(data["end"]),
             direction=Direction(data["dir"]),
@@ -532,68 +515,40 @@ def separated_view(d: BowDiagram) -> SeparatedForm | None:
 def _separated_view(d: BowDiagram) -> SeparatedForm | None:
     """:func:`separated_view` on a diagram already known to be valid.
 
-    One O(k) scan finds the x-run; every segment label is then position
-    arithmetic from the run start, with no node-id lookups.
+    One O(k) scan finds the x-run start p1: the one x point behind an
+    arrow, or with one kind only, the lowest-id x point or the position
+    after the lowest-id arrow.  Every segment label is then position
+    arithmetic from p1, with no node-id lookups.
     """
 
     k = d.k
-    xpos = [pos for pos, node in enumerate(d.nodes) if node.kind == NodeKind.XPOINT]
+    nodes = d.nodes
+    xpos = [pos for pos, node in enumerate(nodes) if node.kind == NodeKind.XPOINT]
     w = len(xpos)
     n = k - w
-
     if w == 0:
-        anchor = min(range(k), key=lambda pos: d.nodes[pos].id)
-        # e_s sits at anchor - s + 1 with its tail segment just behind it;
-        # with no x-points the v_0 and v_n labels land on the same segment
-        arrow_ids = tuple(d.nodes[(anchor - s + 1) % k].id for s in range(1, n + 1))
-        seg_arr = tuple([anchor] + [(anchor - s) % k for s in range(1, n + 1)])
-        v_arr = tuple(d.dims[s] for s in seg_arr)
-        return SeparatedForm(
-            diagram=d,
-            arrow_ids=arrow_ids,
-            x_ids=(),
-            v_arr=v_arr,
-            v_x=(v_arr[0],),
-            seg_arr=seg_arr,
-            seg_x=(anchor,),
-        )
-
-    if n == 0:
-        anchor = min(xpos, key=lambda pos: d.nodes[pos].id)
-        x_ids = [d.nodes[(anchor + i) % k].id for i in range(w)]
-        seg_x = [(anchor - 1) % k] + [(anchor + i) % k for i in range(w)]
-        v_x = tuple(d.dims[s] for s in seg_x)
-        return SeparatedForm(
-            diagram=d,
-            arrow_ids=(),
-            x_ids=tuple(x_ids),
-            v_arr=(v_x[0],),
-            v_x=v_x,
-            seg_arr=((anchor - 1) % k,),
-            seg_x=tuple(seg_x),
-        )
-
-    starts = [pos for pos in xpos if d.nodes[(pos - 1) % k].kind == NodeKind.ARROW]
-    if len(starts) != 1:
-        return None
-    p1 = starts[0]
-    if any(d.nodes[(p1 + i) % k].kind != NodeKind.XPOINT for i in range(w)):
-        return None
-
-    x_ids = tuple(d.nodes[(p1 + i) % k].id for i in range(w))
+        p1 = min(range(k), key=lambda pos: nodes[pos].id) + 1
+    elif n == 0:
+        p1 = min(xpos, key=lambda pos: nodes[pos].id)
+    else:
+        # one arrow-to-x boundary means one maximal run of x points
+        starts = [pos for pos in xpos if nodes[pos - 1].kind == NodeKind.ARROW]
+        if len(starts) != 1:
+            return None
+        p1 = starts[0]
     seg_x = tuple([(p1 - 1) % k] + [(p1 + i) % k for i in range(w)])
-    if d.is_finite and d.cut in seg_x[1:w]:
+    # with arrows present the run may not straddle the cut (None is no segment)
+    if n and d.cut in seg_x[1:w]:
         return None
-    # e_s sits at p1 - s, so seg_arr[0] (the head segment of e_1) is
-    # p1 - 1 and seg_arr[s] (the tail segment of e_s) is p1 - 1 - s
-    arrow_ids = tuple(d.nodes[(p1 - s) % k].id for s in range(1, n + 1))
+    # seg_arr[0] (the head segment of e_1) is p1 - 1 and seg_arr[s] (the
+    # tail segment of e_s) is p1 - 1 - s, so e_s sits at seg_arr[s - 1]
     seg_arr = tuple((p1 - 1 - s) % k for s in range(n + 1))
     return SeparatedForm(
         diagram=d,
-        arrow_ids=arrow_ids,
-        x_ids=x_ids,
-        v_arr=tuple(d.dims[s] for s in seg_arr),
-        v_x=tuple(d.dims[s] for s in seg_x),
+        arrow_ids=tuple([nodes[pos].id for pos in seg_arr[:n]]),
+        x_ids=tuple([nodes[pos].id for pos in seg_x[1:]]),
+        v_arr=tuple([d.dims[s] for s in seg_arr]),
+        v_x=tuple([d.dims[s] for s in seg_x]),
         seg_arr=seg_arr,
         seg_x=seg_x,
     )

@@ -295,10 +295,6 @@ def stability_report(sol: Solution) -> StabilityReport:
     return StabilityReport(entries=entries, rtol=_RANK_RTOL)
 
 
-def stability_check(sol: Solution) -> bool:
-    return stability_report(sol).ok
-
-
 # ---------------------------------------------------------------------------
 # packing and the analytic Jacobian
 

@@ -10,11 +10,10 @@ word is recorded as a replayable, invertible move log.
 
 One private host, :class:`_Host`, holds a diagram as mutable node and
 dimension lists with an id index; its ``move`` is the one routine that
-checks and applies a move-log entry.  ``apply_hw``, ``apply_increment``
-and ``apply_entry`` are a host and one call, and ``replay`` runs a
-whole log on one host.  Two hosts carry more along: the ledger walker
-``branes._Walk`` its branes, the moment-map zero ``momentmap._Zero``
-its maps.
+checks and applies a move-log entry.  ``apply_hw`` and ``apply_entry``
+are a host and one call, and ``replay`` runs a whole log on one host.
+Two hosts carry more along: the ledger walker ``branes._Walk`` its
+branes, the moment-map zero ``momentmap._Zero`` its maps.
 
 Validation happens at the public entry points (``separate``,
 ``normalize_gap``, ``arc_increment``).  Inside a word the diagram is
@@ -129,17 +128,6 @@ def legal_swaps(d: BowDiagram) -> list[tuple[int, int]]:
 # uniform arc raises
 
 
-def apply_increment(d: BowDiagram, entry: IncrementArrows | IncrementX) -> BowDiagram:
-    """Raise every segment of the entry's arc by the entry's amount.
-
-    The delimiting nodes must both be arrows (IncrementArrows) or both
-    x-points (IncrementX).  Equal endpoints mean a full loop, raising
-    every segment.  For finite diagrams the arc may not contain the cut.
-    """
-
-    return apply_entry(d, entry)
-
-
 def arc_increment(d: BowDiagram, entry: SubtractArrowArc) -> IncrementX:
     """The increment that undoes an arc subtraction on ``d``.
 
@@ -218,6 +206,8 @@ class _Host:
                 raise ValueError("increment amount must be nonnegative")
             self.increment(entry, -entry.amount if inverse else entry.amount)
         elif isinstance(entry, CutAt):
+            if not 0 <= entry.segment < len(self.dims):
+                raise ValueError(f"cut segment {entry.segment} out of range")
             if inverse:
                 if self.cut != entry.segment:
                     raise ValueError("inverse cut does not match the diagram's cut")
@@ -363,14 +353,12 @@ def _pass(
     acw: bool,
     w: int,
     log: list[MoveEntry],
-    allow_negative: bool = False,
 ) -> NegativeWitness | None:
     """Move the node at ``pos`` through its next w neighbours, in place.
 
     Each swap is checked by ``_swap``, as the host's swap is, and
-    appended to ``log``.  Returns the NegativeWitness of the first
-    negative dimension, unless ``allow_negative``, which only
-    :func:`full_pass` passes on.
+    appended to ``log``.  Stops at the first negative dimension and
+    returns its NegativeWitness.
     """
 
     k = len(nodes)
@@ -379,7 +367,7 @@ def _pass(
         entry = HwMove(nodes[left].id, nodes[(left + 1) % k].id)
         value = _swap(nodes, dims, cut, left)
         log.append(entry)
-        if value < 0 and not allow_negative:
+        if value < 0:
             return NegativeWitness(tuple(log), left, value)
         pos = (left + 1) % k if acw else left
     return None
@@ -391,12 +379,11 @@ def full_pass(
     acw: bool,
     w: int,
     log: list[MoveEntry],
-    allow_negative: bool = False,
 ) -> BowDiagram | NegativeWitness:
     """:func:`_pass` on the node with id ``mover``, one diagram out."""
 
     nodes, dims = list(d.nodes), list(d.dims)
-    witness = _pass(nodes, dims, d.cut, d.position(mover), acw, w, log, allow_negative)
+    witness = _pass(nodes, dims, d.cut, d.position(mover), acw, w, log)
     return witness or BowDiagram(nodes=tuple(nodes), dims=tuple(dims), cut=d.cut)
 
 

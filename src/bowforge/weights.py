@@ -85,14 +85,6 @@ class AffineWeight(_Value):
         return sum(self.values)
 
 
-def transpose_weight(weight: AffineWeight) -> AffineWeight:
-    return AffineWeight(
-        values=transpose_gyd(weight.values, weight.level),
-        level=len(weight.values),
-        dpair=-weight.dpair,
-    )
-
-
 def dominance_ge(a: AffineWeight, b: AffineWeight) -> bool:
     """Whether a dominates b: every partial sum gap stays nonnegative.
 

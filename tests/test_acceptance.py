@@ -14,7 +14,7 @@ from collections import deque
 
 import numpy as np
 
-from bowforge.branes import brane_is_fixed, check_ledger, ledger_is_susy, synthesize
+from bowforge.branes import check_ledger, synthesize
 from bowforge.diagram import (
     Direction,
     IncrementArrows,
@@ -36,8 +36,8 @@ from bowforge.rewrite import (
     HwMove,
     NegativeWitness,
     SubtractArrowArc,
+    apply_entry,
     apply_hw,
-    apply_increment,
     canonical_encoding,
     enumerate_equivalent,
     legal_swaps,
@@ -46,6 +46,7 @@ from bowforge.rewrite import (
 )
 from bowforge.susy import InequalityViolation, decide_supersymmetry
 from bowforge.weights import is_gyd, stratum_check_affine, transpose_gyd
+from test_branes import brane_is_fixed, ledger_is_susy
 
 CW, ACW = Direction.CW, Direction.ACW
 
@@ -225,7 +226,7 @@ def test_criterion_5_verdict_invariance(capsys):
                 for end in ids:
                     for direction in (CW, ACW):
                         entry = ctor(start=start, end=end, direction=direction, amount=1)
-                        raised = apply_increment(d, entry)
+                        raised = apply_entry(d, entry)
                         if not decide_supersymmetry(raised).verdict:
                             problems.append(f"{d.dims}: increment {entry} broke supersymmetry")
                         checked += 1

@@ -12,14 +12,11 @@ from bowforge import branes
 from bowforge.branes import (
     Brane,
     BraneLedger,
-    brane_coverage,
-    brane_is_fixed,
     check_ledger,
     coverage,
     greedy_fixed_counts,
     ledger_apply_move,
     ledger_from_json,
-    ledger_is_susy,
     ledger_to_json,
     synthesize,
     synthesize_finite,
@@ -45,6 +42,22 @@ def walker(ledger: BraneLedger) -> branes._Walk:
     return branes._Walk(ledger.diagram, branes._keyed(ledger.branes))
 
 
+# oracles for the fixed-slot bound, read off node kinds brane by brane
+
+
+def brane_is_fixed(d: BowDiagram, brane: Brane) -> bool:
+    """The brane's endpoints are of different kinds."""
+
+    return d.nodes[d.position(brane.start)].kind != d.nodes[d.position(brane.end)].kind
+
+
+def ledger_is_susy(ledger: BraneLedger) -> bool:
+    """No fixed slot holds more than one brane."""
+
+    d = ledger.diagram
+    return not any([brane_is_fixed(d, brane) and mult > 1 for brane, mult in ledger.branes.items()])
+
+
 # ---------------------------------------------------------------------------
 # coverage arithmetic
 
@@ -52,10 +65,10 @@ def walker(ledger: BraneLedger) -> branes._Walk:
 def test_brane_coverage_vectors():
     d = parse_diagram("( 1 o 2 x 3 x 4 o )")
     # ids: o0, x1, x2, o3; dims follow each node anticlockwise
-    assert brane_coverage(d, Brane(0, 1, ACW, 0)) == (1, 0, 0, 0)
-    assert brane_coverage(d, Brane(0, 1, CW, 0)) == (0, 1, 1, 1)
-    assert brane_coverage(d, Brane(0, 1, ACW, 2)) == (3, 2, 2, 2)
-    assert brane_coverage(d, Brane(2, 2, CW, 1)) == (1, 1, 1, 1)
+    assert coverage(BraneLedger(d, {Brane(0, 1, ACW, 0): 1})) == (1, 0, 0, 0)
+    assert coverage(BraneLedger(d, {Brane(0, 1, CW, 0): 1})) == (0, 1, 1, 1)
+    assert coverage(BraneLedger(d, {Brane(0, 1, ACW, 2): 1})) == (3, 2, 2, 2)
+    assert coverage(BraneLedger(d, {Brane(2, 2, CW, 1): 1})) == (1, 1, 1, 1)
     assert brane_is_fixed(d, Brane(0, 1, ACW, 0))
     assert not brane_is_fixed(d, Brane(1, 2, CW, 0))
 

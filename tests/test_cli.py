@@ -300,6 +300,12 @@ MALFORMED = {
     ),
     "solution-without-diagram": (["verify", "--sol", "{file}"], '{"x": 1}'),
     "move-without-nodes": (["hw", "--replay", "{file}", "( 1 x 1 o )"], '[{"op": "hw"}]'),
+    "move-names-missing-node": (
+        ["hw", "--replay", "{file}", "( 1 x 1 o )"],
+        '[{"op": "hw", "left": 5, "right": 0}]',
+    ),
+    "cut-past-last-segment": (["hw", "--replay", "{file}", "( 1 x 1 o )"], '[{"op": "cut_at", "segment": 99}]'),
+    "cut-before-first-segment": (["hw", "--replay", "{file}", "( 0 x 1 o )"], '[{"op": "cut_at", "segment": -1}]'),
     "negative-budget": (["equiv", "--budget", "-1", "( 1 x 1 o )"], None),
     "stratum-one-kind": (["stratum", "( 2 o 3 o )"], None),
     "level-nan": (["solve", "( 1 o 1 x )", "--lambda", "nan"], None),

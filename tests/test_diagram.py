@@ -1,6 +1,7 @@
 """Structure, parsing and view tests for the diagram core."""
 
 import itertools
+import random
 
 import pytest
 
@@ -13,7 +14,9 @@ from bowforge.diagram import (
     IncrementX,
     Node,
     NodeKind,
+    SeparatedForm,
     SubtractArrowArc,
+    _separated_view,
     diagram_from_json,
     diagram_to_json,
     entry_from_json,
@@ -225,6 +228,75 @@ def test_separated_view_trivial_kinds():
     assert sep is not None and sep.n == 2 and sep.w == 0
     assert sep.v_arr[0] == sep.v_arr[-1]
     assert len(sep.v_arr) == 3
+
+
+def oracle_separated_view(d: BowDiagram) -> SeparatedForm | None:
+    """The separated view with one labelling branch per node-kind mix,
+    as the library computed it before the three became one formula."""
+
+    k = d.k
+    xpos = [pos for pos, node in enumerate(d.nodes) if node.kind == NodeKind.XPOINT]
+    w = len(xpos)
+    n = k - w
+
+    if w == 0:
+        anchor = min(range(k), key=lambda pos: d.nodes[pos].id)
+        arrow_ids = tuple(d.nodes[(anchor - s + 1) % k].id for s in range(1, n + 1))
+        seg_arr = tuple([anchor] + [(anchor - s) % k for s in range(1, n + 1)])
+        v_arr = tuple(d.dims[s] for s in seg_arr)
+        return SeparatedForm(d, arrow_ids, (), v_arr, (v_arr[0],), seg_arr, (anchor,))
+
+    if n == 0:
+        anchor = min(xpos, key=lambda pos: d.nodes[pos].id)
+        x_ids = tuple(d.nodes[(anchor + i) % k].id for i in range(w))
+        seg_x = tuple([(anchor - 1) % k] + [(anchor + i) % k for i in range(w)])
+        v_x = tuple(d.dims[s] for s in seg_x)
+        return SeparatedForm(d, (), x_ids, (v_x[0],), v_x, ((anchor - 1) % k,), seg_x)
+
+    starts = [pos for pos in xpos if d.nodes[(pos - 1) % k].kind == NodeKind.ARROW]
+    if len(starts) != 1:
+        return None
+    p1 = starts[0]
+    if any(d.nodes[(p1 + i) % k].kind != NodeKind.XPOINT for i in range(w)):
+        return None
+    x_ids = tuple(d.nodes[(p1 + i) % k].id for i in range(w))
+    seg_x = tuple([(p1 - 1) % k] + [(p1 + i) % k for i in range(w)])
+    if d.is_finite and d.cut in seg_x[1:w]:
+        return None
+    arrow_ids = tuple(d.nodes[(p1 - s) % k].id for s in range(1, n + 1))
+    seg_arr = tuple((p1 - 1 - s) % k for s in range(n + 1))
+    v_arr = tuple(d.dims[s] for s in seg_arr)
+    return SeparatedForm(d, arrow_ids, x_ids, v_arr, tuple(d.dims[s] for s in seg_x), seg_arr, seg_x)
+
+
+def test_separated_view_matches_branch_oracle():
+    # every kind string with k <= 8, affine and cut on each segment, four
+    # id shuffles each; distinct dims make a wrong segment label show
+    rng = random.Random(17)
+    checked = 0
+    for k in range(1, 9):
+        for kinds in itertools.product((NodeKind.ARROW, NodeKind.XPOINT), repeat=k):
+            for cut in (None, *range(k)):
+                dims = tuple(0 if seg == cut else 10 + seg for seg in range(k))
+                for _ in range(4):
+                    ids = rng.sample(range(k), k)
+                    d = BowDiagram(tuple(map(Node, ids, kinds)), dims, cut)
+                    assert _separated_view(d) == oracle_separated_view(d), d
+                    checked += 1
+    assert checked == 16384
+
+
+def test_separated_view_all_x_finite_cut_inside_run():
+    # the lowest id sits at position 1, two nodes past the cut on segment
+    # 2, so the run that starts there holds the cut; with one node kind
+    # the diagram still gets a view
+    d = diagram_from_json({"shape": "finite", "nodes": ["x", "x", "x"], "ids": [2, 0, 1], "dims": [0, 1, 2, 0]})
+    assert d.dims == (1, 2, 0) and d.cut == 2 and d.nodes[1].id == 0
+    sep = separated_view(d)
+    assert sep == oracle_separated_view(d)
+    assert sep.x_ids == (0, 1, 2) and sep.arrow_ids == ()
+    assert sep.seg_x == (0, 1, 2, 0) and sep.v_x == (1, 2, 0, 1)
+    assert sep.v_arr == (1,)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ from bowforge.branes import (
     _Walk,
     coverage,
     ledger_apply_move,
-    ledger_is_susy,
 )
 from bowforge.diagram import (
     BowDiagram,
@@ -37,6 +36,7 @@ from bowforge.diagram import (
     separated_view,
 )
 from bowforge.rewrite import _index, _swap, apply_entry, arc_increment, legal_swaps
+from test_branes import ledger_is_susy
 
 CW, ACW = Direction.CW, Direction.ACW
 ARROW, XPOINT = NodeKind.ARROW, NodeKind.XPOINT

@@ -25,7 +25,6 @@ from bowforge.rewrite import (
     NegativeWitness,
     apply_entry,
     apply_hw,
-    apply_increment,
     arc_increment,
     canonical_encoding,
     enumerate_equivalent,
@@ -168,15 +167,6 @@ def test_full_pass_checks_every_swap():
         full_pass(fin, 0, False, 1, [])
 
 
-def test_full_pass_allow_negative_runs_on():
-    d = parse_diagram("[ 0 o 2 x 0 ]")
-    assert isinstance(full_pass(d, 0, True, 1, []), NegativeWitness)
-    log = []
-    out = full_pass(d, 0, True, 1, log, allow_negative=True)
-    assert out == apply_hw(d, 0, 1) and out.dims[0] == -1
-    assert log == [HwMove(0, 1)]
-
-
 def test_normalize_gap_abort():
     # not supersymmetric: the second pass drives the middle negative
     d = parse_diagram("( 2 o 5 x )")
@@ -197,7 +187,7 @@ def test_increment_x_through_arrow_side():
     sep = separated_view(d)
     assert sep.v_x == (3, 1, 2)
     x1, x2 = sep.x_ids
-    out = apply_increment(d, IncrementX(start=x2, end=x1, direction=Direction.ACW, amount=5))
+    out = apply_entry(d, IncrementX(start=x2, end=x1, direction=Direction.ACW, amount=5))
     after = separated_view(out)
     assert after.v_x == (8, 1, 7)
     assert after.v_arr == (8, 7)
@@ -205,27 +195,27 @@ def test_increment_x_through_arrow_side():
 
 def test_increment_full_loop():
     d = parse_diagram("( 3 x 1 x 2 o )")
-    out = apply_increment(d, IncrementX(start=0, end=0, direction=Direction.CW, amount=2))
+    out = apply_entry(d, IncrementX(start=0, end=0, direction=Direction.CW, amount=2))
     assert out.dims == tuple(v + 2 for v in d.dims)
 
 
 def test_increment_errors():
     d = parse_diagram("( 3 x 1 x 2 o )")
     with pytest.raises(ValueError):
-        apply_increment(d, IncrementX(start=0, end=2, direction=Direction.ACW, amount=1))
+        apply_entry(d, IncrementX(start=0, end=2, direction=Direction.ACW, amount=1))
     with pytest.raises(ValueError):
-        apply_increment(d, IncrementArrows(start=0, end=1, direction=Direction.ACW, amount=1))
+        apply_entry(d, IncrementArrows(start=0, end=1, direction=Direction.ACW, amount=1))
     with pytest.raises(ValueError):
-        apply_increment(d, IncrementX(start=0, end=1, direction=Direction.ACW, amount=-1))
+        apply_entry(d, IncrementX(start=0, end=1, direction=Direction.ACW, amount=-1))
     fin = parse_diagram("[ 0 o 2 x 3 x 0 ]")
     with pytest.raises(ValueError):
         # the clockwise arc from x1 to x2 wraps across the cut
-        apply_increment(fin, IncrementX(start=1, end=2, direction=Direction.CW, amount=1))
+        apply_entry(fin, IncrementX(start=1, end=2, direction=Direction.CW, amount=1))
 
 
 def test_increment_amount_zero_is_identity():
     d = parse_diagram("( 3 x 1 x 2 o )")
-    out = apply_increment(d, IncrementX(start=0, end=1, direction=Direction.ACW, amount=0))
+    out = apply_entry(d, IncrementX(start=0, end=1, direction=Direction.ACW, amount=0))
     assert out == d
 
 
@@ -253,7 +243,7 @@ def test_arc_increment_undoes_subtraction():
         assert entry == IncrementX(sep.x_ids[0], sep.x_ids[-1], Direction.CW, 2)
         assert (entry.start == entry.end) == laps
         out = apply_entry(d, SubtractArrowArc(amount=2))
-        assert apply_increment(out, entry) == d
+        assert apply_entry(out, entry) == d
     # finite, x points in two runs, or one kind only
     for text in ["[ 0 o 2 x 0 ]", "( 1 x 1 o 1 x 1 o )", "( 1 x 1 x )", "( 1 o 1 o )"]:
         with pytest.raises(ValueError, match="affine separated"):
@@ -268,6 +258,17 @@ def test_cut_entry_round_trip():
     assert apply_entry(fin, CutAt(segment=zero_seg), inverse=True) == d
     with pytest.raises(ValueError):
         apply_entry(d, CutAt(segment=(zero_seg + 1) % d.k))
+
+
+def test_cut_entry_refuses_segment_out_of_range():
+    # dims[-1] is a zero segment, so only the range check can refuse it
+    d = parse_diagram("( 0 x 1 o )")
+    assert d.dims == (1, 0)
+    for segment in (-1, d.k):
+        with pytest.raises(ValueError, match="out of range"):
+            apply_entry(d, CutAt(segment=segment))
+        with pytest.raises(ValueError, match="out of range"):
+            apply_entry(apply_entry(d, CutAt(segment=1)), CutAt(segment=segment), inverse=True)
 
 
 def test_replay_inverse_round_trip():

@@ -19,8 +19,8 @@ from bowforge.diagram import (
 )
 from bowforge.rewrite import (
     NegativeWitness,
+    apply_entry,
     apply_hw,
-    apply_increment,
     enumerate_equivalent,
     legal_swaps,
     replay,
@@ -347,11 +347,11 @@ def test_increment_preserves_true_verdict():
     assert decide_supersymmetry(d).verdict
     x_ids = [node.id for node in d.nodes if node.kind.value == "x"]
     o_ids = [node.id for node in d.nodes if node.kind.value == "o"]
-    raised = apply_increment(
+    raised = apply_entry(
         d, IncrementX(start=x_ids[0], end=x_ids[1], direction=ACW, amount=2)
     )
     assert decide_supersymmetry(raised).verdict
-    looped = apply_increment(
+    looped = apply_entry(
         raised, IncrementArrows(start=o_ids[0], end=o_ids[0], direction=CW, amount=1)
     )
     assert decide_supersymmetry(looped).verdict

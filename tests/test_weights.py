@@ -6,8 +6,8 @@ from collections import namedtuple
 
 import pytest
 
-from bowforge.diagram import NodeKind, parse_diagram, separated_view
-from bowforge.rewrite import full_pass, replay
+from bowforge.diagram import HwMove, NodeKind, parse_diagram, separated_view
+from bowforge.rewrite import apply_hw, replay
 from bowforge.susy import check_finite_separated, decide_supersymmetry
 from bowforge.weights import (
     AffineWeight,
@@ -18,7 +18,6 @@ from bowforge.weights import (
     stratum_check_affine,
     stratum_check_finite,
     transpose_gyd,
-    transpose_weight,
 )
 
 # ---------------------------------------------------------------------------
@@ -94,6 +93,16 @@ def test_is_gyd():
 # weights and dominance
 
 
+def transpose_weight(weight: AffineWeight) -> AffineWeight:
+    """Transpose the diagram, swap rows and level, negate the pairing."""
+
+    return AffineWeight(
+        values=transpose_gyd(weight.values, weight.level),
+        level=len(weight.values),
+        dpair=-weight.dpair,
+    )
+
+
 def test_weight_transpose_flips_pairing():
     wt = AffineWeight(values=(4, 1), level=3, dpair=2)
     twt = transpose_weight(wt)
@@ -148,6 +157,20 @@ def test_separated_triple_inverts():
 BalancedForm = namedtuple("BalancedForm", "diagram log lam mu")
 
 
+def full_pass(d, mover, acw, w, log):
+    """Swap node ``mover`` through its next w neighbours, anticlockwise
+    when ``acw``, recording each swap; negative dimensions are legal
+    data here, where ``rewrite.full_pass`` stops at the first one."""
+
+    for _ in range(w):
+        pos = d.position(mover)
+        other = d.nodes[(pos + 1) % d.k if acw else pos - 1].id
+        left, right = (mover, other) if acw else (other, mover)
+        d = apply_hw(d, left, right)
+        log.append(HwMove(left, right))
+    return d
+
+
 def balanced_form(sep):
     """Spread the arrows through the x points until every arrow sits
     between equal dimensions.
@@ -176,9 +199,9 @@ def balanced_form(sep):
     while True:
         t = separated_triple(view)
         if t.tlam[-1] < 0:
-            cur = full_pass(cur, view.arrow_ids[-1], False, w, log, allow_negative=True)
+            cur = full_pass(cur, view.arrow_ids[-1], False, w, log)
         elif t.tlam[0] > w:
-            cur = full_pass(cur, view.arrow_ids[0], True, w, log, allow_negative=True)
+            cur = full_pass(cur, view.arrow_ids[0], True, w, log)
         else:
             break
         view = separated_view(cur)
@@ -191,7 +214,7 @@ def balanced_form(sep):
     if not all(0 <= step <= w for step in t.tlam):
         raise RuntimeError(f"arrow-arc differences {t.tlam} outside [0, {w}] after rotation")
     for s in range(1, view.n + 1):
-        cur = full_pass(cur, view.arrow_ids[s - 1], True, t.tlam[s - 1], log, allow_negative=True)
+        cur = full_pass(cur, view.arrow_ids[s - 1], True, t.tlam[s - 1], log)
 
     for node in cur.nodes:
         if node.kind == NodeKind.ARROW:
