@@ -209,7 +209,9 @@ def _cmd_hw(args) -> int:
     try:
         out = replay(d, log, inverse=args.inverse)
     except (KeyError, ValueError) as exc:
-        raise UsageError(f"replay failed: {exc}")
+        # str() of a KeyError quotes its message
+        reason = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        raise UsageError(f"replay failed: {reason}")
     _emit(
         args,
         {"diagram": diagram_to_json(out), "text": render_diagram(out)},

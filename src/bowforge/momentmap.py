@@ -9,15 +9,18 @@ spaces of its two neighbouring segments, plus a one-dimensional tail:
 Every arrow carries a dual pair C: tail -> head, D: head -> tail.
 The moment map collects one square matrix per segment and one triangle
 relation per x point; a solution drives them all to zero at a chosen
-level.  Two rank conditions per x point cut the solution set down to
-the stable locus; only stable zeros count.
+level.  One table of those equations (``_equations``) feeds the
+residual, its holomorphic Jacobian and each x point's ``cond_a``.  Two
+rank conditions per x point cut the solution set down to the stable
+locus; only stable zeros count.
 
 ``construct_solution`` builds the level-zero zero of every
 supersymmetric diagram, with one node kind or both, by carrying a zero
 (``_Zero``) through the moves of its brane ledger: exact transport
 across swaps, exact extension along increments.  The
-Levenberg-Marquardt solver is used only by ``solve_numeric``, which
-serves non-zero levels alone.
+Levenberg-Marquardt solver, which steps in the complex unknowns
+themselves, is used only by ``solve_numeric``, which serves non-zero
+levels alone.
 
 The moves compute no residual and no stability; ``settle`` does both,
 once, on the finished zero.  The public ``transport_hw_solution`` and
@@ -126,13 +129,6 @@ class Solution:
         self.stable = stable
 
 
-def _seg_dims(d: BowDiagram, node_id: int) -> tuple[int, int]:
-    """(incoming, outgoing) segment dimensions at a node."""
-
-    pos = d.position(node_id)
-    return d.dims[(pos - 1) % d.k], d.dims[pos]
-
-
 def zero_solution(d: BowDiagram, lam: dict[int, complex] | None = None) -> Solution:
     """All maps zero; exact when every product term vanishes anyway.
 
@@ -142,8 +138,8 @@ def zero_solution(d: BowDiagram, lam: dict[int, complex] | None = None) -> Solut
 
     triangles = {}
     arrows = {}
-    for node in d.nodes:
-        v_in, v_out = _seg_dims(d, node.id)
+    for pos, node in enumerate(d.nodes):
+        v_in, v_out = d.dims[pos - 1], d.dims[pos]
         if node.kind == NodeKind.XPOINT:
             triangles[node.id] = TriangleData(
                 A=np.zeros((v_out, v_in), dtype=complex),
@@ -167,34 +163,59 @@ def zero_solution(d: BowDiagram, lam: dict[int, complex] | None = None) -> Solut
 # residual
 
 
+def _equations(d: BowDiagram) -> list[tuple[list, int | None]]:
+    """The moment map of ``d`` as a table: one square block per segment,
+    then one triangle block per x point.
+
+    A block is (terms, level): each term (sign, X, Y) means sign X @ Y,
+    where X and Y name a map as (node id, field) and a Y of None is an
+    identity; ``level`` is the arrow whose -λ comes off the block after
+    its first term, or None.  This table is the only place that knows
+    the equations: the residual, its Jacobian and ``cond_a`` all read it.
+    """
+
+    arrow = NodeKind.ARROW
+    blocks = []
+    for left, right in zip(d.nodes, d.nodes[1:] + d.nodes[:1]):
+        l, r = left.id, right.id
+        if left.kind is arrow:
+            first, level = (1, (l, "C"), (l, "D")), l
+        else:
+            first, level = (-1, (l, "B_out"), None), None
+        second = (-1, (r, "D"), (r, "C")) if right.kind is arrow else (1, (r, "B_in"), None)
+        blocks.append(([first, second], level))
+    for node in d.nodes:
+        if node.kind is not arrow:
+            x = node.id
+            blocks.append(([(1, (x, "B_out"), (x, "A")), (-1, (x, "A"), (x, "B_in")), (1, (x, "a"), (x, "b"))], None))
+    return blocks
+
+
+def _evaluate(sol: Solution, blocks: list) -> list[np.ndarray]:
+    """Each of ``blocks`` at the maps of ``sol``: its terms summed in table
+    order, the level coming off after the first."""
+
+    owners = sol.triangles | sol.arrows
+    out = []
+    for terms, level in blocks:
+        block = None
+        for sign, (x_id, x_field), y in terms:
+            x = getattr(owners[x_id], x_field)
+            prod = x if y is None else x @ getattr(owners[y[0]], y[1])
+            if block is None:
+                block = prod if sign > 0 else -prod
+                if level is not None and (lam := complex(sol.lam.get(level, 0.0))):
+                    block = block - lam * np.eye(block.shape[0])
+            else:
+                block = block + prod if sign > 0 else block - prod
+        out.append(block)
+    return out
+
+
 def residual_blocks(sol: Solution) -> list[np.ndarray]:
     """One square block per segment, then one triangle block per x."""
 
-    d = sol.diagram
-    k = d.k
-    blocks = []
-    for seg in range(k):
-        left = d.nodes[seg]
-        right = d.nodes[(seg + 1) % k]
-        if left.kind == NodeKind.ARROW:
-            ad = sol.arrows[left.id]
-            block = ad.C @ ad.D
-            lam = complex(sol.lam.get(left.id, 0.0))
-            if lam:
-                block = block - lam * np.eye(d.dims[seg])
-        else:
-            block = -sol.triangles[left.id].B_out
-        if right.kind == NodeKind.ARROW:
-            ad = sol.arrows[right.id]
-            block = block - ad.D @ ad.C
-        else:
-            block = block + sol.triangles[right.id].B_in
-        blocks.append(block)
-    for node in d.nodes:
-        if node.kind == NodeKind.XPOINT:
-            t = sol.triangles[node.id]
-            blocks.append(t.B_out @ t.A - t.A @ t.B_in + t.a @ t.b)
-    return blocks
+    return _evaluate(sol, _equations(sol.diagram))
 
 
 def moment_residual(sol: Solution) -> float:
@@ -276,16 +297,16 @@ def stability_report(sol: Solution) -> StabilityReport:
     """
 
     entries: dict[int, XStability] = {}
-    for node in sol.diagram.nodes:
-        if node.kind != NodeKind.XPOINT:
-            continue
-        t = sol.triangles[node.id]
+    d = sol.diagram
+    xs = [node.id for node in d.nodes if node.kind == NodeKind.XPOINT]
+    for node_id, triangle in zip(xs, _evaluate(sol, _equations(d)[d.k :])):
+        t = sol.triangles[node_id]
         v_in = t.B_in.shape[0]
         v_out = t.B_out.shape[0]
-        cond_a = float(np.linalg.norm(t.B_out @ t.A - t.A @ t.B_in + t.a @ t.b))
+        cond_a = float(np.linalg.norm(triangle))
         chain_dim = v_in - _closure_dim(t.B_in.conj().T, np.vstack([t.A, t.b]).conj().T)
         krylov_rank = _closure_dim(t.B_out, np.hstack([t.A, t.a]))
-        entries[node.id] = XStability(
+        entries[node_id] = XStability(
             cond_a=cond_a,
             s1=chain_dim == 0,
             s2=krylov_rank == v_out,
@@ -299,152 +320,103 @@ def stability_report(sol: Solution) -> StabilityReport:
 # packing and the analytic Jacobian
 
 
-def _param_layout(d: BowDiagram):
-    """Deterministic (owner, field, shape, offset) table for packing."""
+def _param_layout(d: BowDiagram) -> tuple[dict, int]:
+    """Where each map of ``d`` sits in the packed unknowns.
 
-    layout = []
-    offset = 0
-    for node in sorted(d.nodes, key=lambda nd: nd.id):
-        v_in, v_out = _seg_dims(d, node.id)
-        if node.kind == NodeKind.XPOINT:
-            fields = [
-                ("A", (v_out, v_in)),
-                ("B_in", (v_in, v_in)),
-                ("B_out", (v_out, v_out)),
-                ("a", (v_out, 1)),
-                ("b", (1, v_in)),
-            ]
-        else:
-            fields = [("C", (v_out, v_in)), ("D", (v_in, v_out))]
-        for name, shape in fields:
-            size = shape[0] * shape[1]
-            layout.append((node.id, name, shape, offset))
-            offset += size
-    return layout, offset
+    ``{(node id, field): (shape, offset)}`` in node-id order, with the
+    shapes read off ``zero_solution(d)``, and the total size.
+    """
+
+    sol = zero_solution(d)
+    layout = {}
+    size = 0
+    for node_id, owner in sorted((sol.triangles | sol.arrows).items()):
+        for name, mat in vars(owner).items():
+            layout[(node_id, name)] = (mat.shape, size)
+            size += mat.size
+    return layout, size
 
 
-def _unpack(d: BowDiagram, z: np.ndarray, layout, lam) -> Solution:
+def _unpack(d: BowDiagram, z: np.ndarray, layout: dict, lam) -> Solution:
     sol = zero_solution(d, lam)
-    for node_id, name, shape, offset in layout:
-        owner = sol.triangles.get(node_id)
-        if owner is None:
-            owner = sol.arrows[node_id]
-        setattr(owner, name, z[offset : offset + shape[0] * shape[1]].reshape(shape))
+    owners = sol.triangles | sol.arrows
+    for (node_id, name), (shape, offset) in layout.items():
+        setattr(owners[node_id], name, z[offset : offset + shape[0] * shape[1]].reshape(shape))
     return sol
 
 
-def _complex_jacobian(sol: Solution, layout, size) -> tuple[np.ndarray, np.ndarray]:
+def _complex_jacobian(sol: Solution, layout: dict, size: int) -> tuple[np.ndarray, np.ndarray]:
     """Holomorphic Jacobian of the stacked residual, plus the residual.
 
-    For a product R = X Y in row-major layout, dR/dX = I (x) Y^T and
-    dR/dY = X (x) I.
+    Every column block comes from a term of ``_equations``: for a
+    product R = X Y in row-major layout, dR/dX = I (x) Y^T and
+    dR/dY = X (x) I; an identity factor has no derivative.
     """
 
-    d = sol.diagram
-    k = d.k
-    slot = {(node_id, name): (shape, offset) for node_id, name, shape, offset in layout}
-
-    blocks = residual_blocks(sol)
+    table = _equations(sol.diagram)
+    blocks = _evaluate(sol, table)
     rows = sum(block.size for block in blocks)
     jac = np.zeros((rows, size), dtype=complex)
     res = np.concatenate([block.reshape(-1) for block in blocks]) if rows else np.zeros(0, dtype=complex)
-
-    def add(row0, block_rows, node_id, name, mat):
-        shape, offset = slot[(node_id, name)]
-        jac[row0 : row0 + block_rows, offset : offset + shape[0] * shape[1]] += mat
-
+    owners = sol.triangles | sol.arrows
     row0 = 0
-    for seg in range(k):
-        m = d.dims[seg]
-        rows_here = m * m
-        left = d.nodes[seg]
-        right = d.nodes[(seg + 1) % k]
-        eye = np.eye(m)
-        if left.kind == NodeKind.ARROW:
-            ad = sol.arrows[left.id]
-            add(row0, rows_here, left.id, "C", np.kron(eye, ad.D.T))
-            add(row0, rows_here, left.id, "D", np.kron(ad.C, eye))
-        else:
-            add(row0, rows_here, left.id, "B_out", -np.eye(rows_here))
-        if right.kind == NodeKind.ARROW:
-            ad = sol.arrows[right.id]
-            add(row0, rows_here, right.id, "D", -np.kron(eye, ad.C.T))
-            add(row0, rows_here, right.id, "C", -np.kron(ad.D, eye))
-        else:
-            add(row0, rows_here, right.id, "B_in", np.eye(rows_here))
-        row0 += rows_here
-    for node in d.nodes:
-        if node.kind != NodeKind.XPOINT:
-            continue
-        t = sol.triangles[node.id]
-        v_out, v_in = t.A.shape
-        rows_here = v_out * v_in
-        add(row0, rows_here, node.id, "B_out", np.kron(np.eye(v_out), t.A.T))
-        add(
-            row0,
-            rows_here,
-            node.id,
-            "A",
-            np.kron(t.B_out, np.eye(v_in)) - np.kron(np.eye(v_out), t.B_in.T),
-        )
-        add(row0, rows_here, node.id, "B_in", -np.kron(t.A, np.eye(v_in)))
-        add(row0, rows_here, node.id, "a", np.kron(np.eye(v_out), t.b.T))
-        add(row0, rows_here, node.id, "b", np.kron(t.a, np.eye(v_in)))
+    for block, (terms, _) in zip(blocks, table):
+        p, q = block.shape
+        rows_here = p * q
+        for sign, x_ref, y_ref in terms:
+            if y_ref is None:
+                parts = [(x_ref, np.eye(rows_here))]
+            else:
+                x = getattr(owners[x_ref[0]], x_ref[1])
+                y = getattr(owners[y_ref[0]], y_ref[1])
+                parts = [(x_ref, np.kron(np.eye(p), y.T)), (y_ref, np.kron(x, np.eye(q)))]
+            for ref, mat in parts:
+                shape, offset = layout[ref]
+                cols = jac[row0 : row0 + rows_here, offset : offset + shape[0] * shape[1]]
+                cols += mat if sign > 0 else -mat
         row0 += rows_here
     return jac, res
-
-
-def _real_jr(d: BowDiagram, layout, size, lam):
-    """Real-valued (jacobian, residual) callable over stacked Re/Im."""
-
-    def jr(x: np.ndarray):
-        z = x[:size] + 1j * x[size:]
-        sol = _unpack(d, z, layout, lam)
-        jac, res = _complex_jacobian(sol, layout, size)
-        top = np.hstack([jac.real, -jac.imag])
-        bot = np.hstack([jac.imag, jac.real])
-        return np.vstack([top, bot]), np.concatenate([res.real, res.imag])
-
-    return jr
 
 
 # ---------------------------------------------------------------------------
 # damped least squares
 
 
-def solve_lm(jr, x0, regu=1e-4, max_iter=250, eps=1e-28, seps=1e-15):
-    """Levenberg-Marquardt with multiplicative damping control.
+def solve_lm(jr, x0):
+    """Levenberg-Marquardt over complex unknowns, with multiplicative
+    damping control.
 
-    jr returns the (jacobian, residual) pair at a point; iteration
-    stops at tiny cost, tiny steps, or runaway damping.
+    jr returns the (jacobian, residual) pair at a complex point; the
+    residual is holomorphic, so each damped step solves
+    (JᴴJ + damp I) step = Jᴴr, the realified Gauss-Newton system at
+    half its dimension.  Iteration stops at tiny cost, tiny steps, or
+    runaway damping.
     """
 
-    x = np.asarray(x0, dtype=float)
-    damp = regu
+    x = np.asarray(x0, dtype=complex)
+    damp = 1e-4
     jac, res = jr(x)
-    cost = float(res @ res)
-    for _ in range(max_iter):
-        if cost < eps:
+    cost = float(np.vdot(res, res).real)
+    for _ in range(250):
+        if cost < 1e-28:
             break
-        lhs = jac.T @ jac
-        rhs = jac.T @ res
-        stalled = False
-        while True:
+        jac_h = jac.conj().T
+        lhs, rhs = jac_h @ jac, jac_h @ res
+        while damp <= 1e14:
             step, *_ = np.linalg.lstsq(
                 lhs + damp * np.eye(lhs.shape[0]), rhs, rcond=None
             )
             x_try = x - step
             jac_try, res_try = jr(x_try)
-            cost_try = float(res_try @ res_try)
+            cost_try = float(np.vdot(res_try, res_try).real)
             if cost_try < cost:
                 x, jac, res, cost = x_try, jac_try, res_try, cost_try
                 damp = max(damp / 3.0, 1e-12)
                 break
             damp *= 4.0
-            if damp > 1e14:
-                stalled = True
-                break
-        if stalled or float(np.linalg.norm(step)) < seps:
+        else:
+            break  # runaway damping
+        if float(np.linalg.norm(step)) < 1e-15:
             break
     return x, float(np.sqrt(cost))
 
@@ -474,13 +446,8 @@ def settle(sol: Solution, tol: float | None = None) -> StabilityReport:
     return report
 
 
-def solve_numeric(
-    d: BowDiagram,
-    lam: dict[int, complex] | None = None,
-    seed: int = 0,
-    retries: int = 6,
-) -> Solution:
-    """Search for a stable moment-map zero from random starts.
+def solve_numeric(d: BowDiagram, lam: dict[int, complex] | None = None, seed: int = 0) -> Solution:
+    """Search for a stable moment-map zero from six random starts.
 
     This serves non-zero levels only, and it is the only caller of the
     Levenberg-Marquardt solver.  Never raises on failure: the best
@@ -496,16 +463,16 @@ def solve_numeric(
         settle(sol)
         return sol
 
-    jr = _real_jr(d, layout, size, lam)
+    def jr(z):
+        return _complex_jacobian(_unpack(d, z, layout, lam), layout, size)
+
     best: Solution | None = None
-    for attempt in range(retries):
+    for attempt in range(6):
         attempt_seed = seed + 1000 * attempt
         rng = np.random.default_rng(attempt_seed)
-        x0 = np.concatenate(
-            [rng.standard_normal(size), rng.standard_normal(size)]
-        )
-        x, _ = solve_lm(jr, x0)
-        sol = _unpack(d, x[:size] + 1j * x[size:], layout, lam)
+        z0 = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+        z, _ = solve_lm(jr, z0)
+        sol = _unpack(d, z, layout, lam)
         sol.seed = attempt_seed
         settle(sol)
         if sol.converged:
@@ -528,19 +495,11 @@ def _extend_block(mat: np.ndarray, rows: int, cols: int) -> np.ndarray:
 def _copy_solution(sol: Solution) -> Solution:
     """A solution that shares no array with ``sol``."""
 
-    return Solution(
-        diagram=sol.diagram,
-        triangles={
-            nid: TriangleData(t.A.copy(), t.B_in.copy(), t.B_out.copy(), t.a.copy(), t.b.copy())
-            for nid, t in sol.triangles.items()
-        },
-        arrows={nid: ArrowData(ad.C.copy(), ad.D.copy()) for nid, ad in sol.arrows.items()},
-        lam=dict(sol.lam),
-        seed=sol.seed,
-        residual=sol.residual,
-        converged=sol.converged,
-        stable=sol.stable,
-    )
+    def copied(owners):
+        return {nid: type(o)(*(mat.copy() for mat in vars(o).values())) for nid, o in owners.items()}
+
+    s = sol
+    return Solution(s.diagram, copied(s.triangles), copied(s.arrows), dict(s.lam), s.seed, s.residual, s.converged, s.stable)
 
 
 _SHIFT_GAP = 1e-3

@@ -36,7 +36,10 @@ def transpose_gyd(values, level: int) -> tuple[int, ...]:
     The diagram is laid out on a half-infinite strip ``level`` columns
     wide; row i occupies the cells left of ``values[i]``, negative
     values removing cells right of zero.  Column s of the strip, read
-    across all layers q, gives entry s of the transpose.
+    across all layers q, gives entry s of the transpose.  Row λ holds
+    the cells n q + s <= λ of column s, which are the layers
+    q <= f = ⌊(λ - s)/n⌋: it adds layers 0..f, or removes f+1..-1, and
+    either way counts f + 1.
     """
 
     vals = tuple(values)
@@ -45,27 +48,7 @@ def transpose_gyd(values, level: int) -> tuple[int, ...]:
         raise ValueError("level must be positive")
     if not is_gyd(vals, n):
         raise ValueError(f"{vals} is not weakly decreasing with spread <= {n}")
-    w = len(vals)
-    if w == 0:
-        return (0,) * n
-    q_hi = (max(vals) - 1) // n
-    q_lo = (min(vals) - n) // n
-    out = []
-    for s in range(1, n + 1):
-        added = sum(
-            1
-            for q in range(0, q_hi + 1)
-            for lam in vals
-            if n * q + s <= lam
-        )
-        removed = sum(
-            1
-            for q in range(q_lo, 0)
-            for lam in vals
-            if n * q + s > lam
-        )
-        out.append(added - removed)
-    return tuple(out)
+    return tuple(sum((lam - s) // n + 1 for lam in vals) for s in range(1, n + 1))
 
 
 # ---------------------------------------------------------------------------

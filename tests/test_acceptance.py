@@ -24,8 +24,9 @@ from bowforge.diagram import (
     s_dual,
 )
 from bowforge.momentmap import (
+    _complex_jacobian,
     _param_layout,
-    _real_jr,
+    _unpack,
     construct_solution,
     moment_residual,
     solve_numeric,
@@ -356,6 +357,19 @@ def _two_x_closed_form(v1: int, m: int):
     sol.triangles[second].B_in = shifts.copy()
     sol.triangles[second].b = np.ones((1, m), dtype=complex)
     return sol
+
+
+def _real_jr(d, layout, size, lam):
+    """Real-valued (jacobian, residual) callable over stacked Re/Im."""
+
+    def jr(x):
+        z = x[:size] + 1j * x[size:]
+        jac, res = _complex_jacobian(_unpack(d, z, layout, lam), layout, size)
+        top = np.hstack([jac.real, -jac.imag])
+        bot = np.hstack([jac.imag, jac.real])
+        return np.vstack([top, bot]), np.concatenate([res.real, res.imag])
+
+    return jr
 
 
 def test_criterion_8_moment_map(capsys):

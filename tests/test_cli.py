@@ -340,6 +340,9 @@ def test_malformed_input_is_a_usage_error(capsys, tmp_path, argv, content):
     assert code == 2
     assert "error" in json.loads(captured.out)
     assert len(captured.err.strip().splitlines()) == 1
+    if content and '"left": 5' in content:
+        # the missing node is named without the quotes str(KeyError) adds
+        assert captured.err == "error: replay failed: no node with id 5\n"
 
 
 def _shift_a(data):

@@ -9,7 +9,6 @@ from pathlib import Path
 import pytest
 
 from bowforge.diagram import (
-    BowDiagram,
     CutAt,
     Direction,
     HwMove,

@@ -26,8 +26,6 @@ from bowforge.rewrite import (
     replay,
 )
 from bowforge.susy import (
-    Certificate,
-    FiniteCheckPassed,
     InequalityViolation,
     TrivialNoNodes,
     certificate_to_json,

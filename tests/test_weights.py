@@ -49,6 +49,33 @@ def test_transpose_matches_closed_form():
         assert got == _transpose_closed_form(values, level), (values, level)
 
 
+def _transpose_by_layers(vals, n):
+    """Entry s counts strip column s over every layer q: the cells row
+    lam adds at q >= 0 minus the cells it removes at q < 0."""
+
+    if not vals:
+        return (0,) * n
+    q_hi = (max(vals) - 1) // n
+    q_lo = (min(vals) - n) // n
+    return tuple(
+        sum(1 for q in range(0, q_hi + 1) for lam in vals if n * q + s <= lam)
+        - sum(1 for q in range(q_lo, 0) for lam in vals if n * q + s > lam)
+        for s in range(1, n + 1)
+    )
+
+
+def test_transpose_matches_layer_count_on_sweep():
+    # every GYD with n <= 6 columns, w <= 5 rows and entries in -7..7
+    seen = 0
+    for n in range(1, 7):
+        for w in range(6):
+            for vals in itertools.combinations_with_replacement(range(7, -8, -1), w):
+                if is_gyd(vals, n):
+                    assert transpose_gyd(vals, n) == _transpose_by_layers(vals, n), (vals, n)
+                    seen += 1
+    assert seen == 8884
+
+
 def test_transpose_involution_and_charge():
     rng = random.Random(99)
     for _ in range(200):
