@@ -17,10 +17,10 @@ locus; only stable zeros count.
 ``construct_solution`` builds the level-zero zero of every
 supersymmetric diagram, with one node kind or both, by carrying a zero
 (``_Zero``) through the moves of its brane ledger: exact transport
-across swaps, exact extension along increments.  The
-Levenberg-Marquardt solver, which steps in the complex unknowns
-themselves, is used only by ``solve_numeric``, which serves non-zero
-levels alone.
+across swaps, exact extension along increments, a whole multiplicity
+at once.  The Levenberg-Marquardt solver, which steps in the complex
+unknowns themselves, is used only by ``solve_numeric``, which serves
+non-zero levels alone.
 
 The moves compute no residual and no stability; ``settle`` does both,
 once, on the finished zero.  The public ``transport_hw_solution`` and
@@ -29,8 +29,8 @@ no array with their argument.
 
 Construction reads no spectrum and runs no QR: the shifts that keep
 each x-arc unit's B - c invertible are counted off a spiral (see
-``_construct_decided``), and the finished zero is written in a
-closed-form unitary basis (``_generic_basis``).
+``_construct_decided``), and the finished zero is written in one
+closed-form unitary basis per dimension (``_generic_basis``).
 
 All computations use dense complex128 arrays; diagram dimensions stay
 small enough that dense linear algebra is the honest choice.  numpy is
@@ -184,11 +184,14 @@ def _equations(d: BowDiagram) -> list[tuple[list, int | None]]:
             first, level = (-1, (l, "B_out"), None), None
         second = (-1, (r, "D"), (r, "C")) if right.kind is arrow else (1, (r, "B_in"), None)
         blocks.append(([first, second], level))
-    for node in d.nodes:
-        if node.kind is not arrow:
-            x = node.id
-            blocks.append(([(1, (x, "B_out"), (x, "A")), (-1, (x, "A"), (x, "B_in")), (1, (x, "a"), (x, "b"))], None))
-    return blocks
+    return blocks + _triangle_equations(d)
+
+
+def _triangle_equations(d: BowDiagram) -> list[tuple[list, int | None]]:
+    """The x-point rows of ``_equations(d)``, in node order."""
+
+    xs = [node.id for node in d.nodes if node.kind is NodeKind.XPOINT]
+    return [([(1, (x, "B_out"), (x, "A")), (-1, (x, "A"), (x, "B_in")), (1, (x, "a"), (x, "b"))], None) for x in xs]
 
 
 def _evaluate(sol: Solution, blocks: list) -> list[np.ndarray]:
@@ -255,7 +258,7 @@ def _closure_dim(op: np.ndarray, gens: np.ndarray) -> int:
             grown = grown - basis @ (basis.conj().T @ grown)
         u, s, _ = np.linalg.svd(grown, full_matrices=False)
         new = u[:, s > tol]
-        basis = np.hstack([basis, new])
+        basis = np.concatenate([basis, new], axis=1)
     return basis.shape[1]
 
 
@@ -299,13 +302,13 @@ def stability_report(sol: Solution) -> StabilityReport:
     entries: dict[int, XStability] = {}
     d = sol.diagram
     xs = [node.id for node in d.nodes if node.kind == NodeKind.XPOINT]
-    for node_id, triangle in zip(xs, _evaluate(sol, _equations(d)[d.k :])):
+    for node_id, triangle in zip(xs, _evaluate(sol, _triangle_equations(d))):
         t = sol.triangles[node_id]
         v_in = t.B_in.shape[0]
         v_out = t.B_out.shape[0]
         cond_a = float(np.linalg.norm(triangle))
-        chain_dim = v_in - _closure_dim(t.B_in.conj().T, np.vstack([t.A, t.b]).conj().T)
-        krylov_rank = _closure_dim(t.B_out, np.hstack([t.A, t.a]))
+        chain_dim = v_in - _closure_dim(t.B_in.conj().T, np.concatenate([t.A, t.b]).conj().T)
+        krylov_rank = _closure_dim(t.B_out, np.concatenate([t.A, t.a], axis=1))
         entries[node_id] = XStability(
             cond_a=cond_a,
             s1=chain_dim == 0,
@@ -486,9 +489,13 @@ def solve_numeric(d: BowDiagram, lam: dict[int, complex] | None = None, seed: in
 # exact steps: a zero carried through moves
 
 
-def _extend_block(mat: np.ndarray, rows: int, cols: int) -> np.ndarray:
+def _extend_block(mat: np.ndarray, rows: int, cols: int, corner: np.ndarray | None = None) -> np.ndarray:
+    """``mat`` padded by ``rows`` zero rows and ``cols`` zero columns, ``corner`` where they meet."""
+
     out = np.zeros((mat.shape[0] + rows, mat.shape[1] + cols), dtype=complex)
     out[: mat.shape[0], : mat.shape[1]] = mat
+    if corner is not None:
+        out[mat.shape[0] :, mat.shape[1] :] = corner
     return out
 
 
@@ -517,8 +524,9 @@ def _spiral(n: int) -> Iterator[complex]:
         yield cmath.rect(math.sqrt(0.25 + 0.75 * j / max(n, 1)), 2 * math.pi * 0.618034 * j)
 
 
-def _shifted_inv(mat: np.ndarray, c: complex) -> np.ndarray:
-    return np.linalg.inv(mat - c * np.eye(mat.shape[0]))
+def _shifted_inv(mat: np.ndarray, c: np.ndarray) -> np.ndarray:
+    # the stack of (mat - c_j)^-1, one per shift
+    return np.linalg.inv(mat - c[:, None, None] * np.eye(mat.shape[0]))
 
 
 def _kernel_with_dim(mat: np.ndarray, want: int) -> np.ndarray:
@@ -601,10 +609,10 @@ class _Zero(_Host):
             # of [A | D | a], which is onto by the spanning rank condition
             t = triangles[left]
             ad = arrows[right]
-            basis = _kernel_with_dim(np.hstack([t.A, ad.D, t.a]), v_new)
+            basis = _kernel_with_dim(np.concatenate([t.A, ad.D, t.a], axis=1), v_new)
             k_minus = basis[:v_minus]
             k_tail = basis[v_minus + v_plus :]
-            stack = np.vstack([-t.B_in, -ad.C @ t.A, t.b])
+            stack = np.concatenate([-t.B_in, -ad.C @ t.A, t.b])
             c_new = basis.conj().T @ stack
             arrows[right] = ArrowData(C=c_new, D=k_minus)
             triangles[left] = TriangleData(
@@ -619,7 +627,7 @@ class _Zero(_Host):
             # of stacked [D; A; b], injective by the kernel rank condition
             ad = arrows[left]
             t = triangles[right]
-            theta = np.vstack([ad.D, t.A, t.b])
+            theta = np.concatenate([ad.D, t.A, t.b])
             basis = _kernel_with_dim(theta.conj().T, v_new)
             q_minus = basis[:v_minus]
             q_plus = basis[v_minus : v_minus + v_plus]
@@ -638,38 +646,40 @@ class _Zero(_Host):
 
     def increment(self, entry: IncrementArrows | IncrementX, delta: int) -> range | list[int]:
         """Grow every segment of the entry's arc by ``delta`` dimensions,
-        one unit at a time, exactly; an arc cannot shrink.
+        exactly, one ``delta``-wide block per touched map; an arc cannot
+        shrink.  Unit j takes the shift c_j.
 
-        Every segment block gains the entry -c from its anticlockwise node
-        and +c from its clockwise node.  Inside the arc an arrow gets the
-        pair C = 1, D = -c and an x point the unit in A.  An x point ending
-        the arc grows one side only; the (B - c)^-1 trick keeps its
-        triangle at zero: the end whose incoming segment grows gains the A
-        column -(B_out - c)^-1 a and the b entry 1, the end whose outgoing
-        segment grows gains the A row b (B_in - c)^-1 and the a entry 1.  A
-        full loop from an x point to itself does both at that point.
+        Every segment block gains -c_j from its anticlockwise node and +c_j
+        from its clockwise node.  Inside the arc an arrow gets the pair
+        C = 1, D = -c_j and an x point the unit in A.  An x point ending the
+        arc grows one side only; the (B - c_j)^-1 trick keeps its triangle
+        at zero: the end whose incoming segment grows gains the A column
+        -(B_out - c_j)^-1 a and the b entry 1, the end whose outgoing
+        segment grows gains the A row b (B_in - c_j)^-1 and the a entry 1.
+        A full loop from an x point to itself does both at that point, one
+        unit at a time, since each of its rows reads the grown B_in.
         """
 
         segs = _Host.increment(self, entry, delta)
         if delta < 0:
             raise ValueError("exact extension cannot shrink an arc")
+        x_arc = isinstance(entry, IncrementX)
+        shifts = np.array([next(self.shifts) if x_arc else 0j for _ in range(delta)], dtype=complex)
         covered = set(segs)
         k = len(self.nodes)
         grown = [(node, (pos - 1) % k in covered, pos in covered) for pos, node in enumerate(self.nodes)]
         triangles, arrows = self.triangles, self.arrows
-        for _ in range(delta):
-            c = next(self.shifts) if isinstance(entry, IncrementX) else 0j
+        for c in shifts.reshape(-1, 1) if x_arc and entry.start == entry.end else shifts.reshape(1, -1):
+            m = len(c)
             for node, grow_in, grow_out in grown:
                 if not (grow_in or grow_out):
                     continue
                 if node.kind == NodeKind.ARROW:
                     ad = arrows[node.id]
                     # head rows track the outgoing segment, tail columns the incoming
-                    C = _extend_block(ad.C, grow_out, grow_in)
-                    D = _extend_block(ad.D, grow_in, grow_out)
-                    if grow_in and grow_out:
-                        C[-1, -1] = 1.0
-                        D[-1, -1] = -c
+                    both = grow_in and grow_out
+                    C = _extend_block(ad.C, m * grow_out, m * grow_in, np.eye(m) if both else None)
+                    D = _extend_block(ad.D, m * grow_in, m * grow_out, np.diag(-c) if both else None)
                     arrows[node.id] = ArrowData(C=C, D=D)
                     continue
                 t = triangles[node.id]
@@ -677,22 +687,21 @@ class _Zero(_Host):
                 if grow_in and grow_out:
                     # a full loop is its own outgoing end: b feeds the new row
                     loop = node.id == entry.start == entry.end
-                    row = b @ _shifted_inv(B_in, c) if loop else np.zeros((1, A.shape[1]))
-                    A = np.block([[A, np.zeros((A.shape[0], 1))], [row, np.ones((1, 1))]])
-                    a = np.vstack([a, np.full((1, 1), 1.0 if loop else 0.0)])
-                    b = _extend_block(b, 0, 1)
+                    A = _extend_block(A, m, m, np.eye(m))
+                    if loop:
+                        A[-m:, :-m] = (b @ _shifted_inv(B_in, c))[:, 0]
+                    a = np.concatenate([a, np.full((m, 1), 1.0 if loop else 0.0)])
+                    b = _extend_block(b, 0, m)
                 elif grow_out:
-                    A = np.vstack([A, b @ _shifted_inv(B_in, c)])
-                    a = np.vstack([a, np.ones((1, 1))])
+                    A = np.concatenate([A, (b @ _shifted_inv(B_in, c))[:, 0]])
+                    a = np.concatenate([a, np.ones((m, 1))])
                 else:
-                    A = np.hstack([A, -_shifted_inv(B_out, c) @ a])
-                    b = np.hstack([b, np.ones((1, 1))])
+                    A = np.concatenate([A, (-_shifted_inv(B_out, c) @ a)[:, :, 0].T], axis=1)
+                    b = np.concatenate([b, np.ones((1, m))], axis=1)
                 if grow_in:
-                    B_in = _extend_block(B_in, 1, 1)
-                    B_in[-1, -1] = c
+                    B_in = _extend_block(B_in, m, m, np.diag(c))
                 if grow_out:
-                    B_out = _extend_block(B_out, 1, 1)
-                    B_out[-1, -1] = c
+                    B_out = _extend_block(B_out, m, m, np.diag(c))
                 triangles[node.id] = TriangleData(A=A, B_in=B_in, B_out=B_out, a=a, b=b)
         return segs
 
@@ -741,6 +750,11 @@ def transport_hw_solution(sol: Solution, left: int, right: int) -> Solution:
 # staged construction
 
 
+# (g, gᴴ) of _generic_basis by dimension: filled on first use, read-only,
+# and shared by every zero the process builds
+_BASES: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+
 def _generic_basis(sol: Solution) -> Solution:
     """The same zero written in a fixed generic unitary basis per segment.
 
@@ -750,21 +764,22 @@ def _generic_basis(sol: Solution) -> Solution:
     relations.  The basis of an m-dimensional segment is closed-form:
     the unitary Fourier matrix between two fixed diagonal chirps,
     entry (j, l) = exp(i (sqrt2 j² + sqrt3 l² - 2 pi j l / m)) / sqrt m.
-    It takes one exp per distinct dimension of the zero, no QR and no
-    random draw, and it depends on m alone, so the result depends on no
-    seed.
+    It takes no QR and no random draw, and it depends on m alone, so the
+    result depends on no seed and each basis is kept in ``_BASES``: one
+    exp per distinct dimension the process meets.
     """
 
     d = sol.diagram
-    bases = {}
-    for m in set(d.dims):
+    for m in set(d.dims) - _BASES.keys():
         # j l mod m keeps each root of unity, and so g, unitary to rounding
         r = np.arange(m)
         n = max(m, 1)
         fourier = np.exp((-2j * math.pi / n) * (np.outer(r, r) % n)) / math.sqrt(n)
         g = np.exp(1j * math.sqrt(2) * r**2)[:, None] * fourier * np.exp(1j * math.sqrt(3) * r**2)
-        bases[m] = (g, g.conj().T)
-    sides = {node.id: (bases[d.dims[pos - 1]], bases[d.dims[pos]]) for pos, node in enumerate(d.nodes)}
+        h = g.conj().T
+        g.flags.writeable = h.flags.writeable = False
+        _BASES[m] = (g, h)
+    sides = {node.id: (_BASES[d.dims[pos - 1]], _BASES[d.dims[pos]]) for pos, node in enumerate(d.nodes)}
     triangles = {}
     for nid, t in sol.triangles.items():
         (g_in, h_in), (g_out, h_out) = sides[nid]

@@ -1,6 +1,12 @@
 """Moment-map residuals, stability, exact transports, and the solver."""
 
+import functools
 import itertools
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,7 +38,7 @@ from bowforge.momentmap import (
     transport_hw_solution,
     zero_solution,
 )
-from bowforge.rewrite import apply_entry
+from bowforge.rewrite import _Host, apply_entry
 from bowforge.susy import decide_supersymmetry
 
 CW, ACW = Direction.CW, Direction.ACW
@@ -191,6 +197,44 @@ def test_stability_zero_span_fails():
         assert moment_residual(sol) < 1e-8, build.__name__
         assert getattr(stability_report(sol).entries[xid], field) == value, build.__name__
         assert not stability_report(sol).ok, build.__name__
+
+
+@functools.cache
+def susy_sweep() -> list:
+    """Every supersymmetric affine diagram with k <= 4 and dims 0..3."""
+
+    texts = [
+        "( " + " ".join(f"{v} {c}" for v, c in zip(dims, kinds)) + " )"
+        for k in range(1, 5)
+        for kinds in itertools.product("xo", repeat=k)
+        for dims in itertools.product(range(4), repeat=k)
+    ]
+    return [d for d in map(parse_diagram, texts) if decide_supersymmetry(d).verdict]
+
+
+def test_settle_agrees_with_residual_and_report(monkeypatch):
+    # settle's verdict is moment_residual and stability_report, bit for
+    # bit, called by name once each (the tracer counts those names):
+    # every sixteenth zero of criterion 8, then the unstable zeros above
+    both_kinds = [d for d in susy_sweep() if len({node.kind for node in d.nodes}) == 2]
+    sols = [construct_solution(d) for d in both_kinds[::16]]
+    builds = (zeroed_tail, all_zero_maps, constructed_without_span, span_in_invariant_block, invariant_line_in_kernel)
+    sols += [build()[0] for build in builds]
+    for sol in sols:
+        residual = moment_residual(sol)
+        report = stability_report(sol)
+        with monkeypatch.context() as patch:
+            calls = _count_calls(patch, momentmap, ["stability_report", "moment_residual"])
+            settled = momentmap.settle(sol)
+        assert calls == {"stability_report": 1, "moment_residual": 1}
+        assert sol.residual.hex() == residual.hex()
+        assert sol.stable == settled.ok == report.ok
+        assert sol.converged == (residual <= 1e-8 and report.ok)
+        assert [(nid, e.cond_a.hex(), e.s1, e.s2, e.chain_dim, e.krylov_rank) for nid, e in settled.entries.items()] == [
+            (nid, e.cond_a.hex(), e.s1, e.s2, e.chain_dim, e.krylov_rank) for nid, e in report.entries.items()
+        ]
+    assert len(sols) > 200
+    assert sum(not sol.stable for sol in sols) == len(builds)
 
 
 def test_scaled_stable_zero_stays_stable():
@@ -415,13 +459,7 @@ def _count_calls(monkeypatch, module, names):
 def test_construct_reads_no_spectrum_and_runs_no_qr(monkeypatch):
     # the shifts come from a counter and the basis is closed-form; checked
     # on every eighth supersymmetric affine diagram with k <= 4, dims 0..3
-    texts = [
-        "( " + " ".join(f"{v} {c}" for v, c in zip(dims, kinds)) + " )"
-        for k in range(1, 5)
-        for kinds in itertools.product("xo", repeat=k)
-        for dims in itertools.product(range(4), repeat=k)
-    ]
-    sample = [d for d in map(parse_diagram, texts) if decide_supersymmetry(d).verdict][::8]
+    sample = susy_sweep()[::8]
     calls = _count_calls(monkeypatch, np.linalg, ["eigvals", "eig", "qr"])
     for d in sample:
         sol = construct_solution(d)
@@ -437,6 +475,128 @@ def test_extend_reads_the_end_spectra_once_per_call(monkeypatch):
     assert stability_report(out).ok
     # two end triangles, two B blocks each, whatever the amount
     assert calls == {"eigvals": 4}
+
+
+class UnitZero(momentmap._Zero):
+    """The zero with the unit-by-unit increment that ``_Zero.increment``
+    replaced by one block per increment; kept as its oracle."""
+
+    __slots__ = ()
+
+    def increment(self, entry, delta):
+        segs = _Host.increment(self, entry, delta)
+        if delta < 0:
+            raise ValueError("exact extension cannot shrink an arc")
+
+        def pad(mat, rows, cols):
+            out = np.zeros((mat.shape[0] + rows, mat.shape[1] + cols), dtype=complex)
+            out[: mat.shape[0], : mat.shape[1]] = mat
+            return out
+
+        def shifted_inv(mat, c):
+            return np.linalg.inv(mat - c * np.eye(mat.shape[0]))
+
+        covered = set(segs)
+        k = len(self.nodes)
+        grown = [(node, (pos - 1) % k in covered, pos in covered) for pos, node in enumerate(self.nodes)]
+        for _ in range(delta):
+            c = next(self.shifts) if isinstance(entry, IncrementX) else 0j
+            for node, grow_in, grow_out in grown:
+                if not (grow_in or grow_out):
+                    continue
+                if node.kind == NodeKind.ARROW:
+                    ad = self.arrows[node.id]
+                    C = pad(ad.C, grow_out, grow_in)
+                    D = pad(ad.D, grow_in, grow_out)
+                    if grow_in and grow_out:
+                        C[-1, -1] = 1.0
+                        D[-1, -1] = -c
+                    self.arrows[node.id] = momentmap.ArrowData(C=C, D=D)
+                    continue
+                t = self.triangles[node.id]
+                A, B_in, B_out, a, b = t.A, t.B_in, t.B_out, t.a, t.b
+                if grow_in and grow_out:
+                    loop = node.id == entry.start == entry.end
+                    row = b @ shifted_inv(B_in, c) if loop else np.zeros((1, A.shape[1]))
+                    A = np.block([[A, np.zeros((A.shape[0], 1))], [row, np.ones((1, 1))]])
+                    a = np.vstack([a, np.full((1, 1), 1.0 if loop else 0.0)])
+                    b = pad(b, 0, 1)
+                elif grow_out:
+                    A = np.vstack([A, b @ shifted_inv(B_in, c)])
+                    a = np.vstack([a, np.ones((1, 1))])
+                else:
+                    A = np.hstack([A, -shifted_inv(B_out, c) @ a])
+                    b = np.hstack([b, np.ones((1, 1))])
+                if grow_in:
+                    B_in = pad(B_in, 1, 1)
+                    B_in[-1, -1] = c
+                if grow_out:
+                    B_out = pad(B_out, 1, 1)
+                    B_out[-1, -1] = c
+                self.triangles[node.id] = momentmap.TriangleData(A=A, B_in=B_in, B_out=B_out, a=a, b=b)
+        return segs
+
+
+def _bytes(sol):
+    return [(mat.shape, mat.tobytes()) for mat in _maps(sol)]
+
+
+# on ( 1 o 2 x 2 x 1 o 2 x ), nodes 0 o, 1 x, 2 x, 3 o, 4 x: open x arcs
+# in both directions, with and without interior nodes, arrow arcs with
+# interior x points, and full loops of both kinds
+GROWTHS = [
+    (IncrementX, 1, 2, ACW),
+    (IncrementX, 1, 2, CW),
+    (IncrementX, 1, 4, ACW),
+    (IncrementX, 4, 2, ACW),
+    (IncrementX, 1, 4, CW),
+    (IncrementArrows, 0, 3, ACW),
+    (IncrementArrows, 3, 0, ACW),
+    (IncrementArrows, 0, 3, CW),
+    (IncrementX, 2, 2, CW),
+    (IncrementX, 4, 4, ACW),
+    (IncrementArrows, 3, 3, ACW),
+]
+
+
+@pytest.mark.parametrize("amount", [1, 2, 3, 4])
+def test_block_increment_matches_unit_oracle(amount, monkeypatch):
+    base = construct_solution(parse_diagram("( 1 o 2 x 2 x 1 o 2 x )"), seed=0)
+    for kind, start, end, direction in GROWTHS:
+        entry = kind(start, end, direction, amount)
+        got = extend_increment(base, entry)
+        with monkeypatch.context() as patch:
+            patch.setattr(momentmap, "_Zero", UnitZero)
+            want = extend_increment(base, entry)
+        assert got.diagram == want.diagram == apply_entry(base.diagram, entry), entry
+        assert _bytes(got) == _bytes(want), entry
+        assert moment_residual(got) < 1e-10, entry
+
+
+def test_block_construction_matches_unit_oracle(monkeypatch):
+    # every 24th zero of the k <= 4, dims 0..3 sweep, and diagrams whose
+    # construction grows full x loops and undoes arc subtractions
+    texts = [*K10_REGRESSIONS, "( 1 o 1 x )", "( 1 o 1 x 0 x )", "( 1 x 3 o 1 x 3 o )", "( 7 x 7 x 7 x 7 x )"]
+    diagrams = susy_sweep()[::24] + [parse_diagram(text) for text in texts]
+    increments = []
+
+    class RecordingZero(UnitZero):
+        __slots__ = ()
+
+        def increment(self, entry, delta):
+            increments.append((isinstance(entry, IncrementX), entry.start == entry.end, delta))
+            return super().increment(entry, delta)
+
+    for d in diagrams:
+        got = construct_solution(d)
+        with monkeypatch.context() as patch:
+            patch.setattr(momentmap, "_Zero", RecordingZero)
+            want = construct_solution(d)
+        assert _bytes(got) == _bytes(want), d
+        assert (got.residual, got.converged, got.stable) == (want.residual, want.converged, want.stable), d
+    # the sample reaches multi-unit blocks of every kind, and full x loops
+    assert {(x_arc, loop) for x_arc, loop, delta in increments if delta > 1} >= {(True, False), (False, False)}
+    assert any(x_arc and loop for x_arc, loop, _ in increments)
 
 
 # ---------------------------------------------------------------------------
@@ -770,6 +930,34 @@ def test_extend_full_x_loop_keeps_residual():
     assert out.diagram == apply_entry(base.diagram, entry)
     assert moment_residual(out) < 1e-10
     assert stability_report(out).ok
+
+
+def test_generic_bases_are_unitary_read_only_and_kept():
+    bases = momentmap._BASES
+    d = parse_diagram("( " + " ".join(f"{m} x" for m in range(17)) + " )")
+    momentmap._generic_basis(zero_solution(d))
+    construct_solution(parse_diagram("( 1 x 2 o 2 x 1 o )"))
+    assert momentmap._BASES is bases
+    for m in range(17):
+        g, h = bases[m]
+        # the closed form of _generic_basis, computed afresh
+        r = np.arange(m)
+        n = max(m, 1)
+        fourier = np.exp((-2j * math.pi / n) * (np.outer(r, r) % n)) / math.sqrt(n)
+        fresh = np.exp(1j * math.sqrt(2) * r**2)[:, None] * fourier * np.exp(1j * math.sqrt(3) * r**2)
+        assert g.tobytes() == fresh.tobytes() and h.tobytes() == fresh.conj().T.tobytes(), m
+        assert np.abs(g @ h - np.eye(m)).max(initial=0.0) <= 1e-12, m
+        for mat in (g, h):
+            with pytest.raises(ValueError, match="read-only"):
+                mat[..., :1] = 0
+
+
+def test_generic_bases_fill_on_first_use_not_at_import():
+    code = "import sys, bowforge; print(bowforge.momentmap._BASES == {}, 'numpy' in sys.modules)"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.split() == ["True", "False"]
 
 
 # ---------------------------------------------------------------------------
