@@ -202,6 +202,24 @@ def _parse_int(token: str) -> int:
         raise ValueError(f"expected an integer dimension, found {token!r}") from None
 
 
+# parse_diagram's nodes: _interned[i] is (Node(i, ARROW), Node(i, XPOINT)).
+# A parse that needs more ids rebinds a longer tuple and never grows one in
+# place, so a tuple read while another thread grows the table stays right.
+_interned: tuple[tuple[Node, Node], ...] = ()
+
+
+def _interned_nodes(kinds: list[NodeKind]) -> tuple[Node, ...]:
+    """``Node(i, kinds[i])`` for every i, from the interned nodes."""
+
+    global _interned
+    table = _interned
+    if len(table) < len(kinds):
+        table = _interned = table + tuple(
+            (Node(i, NodeKind.ARROW), Node(i, NodeKind.XPOINT)) for i in range(len(table), len(kinds))
+        )
+    return tuple([table[i][kind is NodeKind.XPOINT] for i, kind in enumerate(kinds)])
+
+
 def parse_diagram(text: str) -> BowDiagram:
     """Parse the whitespace-token grammar.
 
@@ -212,7 +230,8 @@ def parse_diagram(text: str) -> BowDiagram:
     nonzero dimension gets a fresh boundary arrow with a zero segment
     behind it, which changes nothing up to the usual moves; the two
     zero ends are then identified into the single cut segment.
-    Node ids are assigned in storage order starting from 0.
+    Node ids are assigned in storage order starting from 0, and every
+    parse hands out the same ``Node`` object for one (id, kind).
     """
 
     tokens = text.split()
@@ -226,7 +245,7 @@ def parse_diagram(text: str) -> BowDiagram:
         dims_text = [_parse_int(tok) for tok in inner[0::2]]
         kinds = [_token_kind(tok) for tok in inner[1::2]]
         k = len(kinds)
-        nodes = tuple(Node(i, kind) for i, kind in enumerate(kinds))
+        nodes = _interned_nodes(kinds)
         dims = tuple(dims_text[(j + 1) % k] for j in range(k))
         return BowDiagram(nodes=nodes, dims=dims, cut=None)
     if opener == "[" and closer == "]":
@@ -241,7 +260,7 @@ def parse_diagram(text: str) -> BowDiagram:
             dims_text.append(0)
             kinds.append(NodeKind.ARROW)
         k = len(kinds)
-        nodes = tuple(Node(i, kind) for i, kind in enumerate(kinds))
+        nodes = _interned_nodes(kinds)
         dims = tuple(dims_text[1:k]) + (0,)
         return BowDiagram(nodes=nodes, dims=dims, cut=k - 1)
     raise ValueError(f"unbalanced diagram delimiters {opener!r} ... {closer!r}")

@@ -15,13 +15,18 @@ are a host and one call, and ``replay`` runs a whole log on one host.
 Two hosts carry more along: the ledger walker ``branes._Walk`` its
 branes, the moment-map zero ``momentmap._Zero`` its maps.
 
-Validation happens at the public entry points (``separate``,
-``normalize_gap``, ``arc_increment``).  Inside a word the diagram is
-held as mutable node and dimension lists with tracked positions; every
-pass of a node through its neighbours is the one routine ``_pass`` on
-those lists.  A word or a whole phase of passes builds one
-``BowDiagram`` and takes one unchecked ``diagram._separated_view`` at
-its end: a swap of a valid diagram is valid.
+Validation happens once, at the public entry points (``apply_hw``,
+``apply_entry``, ``replay``, ``separate``, ``normalize_gap``,
+``arc_increment``, ``enumerate_equivalent``), and what they call
+trusts its input: a move of a valid diagram is valid.  ``separate``
+and ``normalize_gap`` are a check and a call of an unchecked core,
+which ``susy``'s decision procedure calls directly after validating
+its own input once.  Inside a word the diagram is held as mutable
+node and dimension lists with tracked positions; every pass of a node
+through its neighbours is the one routine ``_pass`` on those lists.
+A word or a whole phase of passes builds one ``BowDiagram`` and takes
+one unchecked ``diagram._separated_view`` at its end: a swap of a
+valid diagram is valid.
 """
 
 from __future__ import annotations
@@ -100,9 +105,10 @@ def apply_hw(d: BowDiagram, left: int, right: int) -> BowDiagram:
 
     The middle dimension v becomes v⁻ + v⁺ + 1 − v where v⁻/v⁺ are the
     outer neighbour segments; a negative result is legal data.  Raises
-    as :meth:`_Host.swap` does.
+    as :meth:`_Host.swap` does.  ``d`` is validated first.
     """
 
+    _require_valid(d)
     host = _Host(d)
     host.swap(left, right)
     return host.diagram()
@@ -133,21 +139,24 @@ def arc_increment(d: BowDiagram, entry: SubtractArrowArc) -> IncrementX:
 
     The arrow arc v_0 .. v_n of a separated diagram is the clockwise arc
     from x_1 to x_w (a full loop when w = 1), so adding the subtracted
-    branes back raises exactly that x-to-x arc.
+    branes back raises exactly that x-to-x arc.  ``d`` is validated first.
     """
 
     _require_valid(d)
-    nodes = d.nodes
+    return _arc_increment(d.nodes, d.cut, entry)
+
+
+def _arc_increment(nodes, cut: int | None, entry: SubtractArrowArc) -> IncrementX:
+    """:func:`arc_increment` on the nodes and cut of a valid diagram, by
+    one scan of its nodes."""
+
+    xpos = [pos for pos, node in enumerate(nodes) if node.kind == NodeKind.XPOINT]
     # separated with both kinds present: one arrow followed by an x point,
     # where the run of all w x points starts
-    starts = [
-        pos
-        for pos, node in enumerate(nodes)
-        if node.kind == NodeKind.XPOINT and nodes[pos - 1].kind == NodeKind.ARROW
-    ]
-    if d.is_finite or len(starts) != 1:
+    starts = [pos for pos in xpos if nodes[pos - 1].kind == NodeKind.ARROW]
+    if cut is not None or len(starts) != 1:
         raise ValueError("arc subtraction needs an affine separated diagram")
-    last = (starts[0] + d.n_xpoints - 1) % d.k
+    last = (starts[0] + len(xpos) - 1) % len(nodes)
     return IncrementX(
         start=nodes[starts[0]].id, end=nodes[last].id, direction=Direction.CW, amount=entry.amount
     )
@@ -175,7 +184,9 @@ class _Host:
     its inverse lowers it (:meth:`increment`); an arc subtraction is the
     inverse of the increment :func:`arc_increment` gives; a cut goes on
     a zero segment and comes off where it sits.  A node id the host
-    lacks raises KeyError, any other refusal ValueError.
+    lacks raises KeyError, any other refusal ValueError.  The host
+    trusts its diagram to be valid: the public entries validate it, and
+    a move keeps a valid diagram valid.
     ``branes._Walk`` and ``momentmap._Zero`` extend :meth:`swap` and
     :meth:`increment` to carry a ledger's branes or a zero's maps along,
     so no other code dispatches on an entry's type.
@@ -200,7 +211,7 @@ class _Host:
                 self.swap(entry.left, entry.right)
             return
         if isinstance(entry, SubtractArrowArc):
-            entry, inverse = arc_increment(self.diagram(), entry), not inverse
+            entry, inverse = _arc_increment(self.nodes, self.cut, entry), not inverse
         if isinstance(entry, (IncrementArrows, IncrementX)):
             if not inverse and entry.amount < 0:
                 raise ValueError("increment amount must be nonnegative")
@@ -268,16 +279,22 @@ class _Host:
 
 
 def apply_entry(d: BowDiagram, entry: MoveEntry, inverse: bool = False) -> BowDiagram:
-    """Apply one move-log entry, or its inverse, to the diagram."""
+    """Apply one move-log entry, or its inverse, to the diagram, which is
+    validated first."""
 
+    _require_valid(d)
     host = _Host(d)
     host.move(entry, inverse)
     return host.diagram()
 
 
 def replay(d: BowDiagram, log: MoveLog, inverse: bool = False) -> BowDiagram:
-    """Fold a move log over the diagram, backwards and inverted on request."""
+    """Fold a move log over the diagram, backwards and inverted on request.
 
+    The diagram is validated once, before the first entry.
+    """
+
+    _require_valid(d)
     host = _Host(d)
     for entry in reversed(log) if inverse else log:
         host.move(entry, inverse)
@@ -302,10 +319,17 @@ def separate(d: BowDiagram) -> tuple[SeparatedForm, MoveLog] | NegativeWitness:
 
     Diagrams with only one node kind are trivially separated and return
     unchanged with an empty log.  Aborts with a NegativeWitness at the
-    first negative dimension any swap produces.
+    first negative dimension any swap produces.  ``d`` is validated
+    first.
     """
 
     _require_valid(d)
+    return _separate(d)
+
+
+def _separate(d: BowDiagram) -> tuple[SeparatedForm, MoveLog] | NegativeWitness:
+    """:func:`separate` on a diagram already known to be valid."""
+
     k = d.k
     nodes, dims = list(d.nodes), list(d.dims)
     xpos = [pos for pos in range(k) if nodes[pos].kind == NodeKind.XPOINT]
@@ -399,8 +423,15 @@ def normalize_gap(sep: SeparatedForm) -> tuple[SeparatedForm, MoveLog] | Negativ
     once, on entry.
     """
 
+    _require_valid(sep.diagram)
+    return _normalize_gap(sep)
+
+
+def _normalize_gap(sep: SeparatedForm) -> tuple[SeparatedForm, MoveLog] | NegativeWitness:
+    """:func:`normalize_gap` on the view of a diagram already known to be
+    valid."""
+
     d = sep.diagram
-    _require_valid(d)
     if d.cut is not None:
         raise ValueError("gap normalization applies to affine diagrams")
     if sep.n < 1 or sep.w < 1:
@@ -457,10 +488,15 @@ def canonical_encoding(d: BowDiagram) -> tuple:
 
 def enumerate_equivalent(d: BowDiagram, budget: int) -> EquivClassSample:
     """Breadth-first sample of the swap-equivalence class: every diagram
-    reachable from ``d`` in at most ``budget`` swaps."""
+    reachable from ``d`` in at most ``budget`` swaps.
+
+    ``d`` is validated once; its children, swaps of valid diagrams, go
+    through unchecked hosts.
+    """
 
     if budget < 0:
         raise ValueError(f"budget must be nonnegative, got {budget}")
+    _require_valid(d)
     seen = {canonical_encoding(d)}
     frontier = deque([(d, 0)])
     min_dim = min(d.dims)
@@ -469,7 +505,9 @@ def enumerate_equivalent(d: BowDiagram, budget: int) -> EquivClassSample:
         if depth == budget:
             continue
         for left, right in legal_swaps(cur):
-            child = apply_hw(cur, left, right)
+            host = _Host(cur)
+            host.swap(left, right)
+            child = host.diagram()
             enc = canonical_encoding(child)
             if enc in seen:
                 continue

@@ -32,16 +32,8 @@ from .diagram import (
     _set,
     _Value,
     entry_to_json,
-    separated_view,
 )
-from .rewrite import (
-    NegativeWitness,
-    _pass,
-    apply_entry,
-    normalize_gap,
-    replay,
-    separate,
-)
+from .rewrite import NegativeWitness, _normalize_gap, _pass, _separate
 
 # ---------------------------------------------------------------------------
 # certificates
@@ -199,10 +191,13 @@ def subtract_arrow_arc(sep: SeparatedForm, a: int) -> SeparatedForm:
 
     Requires the gap condition 0 <= v_0 - v_{-w} < w and 0 <= a <= min
     of the arrow-arc labels, under which the supersymmetry verdict is
-    unchanged in both directions.
+    unchanged in both directions.  The input's diagram is validated
+    first; the result is the diagram ``apply_entry`` gives for
+    ``SubtractArrowArc(a)``.
     """
 
     d = sep.diagram
+    _require_valid(d)
     if d.is_finite:
         raise ValueError("arc subtraction applies to affine diagrams")
     if sep.n < 1 or sep.w < 1:
@@ -211,11 +206,19 @@ def subtract_arrow_arc(sep: SeparatedForm, a: int) -> SeparatedForm:
         raise ValueError(f"gap {sep.gap} outside [0, {sep.w})")
     if not 0 <= a <= min(sep.v_arr):
         raise ValueError(f"amount {a} outside 0..min(v_arr)")
-    out = apply_entry(d, SubtractArrowArc(amount=a))
-    view = separated_view(out)
+    view = _separated_view(BowDiagram(nodes=d.nodes, dims=tuple(_lower_arc(sep, a)), cut=None))
     if view is None:
         raise RuntimeError("arc subtraction left the x points apart")
     return view
+
+
+def _lower_arc(sep: SeparatedForm, a: int) -> list[int]:
+    """The dims of ``sep.diagram`` with the arrow-arc segments lowered by a."""
+
+    dims = list(sep.diagram.dims)
+    for seg in sep.seg_arr:
+        dims[seg] -= a
+    return dims
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +232,9 @@ def reduce_to_finite(sep: SeparatedForm) -> tuple[SeparatedForm, MoveLog] | Nega
     through; finite input with the cut elsewhere on the arrow arc only
     needs the clockwise pushes.  Affine input is gap-normalized, lowered
     by a = min(v_0..v_n) along the arrow arc, cut at the first zero
-    label, and then pushed into layout.  Each push of e_n moves the
+    label, and then pushed into layout.  The lowering and the cut go
+    straight onto the dim list, logged as the ``SubtractArrowArc`` and
+    ``CutAt`` entries that replay them.  Each push of e_n moves the
     x-run start p1 up by one on one pair of node and dim lists, and the
     pushes stop when the cut is the segment p1 + w − 1; one unchecked
     view is taken at the end.  Any negative dimension along the way
@@ -238,28 +243,38 @@ def reduce_to_finite(sep: SeparatedForm) -> tuple[SeparatedForm, MoveLog] | Nega
     """
 
     _require_valid(sep.diagram)
+    return _reduce_to_finite(sep)
+
+
+def _reduce_to_finite(sep: SeparatedForm) -> tuple[SeparatedForm, MoveLog] | NegativeWitness:
+    """:func:`reduce_to_finite` on the view of a diagram already known to
+    be valid."""
+
     if sep.n < 1 or sep.w < 1:
         raise ValueError("reduction needs both node kinds")
     if sep.is_finite_layout:
         return sep, ()
     log: list[MoveEntry] = []
-    d = sep.diagram
-    if not d.is_finite:
-        res = normalize_gap(sep)
+    cut = sep.diagram.cut
+    if cut is None:
+        res = _normalize_gap(sep)
         if isinstance(res, NegativeWitness):
             return res
         sep, log1 = res
         log.extend(log1)
-        d = sep.diagram
         # lowering the arrow arc by its minimum moves no node, so the
         # first zero label is the first minimum of the normalized view
         a = min(sep.v_arr)
-        entries = [SubtractArrowArc(amount=a)] if a > 0 else []
-        entries.append(CutAt(segment=sep.seg_arr[sep.v_arr.index(a)]))
-        d = replay(d, entries)
-        log.extend(entries)
-    k, w, cut, p1 = d.k, sep.w, d.cut, sep.seg_x[1]
-    nodes, dims = list(d.nodes), list(d.dims)
+        dims = _lower_arc(sep, a)
+        cut = sep.seg_arr[sep.v_arr.index(a)]
+        if a > 0:
+            log.append(SubtractArrowArc(amount=a))
+        log.append(CutAt(segment=cut))
+    else:
+        dims = list(sep.diagram.dims)
+    d = sep.diagram
+    k, w, p1 = d.k, sep.w, sep.seg_x[1]
+    nodes = list(d.nodes)
     guard = k + 2
     while cut != (p1 + w - 1) % k:
         if guard <= 0:
@@ -280,7 +295,11 @@ def reduce_to_finite(sep: SeparatedForm) -> tuple[SeparatedForm, MoveLog] | Nega
 
 
 def _decide_full(d: BowDiagram) -> tuple[Certificate, SeparatedForm | None]:
-    """Certificate plus, on success, the finite separated layout reached."""
+    """Certificate plus, on success, the finite separated layout reached.
+
+    The one validation of a decide: every later stage is an unchecked
+    core, fed only diagrams that moves built from ``d``.
+    """
 
     _require_valid(d)
     min_dim = min(d.dims)
@@ -289,11 +308,11 @@ def _decide_full(d: BowDiagram) -> tuple[Certificate, SeparatedForm | None]:
     if min_dim < 0:
         witness = NegativeWitness((), d.dims.index(min_dim), min_dim)
         return Certificate(False, witness, ()), None
-    res = separate(d)
+    res = _separate(d)
     if isinstance(res, NegativeWitness):
         return Certificate(False, res, res.move_log), None
     sep, log1 = res
-    res2 = reduce_to_finite(sep)
+    res2 = _reduce_to_finite(sep)
     if isinstance(res2, NegativeWitness):
         witness = NegativeWitness(log1 + res2.move_log, res2.segment, res2.value)
         return Certificate(False, witness, witness.move_log), None

@@ -1,7 +1,11 @@
 """Structure, parsing and view tests for the diagram core."""
 
+import copy
 import itertools
+import pickle
 import random
+import sys
+import threading
 
 import pytest
 
@@ -85,6 +89,49 @@ def test_parse_accepts_negative_dims():
     d = parse_diagram("( -1 o 2 x )")
     assert d.dims == (2, -1)
     assert validate(d) == []
+
+
+def test_parses_share_interned_nodes():
+    a = parse_diagram("( 1 x 2 o 3 o )")
+    b = parse_diagram("[ 0 x 2 o 1 x 0 ]")
+    assert a.nodes[0] is b.nodes[0] and a.nodes[1] is b.nodes[1]
+    assert a.nodes[2] == Node(2, NodeKind.ARROW) and b.nodes[2] == Node(2, NodeKind.XPOINT)
+    assert parse_diagram("( 4 o 4 o 4 x 4 x )").nodes[2] is b.nodes[2]
+    for node in a.nodes + b.nodes:
+        fresh = Node(node.id, node.kind)
+        assert node == fresh and hash(node) == hash(fresh) and repr(node) == repr(fresh)
+        for twin in (pickle.loads(pickle.dumps(node)), copy.copy(node), copy.deepcopy(node)):
+            assert twin == node
+    # nodes with other ids are built, not interned
+    moved = diagram_from_json({**diagram_to_json(a), "ids": [7, 5, 6]})
+    assert moved.nodes == (Node(7, NodeKind.XPOINT), Node(5, NodeKind.ARROW), Node(6, NodeKind.ARROW))
+    assert diagram_from_json(diagram_to_json(moved)) == moved
+    assert s_dual(s_dual(b)) == b and s_dual(b).nodes[0] == Node(0, NodeKind.ARROW)
+
+
+def test_interned_nodes_stay_right_across_threads():
+    # sizes above any other test's, so the threads grow the table together
+    texts = ["( " + " ".join(f"1 {'ox'[i * i % 3 % 2]}" for i in range(k)) + " )" for k in range(2000, 2400, 8)]
+    wrong = []
+
+    def parse_all(order):
+        for text in order:
+            d = parse_diagram(text)
+            if [(node.id, node.kind.value) for node in d.nodes] != list(enumerate(text.split()[2:-1:2])):
+                wrong.append(text)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=parse_all, args=(texts[i::3],)) for i in range(3)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
 
 
 # ---------------------------------------------------------------------------

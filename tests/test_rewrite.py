@@ -400,6 +400,22 @@ def test_normalize_gap_rejects_invalid_diagram_under_optimize():
     assert "not distinct" in run_optimized(script)
 
 
+def test_apply_entry_rejects_invalid_diagram_under_optimize():
+    # two nodes, three dims
+    script = (
+        "from bowforge.diagram import BowDiagram, HwMove, Node, NodeKind\n"
+        "from bowforge.rewrite import apply_entry\n"
+        "d = BowDiagram((Node(0, NodeKind.ARROW), Node(1, NodeKind.XPOINT)), (1, 2, 3))\n"
+        "try:\n"
+        "    out = apply_entry(d, HwMove(0, 1))\n"
+        "except ValueError as exc:\n"
+        "    print(exc)\n"
+        "else:\n"
+        "    raise SystemExit(f'apply_entry moved an invalid diagram to {out}')\n"
+    )
+    assert run_optimized(script).strip() == "expected 2 segment dims, found 3"
+
+
 ONE_KIND_CALLS = {
     "check_finite_separated": ("bowforge.susy", "check_finite_separated", "[ 0 x 2 x 0 ]", "the finite check"),
     "reduce_to_finite": ("bowforge.susy", "reduce_to_finite", "( 1 o 2 o )", "reduction"),

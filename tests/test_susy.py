@@ -13,6 +13,7 @@ from bowforge.diagram import (
     IncrementX,
     Node,
     NodeKind,
+    SubtractArrowArc,
     parse_diagram,
     s_dual,
     separated_view,
@@ -190,6 +191,8 @@ def test_subtract_preserves_verdict_both_ways():
             continue
         for a in range(min(sep.v_arr) + 1):
             lowered = subtract_arrow_arc(sep, a)
+            # lowering the labelled arc is the move the entry replays
+            assert lowered.diagram == apply_entry(d, SubtractArrowArc(a)), (text, a)
             assert (
                 decide_supersymmetry(d).verdict
                 == decide_supersymmetry(lowered.diagram).verdict
