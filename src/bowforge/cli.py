@@ -356,6 +356,8 @@ def _cmd_stratum(args) -> int:
         payload = {"values": list(kappa), "level": sep.n, "dpair": None}
         _emit(args, payload, f"stratum {list(kappa)} at level {sep.n}")
         return EXIT_OK
+    if d.is_finite or d.n_arrows == 0 or d.n_xpoints == 0:
+        raise UsageError("affine mode needs an affine diagram with both node kinds (use --mode finite for a finite layout)")
     result = _normalized_form(d)
     if isinstance(result, NegativeWitness):
         _emit(args, None, "normalization forced a negative dimension")

@@ -15,8 +15,9 @@ labelling, and the reflection swapping the two node kinds.
 
 :func:`validate` runs at the public entry points: ``separated_view``,
 ``render_diagram`` and the JSON codecs.  ``_separated_view`` is the
-unchecked view the rewrite passes take of diagrams they built from a
-valid one.
+unchecked view of a valid diagram: :func:`_run_start` scans for the
+x-run start and :func:`_label` labels at it.  The rewrite passes, which
+track the run start through their moves, call ``_label`` alone.
 
 The frozen value types of the package (here, and the branes,
 certificates and weights elsewhere) derive from :class:`_Value`: slotted
@@ -524,7 +525,8 @@ def separated_view(d: BowDiagram) -> SeparatedForm | None:
 
     This is the checked entry point: it validates ``d`` first.  The
     rewrite passes, which only ever produce valid diagrams from valid
-    ones, call the unchecked :func:`_separated_view` instead.
+    ones, call the unchecked :func:`_label` at the x-run start they
+    tracked instead.
     """
 
     _require_valid(d)
@@ -532,43 +534,68 @@ def separated_view(d: BowDiagram) -> SeparatedForm | None:
 
 
 def _separated_view(d: BowDiagram) -> SeparatedForm | None:
-    """:func:`separated_view` on a diagram already known to be valid.
+    """:func:`separated_view` on a diagram already known to be valid: the
+    run-start scan, then the labelling at the start it finds."""
 
-    One O(k) scan finds the x-run start p1: the one x point behind an
-    arrow, or with one kind only, the lowest-id x point or the position
-    after the lowest-id arrow.  Every segment label is then position
-    arithmetic from p1, with no node-id lookups.
+    start = _run_start(d.nodes)
+    return None if start is None else _label(d, *start)
+
+
+def _run_start(nodes: tuple[Node, ...]) -> tuple[int, int] | None:
+    """The x-run start p1 and the x-point count w, by one O(k) scan, or
+    None when the x points are not contiguous.
+
+    p1 is the one x point behind an arrow, or with one kind only, the
+    lowest-id x point or the position after the lowest-id arrow.
     """
 
-    k = d.k
-    nodes = d.nodes
+    k = len(nodes)
     xpos = [pos for pos, node in enumerate(nodes) if node.kind == NodeKind.XPOINT]
     w = len(xpos)
-    n = k - w
     if w == 0:
-        p1 = min(range(k), key=lambda pos: nodes[pos].id) + 1
-    elif n == 0:
-        p1 = min(xpos, key=lambda pos: nodes[pos].id)
-    else:
-        # one arrow-to-x boundary means one maximal run of x points
-        starts = [pos for pos in xpos if nodes[pos - 1].kind == NodeKind.ARROW]
-        if len(starts) != 1:
+        return min(range(k), key=lambda pos: nodes[pos].id) + 1, 0
+    if w == k:
+        return min(xpos, key=lambda pos: nodes[pos].id), w
+    # one arrow-to-x boundary means one maximal run of x points
+    starts = [pos for pos in xpos if nodes[pos - 1].kind == NodeKind.ARROW]
+    return (starts[0], w) if len(starts) == 1 else None
+
+
+def _label(d: BowDiagram, p1: int, w: int) -> SeparatedForm | None:
+    """The separated view of a valid diagram whose x-run of w points starts
+    at p1, or None when it does not start there.
+
+    Every segment label is position arithmetic from p1, with no node-id
+    lookups.  In O(w) this establishes what :func:`_run_start` found:
+    the w positions from p1 hold x points, and with arrows present an
+    arrow sits behind p1 and the run keeps off the cut.  With w the
+    diagram's x-point count, that makes p1 its run start; a caller that
+    tracked p1 through its moves raises if the labelling refuses.
+    """
+
+    k = len(d.nodes)
+    q = (p1 - 1) % k
+    # the k + 1 positions from p1 - 1 anticlockwise round to p1 - 1 again,
+    # and the nodes and dims there: seg_x is the first w + 1 of them, and
+    # seg_arr the last n + 1 backwards, with e_s at seg_arr[s - 1]
+    ring = (*range(q, k), *range(q + 1))
+    nodes = d.nodes[q:] + d.nodes[:q + 1]
+    x_nodes = nodes[1:w + 1]
+    for node in x_nodes:
+        if node.kind != NodeKind.XPOINT:
             return None
-        p1 = starts[0]
-    seg_x = tuple([(p1 - 1) % k] + [(p1 + i) % k for i in range(w)])
+    seg_x = ring[:w + 1]
     # with arrows present the run may not straddle the cut (None is no segment)
-    if n and d.cut in seg_x[1:w]:
+    if w < k and (nodes[0].kind != NodeKind.ARROW or d.cut in seg_x[1:w]):
         return None
-    # seg_arr[0] (the head segment of e_1) is p1 - 1 and seg_arr[s] (the
-    # tail segment of e_s) is p1 - 1 - s, so e_s sits at seg_arr[s - 1]
-    seg_arr = tuple((p1 - 1 - s) % k for s in range(n + 1))
+    dims = d.dims[q:] + d.dims[:q + 1]
     return SeparatedForm(
         diagram=d,
-        arrow_ids=tuple([nodes[pos].id for pos in seg_arr[:n]]),
-        x_ids=tuple([nodes[pos].id for pos in seg_x[1:]]),
-        v_arr=tuple([d.dims[s] for s in seg_arr]),
-        v_x=tuple([d.dims[s] for s in seg_x]),
-        seg_arr=seg_arr,
+        arrow_ids=tuple([node.id for node in nodes[w + 1:][::-1]]),
+        x_ids=tuple([node.id for node in x_nodes]),
+        v_arr=dims[w:][::-1],
+        v_x=dims[:w + 1],
+        seg_arr=ring[w:][::-1],
         seg_x=seg_x,
     )
 

@@ -18,15 +18,17 @@ branes, the moment-map zero ``momentmap._Zero`` its maps.
 Validation happens once, at the public entry points (``apply_hw``,
 ``apply_entry``, ``replay``, ``separate``, ``normalize_gap``,
 ``arc_increment``, ``enumerate_equivalent``), and what they call
-trusts its input: a move of a valid diagram is valid.  ``separate``
-and ``normalize_gap`` are a check and a call of an unchecked core,
-which ``susy``'s decision procedure calls directly after validating
-its own input once.  Inside a word the diagram is held as mutable
-node and dimension lists with tracked positions; every pass of a node
-through its neighbours is the one routine ``_pass`` on those lists.
-A word or a whole phase of passes builds one ``BowDiagram`` and takes
-one unchecked ``diagram._separated_view`` at its end: a swap of a
-valid diagram is valid.
+trusts its input: a move of a valid diagram is valid.  ``separate`` is
+a check and a call of the unchecked core ``_separate``, and gap
+normalization is the list-level core ``_gap_passes``; ``susy``'s
+decision procedure calls both directly after validating its own input
+once.  Inside a word the diagram is held as mutable node and dimension
+lists with tracked positions; every pass of a node through its
+neighbours is the one routine ``_pass`` on those lists.  A word or a
+whole phase of passes builds one ``BowDiagram`` at its end and labels
+its view with the unchecked ``diagram._label`` at the x-run start it
+tracked, with no run-start scan; a swap of a valid diagram is valid,
+and a refused labelling raises RuntimeError.
 """
 
 from __future__ import annotations
@@ -45,7 +47,9 @@ from .diagram import (
     NodeKind,
     SeparatedForm,
     SubtractArrowArc,
+    _label,
     _require_valid,
+    _run_start,
     _separated_view,
     _set,
     _Value,
@@ -148,18 +152,15 @@ def arc_increment(d: BowDiagram, entry: SubtractArrowArc) -> IncrementX:
 
 def _arc_increment(nodes, cut: int | None, entry: SubtractArrowArc) -> IncrementX:
     """:func:`arc_increment` on the nodes and cut of a valid diagram, by
-    one scan of its nodes."""
+    one run-start scan of its nodes."""
 
-    xpos = [pos for pos, node in enumerate(nodes) if node.kind == NodeKind.XPOINT]
-    # separated with both kinds present: one arrow followed by an x point,
-    # where the run of all w x points starts
-    starts = [pos for pos in xpos if nodes[pos - 1].kind == NodeKind.ARROW]
-    if cut is not None or len(starts) != 1:
+    k = len(nodes)
+    start = _run_start(nodes)
+    # separated with both kinds present: the run of all w x points starts at p1
+    if cut is not None or start is None or start[1] in (0, k):
         raise ValueError("arc subtraction needs an affine separated diagram")
-    last = (starts[0] + len(xpos) - 1) % len(nodes)
-    return IncrementX(
-        start=nodes[starts[0]].id, end=nodes[last].id, direction=Direction.CW, amount=entry.amount
-    )
+    p1, w = start
+    return IncrementX(start=nodes[p1].id, end=nodes[(p1 + w - 1) % k].id, direction=Direction.CW, amount=entry.amount)
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +329,8 @@ def separate(d: BowDiagram) -> tuple[SeparatedForm, MoveLog] | NegativeWitness:
 
 
 def _separate(d: BowDiagram) -> tuple[SeparatedForm, MoveLog] | NegativeWitness:
-    """:func:`separate` on a diagram already known to be valid."""
+    """:func:`separate` on a diagram already known to be valid; the view
+    is labelled at the start of the gathered run."""
 
     k = d.k
     nodes, dims = list(d.nodes), list(d.dims)
@@ -359,7 +361,7 @@ def _separate(d: BowDiagram) -> tuple[SeparatedForm, MoveLog] | NegativeWitness:
         if witness := _pass(nodes, dims, d.cut, (start + i) % k, False, i - 1 - last, log):
             return witness
         last += 1
-    view = _separated_view(BowDiagram(nodes=tuple(nodes), dims=tuple(dims), cut=d.cut))
+    view = _label(BowDiagram(nodes=tuple(nodes), dims=tuple(dims), cut=d.cut), (start + first) % k, len(xpos))
     if view is None:
         raise RuntimeError("separation left the x points apart")
     return view, tuple(log)
@@ -414,31 +416,45 @@ def full_pass(
 def normalize_gap(sep: SeparatedForm) -> tuple[SeparatedForm, MoveLog] | NegativeWitness:
     """Drive the gap v_0 − v_{−w} into [0, w) by full arrow passes.
 
-    A pass of e_1 anticlockwise through every x-point lowers the gap by
-    w and the x-run start p1 by one; a pass of e_n clockwise raises the
-    gap by w and p1 by one.  The passes run on one pair of node and dim
-    lists, reading the gap as dims[p1 − 1] − dims[p1 + w − 1], and one
-    unchecked view is taken at the end.  Aborts with a NegativeWitness
-    on the first negative dimension.  The input's diagram is validated
-    once, on entry.
+    The passes are :func:`_gap_passes` on one pair of node and dim lists,
+    and one unchecked view is labelled at the end, at the x-run start
+    they tracked.  Aborts with a NegativeWitness on the first negative
+    dimension.  The input's diagram is validated once, on entry.
     """
 
-    _require_valid(sep.diagram)
-    return _normalize_gap(sep)
-
-
-def _normalize_gap(sep: SeparatedForm) -> tuple[SeparatedForm, MoveLog] | NegativeWitness:
-    """:func:`normalize_gap` on the view of a diagram already known to be
-    valid."""
-
     d = sep.diagram
+    _require_valid(d)
     if d.cut is not None:
         raise ValueError("gap normalization applies to affine diagrams")
     if sep.n < 1 or sep.w < 1:
         raise ValueError("gap normalization needs both node kinds")
-    k, w, p1, gap = d.k, sep.w, sep.seg_x[1], sep.gap
     nodes, dims = list(d.nodes), list(d.dims)
     log: list[MoveEntry] = []
+    p1 = _gap_passes(nodes, dims, sep.seg_x[1], sep.w, log)
+    if isinstance(p1, NegativeWitness):
+        return p1
+    if not log:
+        return sep, ()
+    view = _label(BowDiagram(nodes=tuple(nodes), dims=tuple(dims), cut=None), p1, sep.w)
+    if view is None:
+        raise RuntimeError("gap normalization left the x points apart")
+    return view, tuple(log)
+
+
+def _gap_passes(nodes: list, dims: list, p1: int, w: int, log: list[MoveEntry]) -> int | NegativeWitness:
+    """Gap normalization in place on the node and dim lists of an affine
+    separated diagram with both kinds, whose x-run of w points starts at
+    p1; return the run's new start.
+
+    A pass of e_1 anticlockwise through every x-point lowers the gap by
+    w and p1 by one; a pass of e_n clockwise raises the gap by w and p1
+    by one.  The gap is read as dims[p1 − 1] − dims[p1 + w − 1].  Each
+    swap is appended to ``log``; the first negative dimension returns its
+    NegativeWitness.
+    """
+
+    k = len(nodes)
+    gap = dims[p1 - 1] - dims[(p1 + w - 1) % k]
     guard = abs(gap) // w + 3
     while not 0 <= gap < w:
         if guard <= 0:
@@ -454,12 +470,7 @@ def _normalize_gap(sep: SeparatedForm) -> tuple[SeparatedForm, MoveLog] | Negati
         if witness:
             return witness
         gap = dims[p1 - 1] - dims[(p1 + w - 1) % k]
-    if not log:
-        return sep, ()
-    view = _separated_view(BowDiagram(nodes=tuple(nodes), dims=tuple(dims), cut=None))
-    if view is None:
-        raise RuntimeError("gap normalization left the x points apart")
-    return view, tuple(log)
+    return p1
 
 
 # ---------------------------------------------------------------------------

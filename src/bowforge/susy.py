@@ -27,13 +27,13 @@ from .diagram import (
     MoveLog,
     SeparatedForm,
     SubtractArrowArc,
+    _label,
     _require_valid,
-    _separated_view,
     _set,
     _Value,
     entry_to_json,
 )
-from .rewrite import NegativeWitness, _normalize_gap, _pass, _separate
+from .rewrite import NegativeWitness, _gap_passes, _pass, _separate
 
 # ---------------------------------------------------------------------------
 # certificates
@@ -154,8 +154,9 @@ def check_finite_separated(sep: SeparatedForm) -> Certificate:
     The plain dimensions are the s=0 row and k=0 column.  Interior
     indices are checked only up to the first zero on each label arc and
     up to v_0, which suffices: beyond a zero label the values only grow,
-    and sk alone dominates v_0 past that box.  The witness is the
-    lexicographically first failing (s, k).
+    and sk alone dominates v_0 past that box.  Only those cells are
+    visited, row by row in s and along each row in k, and the witness is
+    the lexicographically first failing (s, k).
     """
 
     if not sep.is_finite_layout:
@@ -171,10 +172,10 @@ def check_finite_separated(sep: SeparatedForm) -> Certificate:
     k_hi = min(w_prime, max(v0, 0))
     checked: list[tuple[int, int, int]] = []
     for s in range(n + 1):
-        for k in range(w + 1):
-            if not (s == 0 or k == 0 or (s <= s_hi and k <= k_hi)):
-                continue
-            value = s * k + v_arr[s] + v_x[k] - v0
+        row = v_arr[s] - v0
+        # the whole s = 0 row; past it, k = 0 and the box up to (s_hi, k_hi)
+        for k in range(w + 1 if s == 0 else k_hi + 1 if s <= s_hi else 1):
+            value = s * k + row + v_x[k]
             checked.append((s, k, value))
             if value < 0:
                 witness = InequalityViolation(Direction.CW, 1, s, k, value)
@@ -206,19 +207,14 @@ def subtract_arrow_arc(sep: SeparatedForm, a: int) -> SeparatedForm:
         raise ValueError(f"gap {sep.gap} outside [0, {sep.w})")
     if not 0 <= a <= min(sep.v_arr):
         raise ValueError(f"amount {a} outside 0..min(v_arr)")
-    view = _separated_view(BowDiagram(nodes=d.nodes, dims=tuple(_lower_arc(sep, a)), cut=None))
+    dims = list(d.dims)
+    for seg in sep.seg_arr:
+        dims[seg] -= a
+    # the lowering moves no node, so the x run still starts where it did
+    view = _label(BowDiagram(nodes=d.nodes, dims=tuple(dims), cut=None), sep.seg_x[1], sep.w)
     if view is None:
         raise RuntimeError("arc subtraction left the x points apart")
     return view
-
-
-def _lower_arc(sep: SeparatedForm, a: int) -> list[int]:
-    """The dims of ``sep.diagram`` with the arrow-arc segments lowered by a."""
-
-    dims = list(sep.diagram.dims)
-    for seg in sep.seg_arr:
-        dims[seg] -= a
-    return dims
 
 
 # ---------------------------------------------------------------------------
@@ -232,14 +228,9 @@ def reduce_to_finite(sep: SeparatedForm) -> tuple[SeparatedForm, MoveLog] | Nega
     through; finite input with the cut elsewhere on the arrow arc only
     needs the clockwise pushes.  Affine input is gap-normalized, lowered
     by a = min(v_0..v_n) along the arrow arc, cut at the first zero
-    label, and then pushed into layout.  The lowering and the cut go
-    straight onto the dim list, logged as the ``SubtractArrowArc`` and
-    ``CutAt`` entries that replay them.  Each push of e_n moves the
-    x-run start p1 up by one on one pair of node and dim lists, and the
-    pushes stop when the cut is the segment p1 + w − 1; one unchecked
-    view is taken at the end.  Any negative dimension along the way
-    aborts with that witness.  The input's diagram is validated once,
-    on entry.
+    label, and then pushed into layout.  Any negative dimension along
+    the way aborts with that witness.  The input's diagram is validated
+    once, on entry.
     """
 
     _require_valid(sep.diagram)
@@ -248,33 +239,41 @@ def reduce_to_finite(sep: SeparatedForm) -> tuple[SeparatedForm, MoveLog] | Nega
 
 def _reduce_to_finite(sep: SeparatedForm) -> tuple[SeparatedForm, MoveLog] | NegativeWitness:
     """:func:`reduce_to_finite` on the view of a diagram already known to
-    be valid."""
+    be valid.
+
+    Every stage runs on one pair of node and dim lists and tracks the
+    x-run start p1: the gap passes of ``rewrite._gap_passes``; the
+    lowering and the cut, written straight onto the dim list and logged
+    as the ``SubtractArrowArc`` and ``CutAt`` entries that replay them;
+    and the pushes, each of which moves e_n clockwise through the run
+    and p1 up by one, until the cut is the segment p1 + w − 1.  No view
+    is taken between stages: one unchecked view is labelled at the end,
+    at the tracked p1.
+    """
 
     if sep.n < 1 or sep.w < 1:
         raise ValueError("reduction needs both node kinds")
     if sep.is_finite_layout:
         return sep, ()
+    d = sep.diagram
+    k, n, w, p1, cut = d.k, sep.n, sep.w, sep.seg_x[1], d.cut
+    nodes, dims = list(d.nodes), list(d.dims)
     log: list[MoveEntry] = []
-    cut = sep.diagram.cut
     if cut is None:
-        res = _normalize_gap(sep)
-        if isinstance(res, NegativeWitness):
-            return res
-        sep, log1 = res
-        log.extend(log1)
-        # lowering the arrow arc by its minimum moves no node, so the
-        # first zero label is the first minimum of the normalized view
-        a = min(sep.v_arr)
-        dims = _lower_arc(sep, a)
-        cut = sep.seg_arr[sep.v_arr.index(a)]
+        p1 = _gap_passes(nodes, dims, p1, w, log)
+        if isinstance(p1, NegativeWitness):
+            return p1
+        # the arrow arc v_0 .. v_n; lowering it by its minimum moves no
+        # node, so the first zero label is its first minimum
+        arc = [(p1 - 1 - s) % k for s in range(n + 1)]
+        v_arr = [dims[seg] for seg in arc]
+        a = min(v_arr)
+        cut = arc[v_arr.index(a)]
+        for seg in arc:
+            dims[seg] -= a
         if a > 0:
             log.append(SubtractArrowArc(amount=a))
         log.append(CutAt(segment=cut))
-    else:
-        dims = list(sep.diagram.dims)
-    d = sep.diagram
-    k, w, p1 = d.k, sep.w, sep.seg_x[1]
-    nodes = list(d.nodes)
     guard = k + 2
     while cut != (p1 + w - 1) % k:
         if guard <= 0:
@@ -284,9 +283,9 @@ def _reduce_to_finite(sep: SeparatedForm) -> tuple[SeparatedForm, MoveLog] | Neg
         if witness := _pass(nodes, dims, cut, (p1 + w) % k, False, w, log):
             return witness
         p1 = (p1 + 1) % k
-    view = _separated_view(BowDiagram(nodes=tuple(nodes), dims=tuple(dims), cut=cut))
+    view = _label(BowDiagram(nodes=tuple(nodes), dims=tuple(dims), cut=cut), p1, w)
     if view is None or not view.is_finite_layout:
-        raise RuntimeError("layout pushes did not reach the finite layout")
+        raise RuntimeError("the reduction did not reach the finite layout")
     return view, tuple(log)
 
 

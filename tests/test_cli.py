@@ -284,6 +284,16 @@ def test_stratum_finite_needs_layout(capsys):
     assert "error" in payload
 
 
+@pytest.mark.parametrize("text", ["[ 0 o 2 x 1 x 0 ]", "[ 0 x 1 x 0 ]", "( 2 o 3 o )"])
+def test_stratum_affine_mode_names_its_precondition(capsys, text):
+    code = main(["stratum", "--json", text])
+    captured = capsys.readouterr()
+    assert code == 2
+    message = "affine mode needs an affine diagram with both node kinds (use --mode finite for a finite layout)"
+    assert json.loads(captured.out) == {"error": message}
+    assert captured.err == f"error: {message}\n"
+
+
 # ---------------------------------------------------------------------------
 # malformed input
 

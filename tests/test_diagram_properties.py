@@ -1,4 +1,5 @@
-"""Property tests for the text grammar, the JSON codecs, replay and swap invariance.
+"""Property tests for the text grammar, the JSON codecs, the separated
+view's labelling, replay and swap invariance.
 
 They reach node counts and dimensions past the exhaustive sweeps of
 the acceptance criteria (k <= 5).
@@ -22,7 +23,10 @@ from bowforge.diagram import (
     IncrementX,
     Node,
     NodeKind,
+    SeparatedForm,
     SubtractArrowArc,
+    _label,
+    _separated_view,
     diagram_from_json,
     diagram_to_json,
     log_from_json,
@@ -135,6 +139,59 @@ def test_certificate_json_round_trip(d):
         # the decoded log replays to the recorded negative dimension
         reached = replay(d, log_from_json(witness["move_log"]))
         assert reached.dims[witness["segment"]] == witness["value"] < 0
+
+
+# ---------------------------------------------------------------------------
+# labelling at a known run start
+
+
+@st.composite
+def runs(draw, cut_on_run=False):
+    """A separated diagram with both kinds, k <= 12, shuffled ids and the
+    x run starting anywhere, with its run start p1 and x count w.
+
+    A finite one has its cut on any segment of the arrow arc or, with
+    ``cut_on_run``, between two x points of the run.
+    """
+
+    w_min = 2 if cut_on_run else 1
+    n = draw(st.integers(1, 12 - w_min))
+    w = draw(st.integers(w_min, 12 - n))
+    k = n + w
+    p1 = draw(st.integers(0, k - 1))
+    ids = draw(st.permutations(range(k)))
+    nodes = tuple(Node(i, XPOINT if (pos - p1) % k < w else ARROW) for pos, i in enumerate(ids))
+    dims = draw(st.lists(st.integers(-3, 9), min_size=k, max_size=k))
+    cut = None
+    if cut_on_run:
+        cut = (p1 + draw(st.integers(0, w - 2))) % k
+    elif draw(st.booleans()):
+        cut = (p1 - 1 - draw(st.integers(0, n))) % k
+    if cut is not None:
+        dims[cut] = 0
+    return BowDiagram(nodes, tuple(dims), cut), p1, w
+
+
+@given(runs())
+@settings(max_examples=300, deadline=None)
+def test_label_at_the_run_start_matches_the_scanned_view(case):
+    d, p1, w = case
+    view, scanned = _label(d, p1, w), _separated_view(d)
+    assert view is not None and scanned is not None
+    for field in SeparatedForm.__slots__:
+        assert getattr(view, field) == getattr(scanned, field), field
+    # no other start labels the diagram, with the x count or with the
+    # count of x points from that start to the run's end
+    assert [p for p in range(d.k) if _label(d, p, w) is not None] == [p1]
+    assert all(_label(d, (p1 + j) % d.k, w - j) is None for j in range(1, w))
+
+
+@given(runs(cut_on_run=True))
+@settings(max_examples=100, deadline=None)
+def test_label_refuses_a_run_across_the_cut(case):
+    d, p1, w = case
+    assert _label(d, p1, w) is None
+    assert _separated_view(d) is None
 
 
 # ---------------------------------------------------------------------------

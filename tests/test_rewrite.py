@@ -468,3 +468,38 @@ def test_synthesize_finite_rejects_non_susy_layout_under_optimize():
         "    raise SystemExit(f'built a ledger on a non-supersymmetric layout: {ledger}')\n"
     )
     assert run_optimized(script).strip() == "layout is not supersymmetric; no brane ledger exists"
+
+
+def test_label_refusals_raise_under_optimize():
+    # a start that is not the run start, or a run across the cut, gets no
+    # view; each stage that labels at the start it tracked raises when its
+    # labelling refuses
+    script = (
+        "import bowforge.rewrite, bowforge.susy\n"
+        "from bowforge.diagram import BowDiagram, _label, parse_diagram, separated_view\n"
+        "from bowforge.rewrite import normalize_gap, separate\n"
+        "from bowforge.susy import reduce_to_finite\n"
+        "d = parse_diagram('( 1 o 2 x 3 x 4 o )')\n"
+        "print(_label(d, 1, 2) == separated_view(d), _label(d, 0, 2), _label(d, 2, 2))\n"
+        "print(_label(BowDiagram(d.nodes, (1, 0, 3, 4), cut=1), 1, 2))\n"
+        "bowforge.rewrite._label = bowforge.susy._label = lambda *args: None\n"
+        "stages = (\n"
+        "    (separate, parse_diagram('( 1 x 2 o 1 x 3 o )')),\n"
+        "    (normalize_gap, separated_view(parse_diagram('( 1 o 3 x )'))),\n"
+        "    (reduce_to_finite, separated_view(parse_diagram('( 3 o 3 o 2 x 2 x 3 o )'))),\n"
+        ")\n"
+        "for stage, arg in stages:\n"
+        "    try:\n"
+        "        stage(arg)\n"
+        "    except RuntimeError as exc:\n"
+        "        print(exc)\n"
+        "    else:\n"
+        "        raise SystemExit(f'{stage.__name__} took a refused labelling')\n"
+    )
+    assert run_optimized(script).splitlines() == [
+        "True None None",
+        "None",
+        "separation left the x points apart",
+        "gap normalization left the x points apart",
+        "the reduction did not reach the finite layout",
+    ]

@@ -25,6 +25,7 @@ from bowforge.rewrite import (
     enumerate_equivalent,
     legal_swaps,
     replay,
+    separate,
 )
 from bowforge.susy import (
     InequalityViolation,
@@ -402,6 +403,12 @@ def test_certificate_json_shapes():
     assert certificate_to_json(cert)["witness"]["kind"] == "one_node_kind"
 
 
+def certificate_line(d: BowDiagram) -> bytes:
+    """The certificate of ``d`` as one canonical JSON line."""
+
+    return json.dumps(certificate_to_json(decide_supersymmetry(d)), sort_keys=True, separators=(",", ":")).encode() + b"\n"
+
+
 # The digest of every certificate on the affine diagrams with k <= 5 and
 # dims 0..3, one canonical JSON line each, in sweep order.  It pins the
 # move logs and witnesses themselves, not only the verdicts, so a faster
@@ -419,9 +426,44 @@ def test_certificate_sweep_guard():
                 continue
             for dims in itertools.product(range(4), repeat=k):
                 d = parse_diagram("( " + " ".join(f"{v} {c}" for v, c in zip(dims, kinds)) + " )")
-                cert = decide_supersymmetry(d)
-                line = json.dumps(certificate_to_json(cert), sort_keys=True, separators=(",", ":"))
-                digest.update(line.encode() + b"\n")
+                digest.update(certificate_line(d))
                 count += 1
     assert count == CERTIFICATE_SWEEP_COUNT
     assert digest.hexdigest() == CERTIFICATE_SWEEP_SHA256
+
+
+# The same digest on every finite diagram [ 0 n0 d1 ... n_{k-1} 0 ] with
+# k = 2..4, both node kinds and interior dims 0..3, in sweep order.  The
+# affine sweep never starts from a cut; these inputs reach the layout
+# pass-through, the pushes from a cut elsewhere on the arrow arc, and a
+# negative dimension in the separation and in the pushes.
+FINITE_SWEEP_SHA256 = "1bc9c89d5f0f3e58faead62eb31df39e8688db49a7c3ea92cce3bf123d428310"
+FINITE_SWEEP_BRANCHES = {
+    "negative in the separation": 51,
+    "already laid out": 228,
+    "pushed": 584,
+    "negative in the pushes": 137,
+}
+
+
+def test_finite_certificate_sweep_guard():
+    digest = hashlib.sha256()
+    branches = dict.fromkeys(FINITE_SWEEP_BRANCHES, 0)
+    for k in range(2, 5):
+        for kinds in itertools.product("ox", repeat=k):
+            if "o" not in kinds or "x" not in kinds:
+                continue
+            for dims in itertools.product(range(4), repeat=k - 1):
+                d = parse_diagram("[ 0 " + " ".join(f"{c} {v}" for c, v in zip(kinds, dims + (0,))) + " ]")
+                digest.update(certificate_line(d))
+                res = separate(d)
+                if isinstance(res, NegativeWitness):
+                    branches["negative in the separation"] += 1
+                elif res[0].is_finite_layout:
+                    branches["already laid out"] += 1
+                elif isinstance(reduce_to_finite(res[0]), NegativeWitness):
+                    branches["negative in the pushes"] += 1
+                else:
+                    branches["pushed"] += 1
+    assert branches == FINITE_SWEEP_BRANCHES
+    assert digest.hexdigest() == FINITE_SWEEP_SHA256

@@ -1,4 +1,7 @@
-"""Where diagrams are validated: once per route, and at every public stage."""
+"""Where diagrams are validated (once per route, and at every public
+stage), and how often a decide labels a separated view."""
+
+import sys
 
 import pytest
 
@@ -68,6 +71,44 @@ def test_route_inputs_cover_both_verdicts_and_an_arc_subtraction():
     assert any(isinstance(entry, SubtractArrowArc) for entry in certs["affine-positive-subtract"].pipeline)
     assert [cert.verdict for cert in certs.values()] == [True, True, False, True]
     assert certs["finite"].pipeline
+
+
+# ---------------------------------------------------------------------------
+# two labellings per decide, no run-start scan
+
+LABEL_INPUTS = {name: ROUTE_INPUTS[name] for name in ("affine-positive-subtract", "affine-positive")}
+
+
+@pytest.fixture
+def labellings(monkeypatch):
+    """Calls of the run-start scan and of the labelling, in every module
+    that holds them."""
+
+    calls = {"_run_start": 0, "_label": 0}
+    for name in calls:
+        original = getattr(bowforge.diagram, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        for module_name, module in list(sys.modules.items()):
+            if module_name.partition(".")[0] == "bowforge" and getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("text", LABEL_INPUTS.values(), ids=LABEL_INPUTS.keys())
+def test_decide_labels_twice_and_never_scans(text, labellings):
+    # one view after the separation, one at the end of the reduction
+    assert decide_supersymmetry(parse_diagram(text)).verdict
+    assert labellings == {"_run_start": 0, "_label": 2}
+
+
+def test_label_inputs_need_gap_passes():
+    for text in LABEL_INPUTS.values():
+        sep, _ = separate(parse_diagram(text))
+        assert normalize_gap(sep)[1]
 
 
 # ---------------------------------------------------------------------------
