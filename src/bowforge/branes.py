@@ -26,6 +26,23 @@ before, and each of the pair's branes covers every segment alike.  So a
 swap adds the pair's uniform change to the coverage, updates the
 pair's charges and the count of over-full fixed slots, and reads the
 swapped segment off the identity, in O(1 + the pair's branes).
+``ledger_apply_move`` and the staging of ``momentmap.construct_solution``
+walk; their ledgers may crowd a slot or hold a fixed brane x-point first.
+
+Synthesis does not walk.  Write a fixed brane between arrow u and
+x-point x as its *winding* z: l + 1 when anticlockwise with l laps, −l
+when clockwise.  A swap with u on the left, before x, *shrinks* the
+pair, mapping its windings S to (S − 1) △ {0}: the brane at z = 1 is
+annihilated, or one at 0 is created, and every other lap count moves by
+one.  The opposite swap *grows* it, S ↦ (S △ {0}) + 1: brane creation
+and annihilation as in Hanany-Witten, with linking numbers conserved.
+While every fixed slot holds at most one brane, the two are inverse
+bijections of sets; swaps of other pairs leave the pair alone, and
+unfixed branes keep their keys through every swap.  So carrying a
+certifying ledger back through a decide's pipeline ends where each
+pair's net count of shrinks, applied at once, ends (:func:`_crossed`),
+and :func:`_synthesize_decided` makes one pass over the pipeline to
+count them and one audit of the result.
 
 The walker, the audit and synthesis key branes by plain tuples
 ``(start, end, anticlockwise, laps)``, far cheaper to build and hash.  A
@@ -35,16 +52,29 @@ ledger comes in, built back in the same order where one goes out.
 The from-scratch audit computes the coverage (each brane's laps plus
 its arc as a cyclic range in a difference array) and the fixed-slot
 occupancy in one pass from the index, in O(k + branes).  The public
-checks use it, and a walker runs it once, on the ledger it starts from;
-:func:`synthesize_finite` starts one on the tuple keys it builds, so
-that one audit serves both.
+checks use it, a walker runs it once, on the ledger it starts from,
+and synthesis runs it once, on the ledger it returns;
+:func:`synthesize_finite` starts a walker on the tuple keys it builds,
+so that one audit serves both.
 """
 
 from __future__ import annotations
 
 from itertools import accumulate
 
-from .diagram import BowDiagram, Direction, IncrementArrows, IncrementX, MoveEntry, NodeKind, _set, _Value
+from .diagram import (
+    BowDiagram,
+    CutAt,
+    Direction,
+    HwMove,
+    IncrementArrows,
+    IncrementX,
+    MoveEntry,
+    NodeKind,
+    SubtractArrowArc,
+    _set,
+    _Value,
+)
 from .rewrite import _Host, _index
 
 # ---------------------------------------------------------------------------
@@ -452,6 +482,20 @@ def _finite_walk(fin) -> _Walk:
     """The ledger of :func:`synthesize_finite`, held by a walker whose
     starting audit is the final check."""
 
+    branes = _finite_branes(fin)
+    try:
+        walk = _Walk(fin.diagram, branes)
+    except ValueError:
+        raise ValueError(_NOT_SUSY) from None
+    if walk.crowd:
+        raise ValueError(_NOT_SUSY)
+    return walk
+
+
+def _finite_branes(fin) -> dict[tuple, int]:
+    """The tuple-keyed branes of :func:`synthesize_finite`, not yet
+    audited: the fixed branes, then arrow-to-arrow, then x-to-x."""
+
     if not fin.is_finite_layout:
         raise ValueError("synthesis needs a separated finite layout")
     d = fin.diagram
@@ -478,18 +522,12 @@ def _finite_walk(fin) -> _Walk:
     # leftover x-side profile becomes x-to-x branes
     for i, j, mult in _histogram_runs(cur[1:w]):
         _put(branes, (fin.x_ids[j + 1], fin.x_ids[i], False, 0), mult)
-
-    try:
-        walk = _Walk(d, branes)
-    except ValueError:
-        raise ValueError(_NOT_SUSY) from None
-    if walk.crowd:
-        raise ValueError(_NOT_SUSY)
-    return walk
+    return branes
 
 
-def _synthesize_one_kind(d: BowDiagram) -> _Walk:
-    """A walker on the ledger of a diagram whose nodes are all of one kind.
+def _one_kind_branes(d: BowDiagram) -> dict[tuple, int]:
+    """The tuple-keyed ledger of a diagram whose nodes are all of one
+    kind, not yet audited.
 
     Every brane is unfixed, so only coverage matters: peel the global
     minimum off as full loops, then decompose what is left into runs
@@ -508,10 +546,7 @@ def _synthesize_one_kind(d: BowDiagram) -> _Walk:
     for i, j, mult in _histogram_runs([residual[seg] for seg in line]):
         first, last = line[i], line[j]
         _put(branes, (d.nodes[(last + 1) % k].id, d.nodes[first].id, False, 0), mult)
-    try:
-        return _Walk(d, branes)
-    except ValueError:
-        raise RuntimeError(f"one-kind ledger does not cover the dims {d.dims}") from None
+    return branes
 
 
 def synthesize(d: BowDiagram) -> BraneLedger:
@@ -529,25 +564,63 @@ def synthesize(d: BowDiagram) -> BraneLedger:
     return _synthesize_decided(d, cert, fin)
 
 
+def _crossed(windings: set[int], net: int) -> set[int]:
+    """The windings of one (arrow, x-point) pair's fixed branes after
+    ``net`` shrinks of the pair, or −net grows when ``net`` is negative.
+
+    A shrink maps the set S to (S − 1) △ {0}, so ``net`` of them give
+    (S − net) △ {1 − net, …, 0}; a grow maps S to (S △ {0}) + 1, so
+    −net of them give (S − net) △ {1, …, −net}.
+    """
+
+    lo, hi = sorted((1, 1 - net))
+    return {z - net for z in windings} ^ set(range(lo, hi))
+
+
 def _synthesize_decided(d: BowDiagram, cert, fin) -> BraneLedger:
     """:func:`synthesize` from the positive certificate and the layout
-    that ``susy._decide_full`` returned for ``d``."""
+    that ``susy._decide_full`` returned for ``d``, with no ``fin`` for a
+    one-kind diagram.
 
-    if d.n_arrows == 0 or d.n_xpoints == 0:
-        return _synthesize_one_kind(d).ledger()
+    The ledger of ``fin`` is carried back to ``d`` by counting, not by
+    walking (see the module docstring).  Undoing ``HwMove(left, right)``
+    swaps right before left, so it shrinks the pair when the arrow is
+    ``right`` and grows it when the arrow is ``left``; one pass over the
+    pipeline nets these per pair, and :func:`_crossed` applies each net.
+    An undone arc subtraction puts back its clockwise x-to-x brane from
+    x_1 to x_w (a full loop when w = 1): x-points never pass one
+    another, so those are the run's ends at the subtraction too.  A cut
+    undoes nothing.
 
-    # each move checks the carried coverage against its host, so the
-    # last one, on a host equal to d, also covers d; a move that fails
-    # here is a fault of this module
-    walk = _finite_walk(fin)
-    for entry in reversed(cert.pipeline):
-        try:
-            susy = walk.move(entry, inverse=True)
-        except (KeyError, ValueError) as exc:
-            raise RuntimeError(f"transport failed at {entry}: {exc}") from exc
-        if not susy:
-            raise RuntimeError(f"transport broke the fixed-slot bound at {entry}")
-    ledger = walk.ledger()
-    if ledger.diagram != d:
-        raise RuntimeError("synthesized ledger does not sit on the diagram it was built for")
-    return ledger
+    One audit on ``d`` checks the result, as the walker's last move
+    did: a coverage other than the dims or an over-full fixed slot is a
+    fault of this module and raises RuntimeError.
+    """
+
+    if fin is None:
+        branes = _one_kind_branes(d)
+    else:
+        branes = _finite_branes(fin)
+        xs = set(fin.x_ids)
+        net: dict[tuple[int, int], int] = {}
+        for entry in cert.pipeline:
+            cls = entry.__class__
+            if cls is HwMove:
+                if entry.right in xs:
+                    pair, step = (entry.left, entry.right), -1
+                else:
+                    pair, step = (entry.right, entry.left), 1
+                net[pair] = net.get(pair, 0) + step
+            elif cls is SubtractArrowArc:
+                _put(branes, (fin.x_ids[0], fin.x_ids[-1], False, int(fin.w == 1)), entry.amount)
+            elif cls is not CutAt:
+                raise RuntimeError(f"no crossing rule for the pipeline entry {entry!r}")
+        for (u, x), count in net.items():
+            if count:
+                windings = {1} if branes.pop((u, x, True, 0), 0) else set()
+                for z in _crossed(windings, count):
+                    branes[(u, x, True, z - 1) if z > 0 else (u, x, False, -z)] = 1
+    cover, crowd = _audit(d.k, _index(d), branes)
+    if cover != d.dims or crowd:
+        raise RuntimeError(f"synthesized ledger covers {cover} on the dims {d.dims}, with {crowd} over-full fixed slots")
+    return BraneLedger(diagram=d, branes={_brane(key): mult for key, mult in branes.items()})

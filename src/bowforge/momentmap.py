@@ -827,12 +827,12 @@ def _construct_decided(d: BowDiagram, cert, fin, seed: int) -> Solution:
     which the spiral keeps apart, so no spectrum is read.
     """
 
-    from .branes import _brane, _finite_walk, _synthesize_one_kind
+    from .branes import _brane, _finite_walk, _one_kind_branes, _Walk
 
     if not cert.verdict:
         raise ValueError("diagram is not supersymmetric; no stable zero exists")
     # a one-kind diagram has no fixed brane, and its skeleton is all zero
-    walk = _synthesize_one_kind(d) if fin is None else _finite_walk(fin)
+    walk = _Walk(d, _one_kind_branes(d)) if fin is None else _finite_walk(fin)
     kind = {node_id: node_kind for node_id, (_, node_kind) in walk.index.items()}
 
     # unfixed branes are increments on top of the fixed skeleton, which

@@ -325,16 +325,17 @@ def separate(d: BowDiagram) -> tuple[SeparatedForm, MoveLog] | NegativeWitness:
     """
 
     _require_valid(d)
-    return _separate(d)
+    nodes = d.nodes
+    return _separate(d, [pos for pos in range(len(nodes)) if nodes[pos].kind == NodeKind.XPOINT])
 
 
-def _separate(d: BowDiagram) -> tuple[SeparatedForm, MoveLog] | NegativeWitness:
-    """:func:`separate` on a diagram already known to be valid; the view
-    is labelled at the start of the gathered run."""
+def _separate(d: BowDiagram, xpos: list[int]) -> tuple[SeparatedForm, MoveLog] | NegativeWitness:
+    """:func:`separate` on a diagram already known to be valid, whose x
+    points sit at the ascending positions ``xpos``; the view is labelled
+    at the start of the gathered run."""
 
     k = d.k
     nodes, dims = list(d.nodes), list(d.dims)
-    xpos = [pos for pos in range(k) if nodes[pos].kind == NodeKind.XPOINT]
     if len(xpos) in (0, k):
         return _separated_view(d), ()
     anchor = min(xpos, key=lambda pos: nodes[pos].id)

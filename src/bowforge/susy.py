@@ -25,6 +25,7 @@ from .diagram import (
     Direction,
     MoveEntry,
     MoveLog,
+    NodeKind,
     SeparatedForm,
     SubtractArrowArc,
     _label,
@@ -302,12 +303,15 @@ def _decide_full(d: BowDiagram) -> tuple[Certificate, SeparatedForm | None]:
 
     _require_valid(d)
     min_dim = min(d.dims)
-    if d.n_arrows == 0 or d.n_xpoints == 0:
+    # the one scan of the node kinds: the x positions give both counts
+    nodes = d.nodes
+    xpos = [pos for pos in range(len(nodes)) if nodes[pos].kind == NodeKind.XPOINT]
+    if len(xpos) in (0, len(nodes)):
         return Certificate(min_dim >= 0, TrivialNoNodes(min_dim=min_dim), ()), None
     if min_dim < 0:
         witness = NegativeWitness((), d.dims.index(min_dim), min_dim)
         return Certificate(False, witness, ()), None
-    res = _separate(d)
+    res = _separate(d, xpos)
     if isinstance(res, NegativeWitness):
         return Certificate(False, res, res.move_log), None
     sep, log1 = res

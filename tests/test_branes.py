@@ -270,29 +270,34 @@ def test_synthesize_refuses_non_susy():
 
 
 def test_synthesize_self_checks_raise(monkeypatch):
-    d = parse_diagram("( 1 x 2 o 2 x 1 o )")
-    monkeypatch.setattr(branes._Walk, "move", lambda self, entry, inverse=False: False)
-    with pytest.raises(RuntimeError, match="transport broke the fixed-slot bound at"):
+    # synthesis audits its ledger once, on d: an emptied winding set on
+    # every crossed pair, or an over-full fixed slot, raises; the
+    # pipeline here leaves the arrow two net shrinks past the x point
+    d = parse_diagram("( 2 o 1 x )")
+    monkeypatch.setattr(branes, "_crossed", lambda windings, net: set())
+    with pytest.raises(RuntimeError, match=r"synthesized ledger covers \(.*\) on the dims \(1, 2\), with 0 over-full"):
         synthesize(d)
     monkeypatch.undo()
-    monkeypatch.setattr(branes._Walk, "ledger", lambda self: BraneLedger(parse_diagram("( 0 x 0 o )"), {}))
-    with pytest.raises(RuntimeError, match="does not sit on the diagram"):
+    audit = branes._audit
+    monkeypatch.setattr(branes, "_audit", lambda *args: (audit(*args)[0], 1))
+    with pytest.raises(RuntimeError, match=r"covers \(1, 2\) on the dims \(1, 2\), with 1 over-full fixed slots"):
         synthesize(d)
 
 
-def test_synthesize_names_the_entry_a_walker_fault_broke(monkeypatch):
-    def lose_track(self, entry, inverse=False):
-        raise ValueError("planted loss of track")
-
-    monkeypatch.setattr(branes._Walk, "move", lose_track)
-    with pytest.raises(RuntimeError, match=r"transport failed at HwMove\(.*\): planted loss of track"):
-        synthesize(parse_diagram("( 1 x 2 o 2 x 1 o )"))
+def test_synthesize_audits_a_wrong_winding_set(monkeypatch):
+    # a fixed brane with six laps planted on every crossed pair covers
+    # every segment more than the dims allow
+    crossed = branes._crossed
+    monkeypatch.setattr(branes, "_crossed", lambda windings, net: crossed(windings, net) | {7})
+    with pytest.raises(RuntimeError, match="synthesized ledger covers .* on the dims"):
+        synthesize(ledger_built(14, 1))
 
 
 @pytest.mark.parametrize("text", ["( 1 x 2 o 2 x 1 o )", "( 3 o 2 x 4 x 1 o 2 x )", "[ 1 x 2 o 3 o 1 x 0 ]"])
 def test_one_audit_per_ledger_walk(text, monkeypatch):
-    # synthesis and construction each audit their starting ledger once,
-    # when the walker is built, and carry the coverage from there
+    # synthesis audits the ledger it counted once, on d; construction
+    # audits its starting ledger once, when its walker is built, and
+    # carries the coverage from there
     from bowforge.momentmap import construct_solution
 
     calls = []
@@ -531,3 +536,66 @@ def test_synthesize_ledger_guard():
                 count += 1
     assert count == LEDGER_SWEEP_COUNT
     assert digest.hexdigest() == LEDGER_SWEEP_SHA256
+
+
+def ledger_line(d: BowDiagram) -> bytes:
+    """The ledger that synthesize builds on ``d`` as one canonical JSON line."""
+
+    return json.dumps(ledger_to_json(synthesize(d)), sort_keys=True, separators=(",", ":")).encode() + b"\n"
+
+
+# The digest of the ledgers synthesize builds on ledger_built(k, seed)
+# for k = 8..14 and seeds 0..199, in that order: long pipelines whose
+# arrows cross their x points many times over.
+LEDGER_BUILT_SHA256 = "9d93c9ff6d8eabfdc464d283379b04ccae83719557ab2d62806fc460d1b6712c"
+
+
+def test_synthesize_ledger_built_guard():
+    digest = hashlib.sha256()
+    for k in range(8, 15):
+        for seed in range(200):
+            digest.update(ledger_line(ledger_built(k, seed)))
+    assert digest.hexdigest() == LEDGER_BUILT_SHA256
+
+
+# The digest of the ledgers on the supersymmetric finite diagrams
+# [ 0 n0 d1 ... n_{k-1} 0 ] with k = 2..4, both node kinds and interior
+# dims 0..3, in the sweep order of test_finite_certificate_sweep_guard.
+FINITE_LEDGER_COUNT = 726
+FINITE_LEDGER_SHA256 = "78af16d065fec292eb0d20125c0b0f1f0a7d268e68c9740c2b055c1d62c077f3"
+
+
+def test_synthesize_finite_ledger_guard():
+    digest = hashlib.sha256()
+    count = 0
+    for k in range(2, 5):
+        for kinds in itertools.product("ox", repeat=k):
+            if "o" not in kinds or "x" not in kinds:
+                continue
+            for dims in itertools.product(range(4), repeat=k - 1):
+                d = parse_diagram("[ 0 " + " ".join(f"{c} {v}" for c, v in zip(kinds, dims + (0,))) + " ]")
+                if not decide_supersymmetry(d).verdict:
+                    continue
+                digest.update(ledger_line(d))
+                count += 1
+    assert count == FINITE_LEDGER_COUNT
+    assert digest.hexdigest() == FINITE_LEDGER_SHA256
+
+
+def test_synthesize_walks_no_move(monkeypatch):
+    # synthesis counts crossings: it builds no walker and sends no move
+    # through a host, however long the pipeline
+    from bowforge import rewrite
+
+    calls = []
+    init, move = branes._Walk.__init__, rewrite._Host.move
+    monkeypatch.setattr(branes._Walk, "__init__", lambda self, *args: calls.append("walk") or init(self, *args))
+    monkeypatch.setattr(rewrite._Host, "move", lambda self, *args: calls.append("move") or move(self, *args))
+    d = ledger_built(14, 1)
+    assert len(decide_supersymmetry(d).pipeline) > 14
+    ledger = synthesize(d)
+    assert calls == []
+    assert check_ledger(ledger) == []
+    # the counters see a walker and its move where there is one
+    ledger_apply_move(ledger, HwMove(*rewrite.legal_swaps(d)[0]))
+    assert calls == ["walk", "move"]

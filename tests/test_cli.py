@@ -143,20 +143,17 @@ def test_synth_self_check_raises_under_optimize():
     assert err == f"error: {message}\n"
 
 
-def _lose_track(self, entry, inverse=False):
-    raise ValueError("planted loss of track")
-
-
 INTERNAL_FAULTS = {
     "self-check": (cli, "check_ledger", lambda ledger: ["planted problem"], "failed its check"),
-    "walker": (branes._Walk, "move", _lose_track, "transport failed at"),
+    "crossing": (branes, "_crossed", lambda windings, net: {7}, "on the dims"),
 }
 
 
 @pytest.mark.parametrize("target, name, patch, message", INTERNAL_FAULTS.values(), ids=INTERNAL_FAULTS.keys())
 def test_internal_failure_exits_4(capsys, monkeypatch, target, name, patch, message):
     monkeypatch.setattr(target, name, patch)
-    code = main(["synth", "--json", "( 3 x 2 o )"])
+    # the pipeline of this diagram leaves the arrow two net shrinks past the x point
+    code = main(["synth", "--json", "( 3 o 2 x )"])
     captured = capsys.readouterr()
     assert code == 4
     assert message in json.loads(captured.out)["error"]

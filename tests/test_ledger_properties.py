@@ -3,8 +3,11 @@ the in-place ledger walker against the per-move ledger transport it
 replaced, kept here as the oracle, the walker's carried coverage and
 fixed-slot count against a from-scratch audit after every move, and the
 tuple-keyed walker against the ``Brane``-keyed walker it replaced, also
-kept here as the oracle."""
+kept here as the oracle, and synthesis by crossing counts against the
+walker replay of the reversed pipeline that it replaced, kept here as the
+oracle."""
 
+import json
 from itertools import accumulate
 
 import pytest
@@ -18,10 +21,14 @@ from bowforge.branes import (
     Brane,
     BraneLedger,
     _audit,
+    _finite_walk,
     _keyed,
+    _one_kind_branes,
     _Walk,
     coverage,
     ledger_apply_move,
+    ledger_to_json,
+    synthesize,
 )
 from bowforge.diagram import (
     BowDiagram,
@@ -36,6 +43,7 @@ from bowforge.diagram import (
     separated_view,
 )
 from bowforge.rewrite import _index, _swap, apply_entry, arc_increment, legal_swaps
+from bowforge.susy import _decide_full
 from test_branes import ledger_is_susy
 
 CW, ACW = Direction.CW, Direction.ACW
@@ -678,3 +686,57 @@ def test_walker_matches_the_brane_keyed_walker(ledger, data):
         if want[0] == "raised":
             return
         assert _walk_state(walk) == _walk_state(oracle)
+
+
+# ---------------------------------------------------------------------------
+# synthesis by crossing counts against the walker replay
+
+
+def replayed_ledger(d: BowDiagram) -> BraneLedger:
+    """``synthesize`` as it was: the finite layout's ledger carried back
+    to ``d`` through the reversed pipeline, one checked walker move at a
+    time, with the fixed-slot bound held after every move."""
+
+    cert, fin = _decide_full(d)
+    assert cert.verdict
+    if fin is None:
+        return _Walk(d, _one_kind_branes(d)).ledger()
+    walk = _finite_walk(fin)
+    for entry in reversed(cert.pipeline):
+        assert walk.move(entry, inverse=True), entry
+    ledger = walk.ledger()
+    assert ledger.diagram == d
+    return ledger
+
+
+@st.composite
+def certified_diagrams(draw):
+    """Hosts of certifying ledgers with up to 14 nodes, some of them
+    finite: the cut goes on a drawn segment, and only the branes without
+    laps whose arcs keep off it stay, so the cut segment has dimension 0."""
+
+    ledger = draw(certifying_ledgers(max_nodes=14))
+    d = ledger.diagram
+    if draw(st.integers(0, 2)):
+        return d
+    cut = draw(st.integers(0, d.k - 1))
+    host = BowDiagram(d.nodes, (0,) * d.k)
+    kept = {
+        brane: mult
+        for brane, mult in ledger.branes.items()
+        if brane.laps == 0 and coverage(BraneLedger(host, {brane: 1}))[cut] == 0
+    }
+    return BowDiagram(d.nodes, coverage(BraneLedger(host, kept)), cut)
+
+
+def _canonical(ledger: BraneLedger) -> str:
+    return json.dumps(ledger_to_json(ledger), sort_keys=True, separators=(",", ":"))
+
+
+@settings(max_examples=300, deadline=None)
+@given(certified_diagrams())
+def test_synthesize_matches_the_walker_replay(d):
+    got, want = synthesize(d), replayed_ledger(d)
+    assert got.diagram == want.diagram == d
+    assert got.branes == want.branes
+    assert _canonical(got) == _canonical(want)
