@@ -29,20 +29,43 @@ swapped segment off the identity, in O(1 + the pair's branes).
 ``ledger_apply_move`` and the staging of ``momentmap.construct_solution``
 walk; their ledgers may crowd a slot or hold a fixed brane x-point first.
 
-Synthesis does not walk.  Write a fixed brane between arrow u and
-x-point x as its *winding* z: l + 1 when anticlockwise with l laps, −l
-when clockwise.  A swap with u on the left, before x, *shrinks* the
-pair, mapping its windings S to (S − 1) △ {0}: the brane at z = 1 is
-annihilated, or one at 0 is created, and every other lap count moves by
-one.  The opposite swap *grows* it, S ↦ (S △ {0}) + 1: brane creation
-and annihilation as in Hanany-Witten, with linking numbers conserved.
-While every fixed slot holds at most one brane, the two are inverse
-bijections of sets; swaps of other pairs leave the pair alone, and
-unfixed branes keep their keys through every swap.  So carrying a
-certifying ledger back through a decide's pipeline ends where each
-pair's net count of shrinks, applied at once, ends (:func:`_crossed`),
-and :func:`_synthesize_decided` makes one pass over the pipeline to
-count them and one audit of the result.
+Synthesis does not walk, and it does not decide.  Write a fixed brane
+between arrow u and x-point x as its *winding* z: l + 1 when
+anticlockwise with l laps, −l when clockwise.  A swap with u on the
+left, before x, *shrinks* the pair, mapping its windings S to
+(S − 1) △ {0}: the brane at z = 1 is annihilated, or one at 0 is
+created, and every other lap count moves by one.  The opposite swap
+*grows* it, S ↦ (S △ {0}) + 1: brane creation and annihilation as in
+Hanany-Witten, with linking numbers conserved.  While every fixed slot
+holds at most one brane, the two are inverse bijections of sets; swaps
+of other pairs leave the pair alone, and unfixed branes keep their keys
+through every swap.  So carrying a certifying ledger back from the
+finite layout that a decide reaches ends where each pair's net count of
+shrinks, applied at once, ends (:func:`_crossed`).
+
+Neither the layout nor the counts need a move.  ``susy._closed_reduction``
+reads both off the input.  A node's *jump*, the dim after it minus the
+dim before it, loses one when the node passes a neighbour anticlockwise
+and gains one when a neighbour passes it, so the separated dims are
+prefix sums of adjusted jumps.  One pass of an arrow through the x run
+maps the arrow-arc labels (v_0, …, v_n) to (v_1, …, v_n,
+v_1 − v_0 + v_n + w), a recurrence whose terms have a closed form, so
+any number of gap passes and pushes costs O(n), and which arrow makes
+each pass follows from its index.
+
+A decide stops at its first negative dimension; the closed form runs on
+through it, and the layout it reaches still carries the verdict.
+Hanany-Witten transitions are invertible, and they keep supersymmetry
+(Nakajima–Takayama, arXiv:1606.02002): the input and every diagram on
+the way reach the same diagrams by moves.  So a negative dimension on
+the way makes the input, and with it the layout, not supersymmetric,
+and the layout's own ledger cannot be built.  :func:`synthesize`
+refuses with ValueError exactly where a negative input dimension, a
+negative arc subtraction amount (the minimum of a diagram on the way)
+or :func:`_finite_branes` on the layout refuses.  Its one audit on the
+input checks for faults, not for the verdict: a coverage other than
+the dims or an over-full fixed slot there is a bug of this module and
+raises RuntimeError, never ValueError.
 
 The walker, the audit and synthesis key branes by plain tuples
 ``(start, end, anticlockwise, laps)``, far cheaper to build and hash.  A
@@ -71,14 +94,12 @@ from itertools import accumulate
 
 from .diagram import (
     BowDiagram,
-    CutAt,
     Direction,
-    HwMove,
     IncrementArrows,
     IncrementX,
     MoveEntry,
     NodeKind,
-    SubtractArrowArc,
+    _require_valid,
     _set,
     _Value,
 )
@@ -230,18 +251,16 @@ def ledger_to_json(ledger: BraneLedger) -> dict:
 
 
 def ledger_from_json(data: dict) -> BraneLedger:
-    from .diagram import diagram_from_json
+    from .diagram import _json_int, diagram_from_json
 
     d = diagram_from_json(data["diagram"])
     branes: dict[Brane, int] = {}
     for item in data["branes"]:
-        key = Brane(
-            start=int(item["start"]),
-            end=int(item["end"]),
-            direction=Direction(item["dir"]),
-            laps=int(item["laps"]),
-        )
-        branes[key] = branes.get(key, 0) + int(item["mult"])
+        start, end, laps, mult = [
+            _json_int(item[name], f"brane field {name!r}") for name in ("start", "end", "laps", "mult")
+        ]
+        key = Brane(start=start, end=end, direction=Direction(item["dir"]), laps=laps)
+        branes[key] = branes.get(key, 0) + mult
     return BraneLedger(diagram=d, branes=branes)
 
 
@@ -482,6 +501,7 @@ def _histogram_runs(values: list[int]) -> list[tuple[int, int, int]]:
 
 
 _NOT_SUSY = "layout is not supersymmetric; no brane ledger exists"
+_NO_LEDGER = "diagram is not supersymmetric; no brane ledger exists"
 
 
 def synthesize_finite(fin) -> BraneLedger:
@@ -500,7 +520,9 @@ def _finite_walk(fin) -> _Walk:
     """The ledger of :func:`synthesize_finite`, held by a walker whose
     starting audit is the final check."""
 
-    branes = _finite_branes(fin)
+    if not fin.is_finite_layout:
+        raise ValueError("synthesis needs a separated finite layout")
+    branes = _finite_branes(fin.v_arr, fin.v_x, fin.arrow_ids, fin.x_ids)
     try:
         walk = _Walk(fin.diagram, branes)
     except ValueError:
@@ -510,36 +532,34 @@ def _finite_walk(fin) -> _Walk:
     return walk
 
 
-def _finite_branes(fin) -> dict[tuple, int]:
-    """The tuple-keyed branes of :func:`synthesize_finite`, not yet
-    audited: the fixed branes, then arrow-to-arrow, then x-to-x."""
+def _finite_branes(v_arr, v_x, arrow_ids, x_ids) -> dict[tuple, int]:
+    """The tuple-keyed branes of :func:`synthesize_finite` on the finite
+    layout with these labels and ids, not yet audited: the fixed branes,
+    then arrow-to-arrow, then x-to-x."""
 
-    if not fin.is_finite_layout:
-        raise ValueError("synthesis needs a separated finite layout")
-    d = fin.diagram
-    n, w = fin.n, fin.w
-    if min(d.dims) < 0:
+    n, w = len(arrow_ids), len(x_ids)
+    if min(v_arr) < 0 or min(v_x) < 0:
         raise ValueError(_NOT_SUSY)
-    counts, cur = greedy_fixed_counts(fin.v_arr, fin.v_x)
+    counts, cur = greedy_fixed_counts(v_arr, v_x)
     if cur[0] or cur[w]:
         raise ValueError(_NOT_SUSY)
 
     branes: dict[tuple, int] = {}
     for s in range(1, n + 1):
         for k in range(1, counts[s - 1] + 1):
-            _put(branes, (fin.arrow_ids[s - 1], fin.x_ids[k - 1], True, 0), 1)
+            _put(branes, (arrow_ids[s - 1], x_ids[k - 1], True, 0), 1)
 
     # leftover arrow-arc dimensions become arrow-to-arrow branes
     for m in range(1, n):
-        residual = fin.v_arr[m] - sum(counts[m:])
+        residual = v_arr[m] - sum(counts[m:])
         if residual < 0:
             raise ValueError(_NOT_SUSY)
         if residual:
-            _put(branes, (fin.arrow_ids[m - 1], fin.arrow_ids[m], False, 0), residual)
+            _put(branes, (arrow_ids[m - 1], arrow_ids[m], False, 0), residual)
 
     # leftover x-side profile becomes x-to-x branes
     for i, j, mult in _histogram_runs(cur[1:w]):
-        _put(branes, (fin.x_ids[j + 1], fin.x_ids[i], False, 0), mult)
+        _put(branes, (x_ids[j + 1], x_ids[i], False, 0), mult)
     return branes
 
 
@@ -571,15 +591,47 @@ def synthesize(d: BowDiagram) -> BraneLedger:
     """Certifying brane ledger for a supersymmetric diagram.
 
     Raises ValueError when the diagram is not supersymmetric: no valid
-    ledger exists in that case.
+    ledger exists in that case.  ``d`` is validated first.
+
+    The finite layout that a decide reaches, the net crossings of each
+    (arrow, x-point) pair on the way there and the arc subtraction come
+    from ``susy._closed_reduction``, with no move made (see the module
+    docstring).  The layout's ledger is carried back to ``d`` by
+    :func:`_crossed` on each crossed pair; an undone arc subtraction
+    puts back its clockwise x-to-x brane from x_1 to x_w (a full loop
+    when w = 1): x-points never pass one another, so those are the run's
+    ends at the subtraction too.  One audit on ``d`` checks the result:
+    a coverage other than the dims or an over-full fixed slot is a fault
+    of this module and raises RuntimeError.
     """
 
-    from .susy import _decide_full
+    from .susy import _closed_reduction
 
-    cert, fin = _decide_full(d)
-    if not cert.verdict:
-        raise ValueError("diagram is not supersymmetric; no brane ledger exists")
-    return _synthesize_decided(d, cert, fin)
+    _require_valid(d)
+    nodes = d.nodes
+    xpos = [pos for pos in range(len(nodes)) if nodes[pos].kind == NodeKind.XPOINT]
+    if min(d.dims) < 0:
+        raise ValueError(_NO_LEDGER)
+    if len(xpos) in (0, len(nodes)):
+        branes = _one_kind_branes(d)
+    else:
+        v_arr, v_x, arrow_ids, x_ids, net, a = _closed_reduction(d, xpos)
+        if a < 0:
+            raise ValueError(_NO_LEDGER)
+        try:
+            branes = _finite_branes(v_arr, v_x, arrow_ids, x_ids)
+        except ValueError:
+            raise ValueError(_NO_LEDGER) from None
+        _put(branes, (x_ids[0], x_ids[-1], False, int(len(x_ids) == 1)), a)
+        for (u, x), count in net.items():
+            if count:
+                held = 1 if branes.pop((u, x, True, 0), 0) else 0
+                for z in _crossed(held, count):
+                    branes[(u, x, True, z - 1) if z > 0 else (u, x, False, -z)] = 1
+    cover, crowd = _audit(d.k, _index(d), branes)
+    if cover != d.dims or crowd:
+        raise RuntimeError(f"synthesized ledger covers {cover} on the dims {d.dims}, with {crowd} over-full fixed slots")
+    return BraneLedger(diagram=d, branes={_brane(*key): mult for key, mult in branes.items()})
 
 
 def _crossed(held: int, net: int) -> range:
@@ -596,52 +648,3 @@ def _crossed(held: int, net: int) -> range:
     """
 
     return range(1 - net + held, 1) if net > 0 else range(1, 1 - net + held)
-
-
-def _synthesize_decided(d: BowDiagram, cert, fin) -> BraneLedger:
-    """:func:`synthesize` from the positive certificate and the layout
-    that ``susy._decide_full`` returned for ``d``, with no ``fin`` for a
-    one-kind diagram.
-
-    The ledger of ``fin`` is carried back to ``d`` by counting, not by
-    walking (see the module docstring).  Undoing ``HwMove(left, right)``
-    swaps right before left, so it shrinks the pair when the arrow is
-    ``right`` and grows it when the arrow is ``left``; one pass over the
-    pipeline nets these per pair, and :func:`_crossed` applies each net.
-    An undone arc subtraction puts back its clockwise x-to-x brane from
-    x_1 to x_w (a full loop when w = 1): x-points never pass one
-    another, so those are the run's ends at the subtraction too.  A cut
-    undoes nothing.
-
-    One audit on ``d`` checks the result, as the walker's last move
-    did: a coverage other than the dims or an over-full fixed slot is a
-    fault of this module and raises RuntimeError.
-    """
-
-    if fin is None:
-        branes = _one_kind_branes(d)
-    else:
-        branes = _finite_branes(fin)
-        xs = set(fin.x_ids)
-        net: dict[tuple[int, int], int] = {}
-        for entry in cert.pipeline:
-            cls = entry.__class__
-            if cls is HwMove:
-                if entry.right in xs:
-                    pair, step = (entry.left, entry.right), -1
-                else:
-                    pair, step = (entry.right, entry.left), 1
-                net[pair] = net.get(pair, 0) + step
-            elif cls is SubtractArrowArc:
-                _put(branes, (fin.x_ids[0], fin.x_ids[-1], False, int(fin.w == 1)), entry.amount)
-            elif cls is not CutAt:
-                raise RuntimeError(f"no crossing rule for the pipeline entry {entry!r}")
-        for (u, x), count in net.items():
-            if count:
-                held = 1 if branes.pop((u, x, True, 0), 0) else 0
-                for z in _crossed(held, count):
-                    branes[(u, x, True, z - 1) if z > 0 else (u, x, False, -z)] = 1
-    cover, crowd = _audit(d.k, _index(d), branes)
-    if cover != d.dims or crowd:
-        raise RuntimeError(f"synthesized ledger covers {cover} on the dims {d.dims}, with {crowd} over-full fixed slots")
-    return BraneLedger(diagram=d, branes={_brane(*key): mult for key, mult in branes.items()})

@@ -22,7 +22,7 @@ import os
 import sys
 from pathlib import Path
 
-from .branes import _synthesize_decided, check_ledger, ledger_to_json
+from .branes import check_ledger, ledger_to_json, synthesize
 from .diagram import (
     BowDiagram,
     SeparatedForm,
@@ -242,11 +242,15 @@ def _cmd_equiv(args) -> int:
 
 def _cmd_synth(args) -> int:
     d = _load_diagram(args.diagram)
-    cert, fin = _decide_full(d)
-    if not cert.verdict:
+    try:
+        ledger = synthesize(d)
+    except ValueError:
+        # a decide only where synthesis refuses, for the negative certificate
+        cert = decide_supersymmetry(d)
+        if cert.verdict:
+            raise RuntimeError("synthesis refused a diagram that decide calls supersymmetric") from None
         _emit(args, certificate_to_json(cert), "not supersymmetric: no ledger exists")
         return EXIT_NEGATIVE
-    ledger = _synthesize_decided(d, cert, fin)
     problems = check_ledger(ledger)
     if problems:
         raise RuntimeError(f"synthesized ledger failed its check: {problems}")

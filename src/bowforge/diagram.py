@@ -323,8 +323,18 @@ def diagram_to_json(d: BowDiagram) -> dict:
     }
 
 
+def _json_int(value, field: str) -> int:
+    """An integer field of decoded JSON, unchanged; anything else, a bool,
+    a float such as 1.7 or the infinity that 1e400 decodes to included,
+    raises ValueError naming the field, not rounding or overflowing."""
+
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{field} must be an integer, got {value!r}")
+    return value
+
+
 def _restore_ids(base: BowDiagram, ids) -> BowDiagram:
-    ids = [int(v) for v in ids]
+    ids = [_json_int(v, "node id") for v in ids]
     if len(ids) != len(base.nodes):
         raise ValueError(f"expected {len(base.nodes)} node ids, found {len(ids)}")
     if len(set(ids)) != len(ids):
@@ -336,7 +346,7 @@ def _restore_ids(base: BowDiagram, ids) -> BowDiagram:
 def diagram_from_json(data: dict) -> BowDiagram:
     shape = data.get("shape")
     kinds = [_token_kind(tok) for tok in data.get("nodes", [])]
-    dims = [int(v) for v in data.get("dims", [])]
+    dims = [_json_int(v, "dimension") for v in data.get("dims", [])]
     if shape == "affine":
         body = " ".join(f"{d} {kd.value}" for d, kd in zip(dims, kinds, strict=True))
         base = parse_diagram(f"( {body} )")
@@ -446,20 +456,24 @@ def entry_to_json(entry: MoveEntry) -> dict:
 
 def entry_from_json(data: dict) -> MoveEntry:
     op = data.get("op")
+
+    def field(name: str) -> int:
+        return _json_int(data[name], f"move field {name!r}")
+
     if op == "hw":
-        return HwMove(left=int(data["left"]), right=int(data["right"]))
+        return HwMove(left=field("left"), right=field("right"))
     if op in ("increment_arrows", "increment_x"):
         increment = IncrementArrows if op == "increment_arrows" else IncrementX
         return increment(
-            start=int(data["start"]),
-            end=int(data["end"]),
+            start=field("start"),
+            end=field("end"),
             direction=Direction(data["dir"]),
-            amount=int(data["amount"]),
+            amount=field("amount"),
         )
     if op == "subtract_arrow_arc":
-        return SubtractArrowArc(amount=int(data["amount"]))
+        return SubtractArrowArc(amount=field("amount"))
     if op == "cut_at":
-        return CutAt(segment=int(data["segment"]))
+        return CutAt(segment=field("segment"))
     raise ValueError(f"unknown move op {op!r}")
 
 

@@ -12,11 +12,14 @@ none of these can go negative, and for a finite separated layout the
 t = 1 clockwise family alone decides it.  The decision procedure
 normalizes any input to that layout by recorded moves, aborting early
 if a move ever produces a negative dimension, and returns a
-replay-checkable certificate either way.
+replay-checkable certificate either way.  ``_closed_reduction`` reaches
+the same layout by arithmetic alone, with the crossings on the way,
+for ledger synthesis.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Union
 
 from .diagram import (
@@ -288,6 +291,132 @@ def _reduce_to_finite(sep: SeparatedForm) -> tuple[SeparatedForm, MoveLog] | Neg
     if view is None or not view.is_finite_layout:
         raise RuntimeError("the reduction did not reach the finite layout")
     return view, tuple(log)
+
+
+def _closed_reduction(d: BowDiagram, xpos: list[int]) -> tuple[list, list, list, list, dict, int]:
+    """What :func:`_decide_full` reaches from a valid diagram with both
+    node kinds, whose x points sit at the ascending positions ``xpos``,
+    by arithmetic alone: no swap, no move log, no view.
+
+    Returns the finite layout's labels ``v_arr`` and ``v_x`` with its
+    arrow ids e_1 .. e_n and x ids x_1 .. x_w, the net count
+    ``{(arrow id, x id): shrinks}`` of every arrow-x pair (x passing the
+    arrow anticlockwise counts +1, the arrow passing the x −1), and the
+    arc subtraction amount a (0 for finite input).  Where a decide
+    stops at a negative dimension this goes on through it, so a
+    negative a or label is the caller's to refuse (module docstring of
+    ``branes``).
+
+    - Separation.  Let a node's jump be the dim after it minus the dim
+      before it.  A swap moves one unit of jump from the node that moves
+      anticlockwise to the node it passes, and ``rewrite._separate``
+      never swaps the last segment of its line, so the separated dims
+      are that segment's dim plus prefix sums of the adjusted jumps in
+      the gathered order.  An x point below the anchor run passes each
+      arrow between itself and the run anticlockwise; one above it
+      (finite input) is passed by each arrow between the run and itself.
+    - Passes.  Gap passes and pushes are :func:`_passes`: lowering on the
+      arc (v_0, …, v_n) and its arrows e_1 .. e_n, raising and pushing on
+      both reversed.  There are |gap // w| gap passes, and n − c pushes
+      with c the index of the cut label: the first minimal label of
+      affine input, the count of arrows below the run for finite input.
+    - The x interior.  Each pass moves every x point's jump by one, and
+      the subtraction moves x_1's up by a, so v_−j gains
+      (v_0' − v_0 + a) + (lowering − raising − pushes)·j, with v_0' the
+      final v_0.
+    """
+
+    nodes, dims, cut = d.nodes, d.dims, d.cut
+    k, w = len(nodes), len(xpos)
+    n = k - w
+    xpoint = NodeKind.XPOINT
+    anchor = min(xpos, key=lambda pos: nodes[pos].id)
+    if cut is None:
+        start = anchor
+        while nodes[start % k].kind == xpoint:
+            start += 1
+    else:
+        start = cut + 1
+    line = [nodes[(start + i) % k] for i in range(k)]
+    jump = [dims[(start + i) % k] - dims[(start + i - 1) % k] for i in range(k)]
+    first = last = (anchor - start) % k
+    while first > 0 and line[first - 1].kind == xpoint:
+        first -= 1
+    while last + 1 < k and line[last + 1].kind == xpoint:
+        last += 1
+    net: dict[tuple[int, int], int] = {}
+    # arrows passed so far by the x points below the run, then above it
+    for span, sign in ((range(first - 1, -1, -1), 1), (range(last + 1, k), -1)):
+        passed: list[int] = []
+        for i in span:
+            if line[i].kind != xpoint:
+                passed.append(i)
+                continue
+            jump[i] -= sign * len(passed)
+            for j in passed:
+                jump[j] += sign
+                net[line[j].id, line[i].id] = sign
+    order = [i for i in range(first) if line[i].kind != xpoint]
+    below = len(order)
+    order += [i for i in range(k) if line[i].kind == xpoint]
+    order += [i for i in range(last + 1, k) if line[i].kind != xpoint]
+    seg = list(accumulate([jump[i] for i in order], initial=dims[(start - 1) % k]))[1:]
+    # e_s sits s places clockwise of x_1, and v_s is the segment after e_(s+1)
+    v_arr = [seg[(below - 1 - s) % k] for s in range(n + 1)]
+    arrow_ids = [line[order[(below - s) % k]].id for s in range(1, n + 1)]
+    x_ids = [line[i].id for i in order[below:below + w]]
+    v0, interior = v_arr[0], seg[below:below + w - 1]
+
+    moved: dict[int, int] = {}
+    a = q = 0
+    cut_label = below
+    if cut is None:
+        q = (v_arr[0] - v_arr[n]) // w
+        if q > 0:
+            v_arr, arrow_ids = _passes(v_arr, arrow_ids, q, w, -1, moved)
+        elif q < 0:
+            v_arr, arrow_ids = _passes(v_arr[::-1], arrow_ids[::-1], -q, w, 1, moved)
+            v_arr, arrow_ids = v_arr[::-1], arrow_ids[::-1]
+        a = min(v_arr)
+        cut_label = v_arr.index(a)
+        v_arr = [v - a for v in v_arr]
+    pushes = n - cut_label
+    if pushes:
+        v_arr, arrow_ids = _passes(v_arr[::-1], arrow_ids[::-1], pushes, w, 1, moved)
+        v_arr, arrow_ids = v_arr[::-1], arrow_ids[::-1]
+    shift, turns = v_arr[0] - v0 + a, q - pushes
+    v_x = [v_arr[0], *[v + shift + turns * j for j, v in enumerate(interior, 1)], v_arr[n]]
+    for u in arrow_ids:
+        if count := moved.get(u, 0):
+            for x in x_ids:
+                net[u, x] = net.get((u, x), 0) + count
+    return v_arr, v_x, arrow_ids, x_ids, net, a
+
+
+def _passes(arc: list, ids: list, q: int, w: int, sign: int, moved: dict) -> tuple[list, list]:
+    """The arc and its arrow ids after q ≥ 0 lowering passes, each moving
+    the first arrow through all w x points to the far end; raising passes
+    and pushes are this on both reversed.
+
+    One pass maps the labels (s_0, …, s_n) to (s_1, …, s_n,
+    s_1 − s_0 + s_n + w), so the sequence they run along obeys
+    s[t + n] = s[t] + s[n] − s[0] + t·w, and for 0 ≤ t < n
+    s[t + mn] = s[t] + m(s[n] − s[0]) + w(m·t + n·m(m − 1)/2): after q
+    passes the arc is s[q .. q + n], in O(n) whatever q is.  Pass j moves
+    the arrow at index j mod n, so ``moved`` adds ``sign`` to an arrow's
+    count once per pass it makes.
+    """
+
+    n = len(ids)
+    step = arc[n] - arc[0]
+    out = []
+    for u in range(q, q + n + 1):
+        m, t = divmod(u, n)
+        out.append(arc[t] + m * step + w * (m * t + n * m * (m - 1) // 2))
+    for i, u in enumerate(ids):
+        moved[u] = moved.get(u, 0) + sign * ((q - i + n - 1) // n)
+    r = q % n
+    return out, ids[r:] + ids[:r]
 
 
 # ---------------------------------------------------------------------------

@@ -25,16 +25,18 @@ from bowforge.branes import (
 )
 from bowforge.diagram import (
     BowDiagram,
+    CutAt,
     Direction,
     HwMove,
     IncrementArrows,
     IncrementX,
     Node,
     NodeKind,
+    SubtractArrowArc,
     parse_diagram,
     separated_view,
 )
-from bowforge.susy import check_finite_separated, decide_supersymmetry
+from bowforge.susy import _closed_reduction, _decide_full, check_finite_separated, decide_supersymmetry
 from test_rewrite import run_optimized
 
 CW, ACW = Direction.CW, Direction.ACW
@@ -104,6 +106,10 @@ def test_ledger_json_round_trip():
     assert [item["start"] for item in data["branes"]] == [0, 0, 2]
     back = ledger_from_json(data)
     assert back.diagram == d and back.branes == ledger.branes
+    for field, value in (("laps", 1.5), ("mult", True), ("start", float("inf"))):
+        bad = {**data, "branes": [{**data["branes"][0], field: value}]}
+        with pytest.raises(ValueError, match=f"brane field '{field}' must be an integer"):
+            ledger_from_json(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -670,19 +676,115 @@ def test_synthesize_finite_ledger_guard():
 
 
 def test_synthesize_walks_no_move(monkeypatch):
-    # synthesis counts crossings: it builds no walker and sends no move
-    # through a host, however long the pipeline
-    from bowforge import rewrite
+    # synthesis computes its layout and crossings: it decides nothing,
+    # makes no swap or pass, builds no walker and sends no move through
+    # a host, however long the pipeline of a decide would be
+    from bowforge import rewrite, susy
 
     calls = []
-    init, move = branes._Walk.__init__, rewrite._Host.move
-    monkeypatch.setattr(branes._Walk, "__init__", lambda self, *args: calls.append("walk") or init(self, *args))
-    monkeypatch.setattr(rewrite._Host, "move", lambda self, *args: calls.append("move") or move(self, *args))
+
+    def counted(owner, name, label):
+        original = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *args: calls.append(label) or original(*args))
+
+    counted(branes._Walk, "__init__", "walk")
+    counted(rewrite._Host, "move", "move")
+    counted(susy, "_decide_full", "decide")
+    # a decide's reduction calls the pass it imported, its passes the swap
+    for module in (rewrite, susy):
+        counted(module, "_pass", "pass")
+    counted(rewrite, "_swap", "swap")
     d = ledger_built(14, 1)
+    # the counters see a decide, its passes and their swaps
     assert len(decide_supersymmetry(d).pipeline) > 14
+    assert set(calls) == {"decide", "pass", "swap"}
+    calls.clear()
     ledger = synthesize(d)
     assert calls == []
     assert check_ledger(ledger) == []
     # the counters see a walker and its move where there is one
     ledger_apply_move(ledger, HwMove(*rewrite.legal_swaps(d)[0]))
-    assert calls == ["walk", "move"]
+    assert calls == ["walk", "move", "swap"]
+
+
+# ---------------------------------------------------------------------------
+# the closed-form reduction against the decide pipeline
+
+
+def pipeline_nets(cert, fin) -> tuple[dict, int]:
+    """The nonzero net shrinks ``{(arrow id, x id): count}`` of a positive
+    certificate's pipeline and its arc subtraction amount, read off the
+    log as synthesis read them before it computed them.
+
+    Undoing ``HwMove(left, right)`` swaps right before left, so it
+    shrinks the pair when the arrow is ``right`` and grows it when the
+    arrow is ``left``; a cut moves nothing.
+    """
+
+    xs = set(fin.x_ids)
+    net: dict[tuple[int, int], int] = {}
+    amount = 0
+    for entry in cert.pipeline:
+        if isinstance(entry, HwMove):
+            if entry.right in xs:
+                pair, step = (entry.left, entry.right), -1
+            else:
+                pair, step = (entry.right, entry.left), 1
+            net[pair] = net.get(pair, 0) + step
+        elif isinstance(entry, SubtractArrowArc):
+            amount = entry.amount
+        else:
+            assert isinstance(entry, CutAt), entry
+    return {pair: count for pair, count in net.items() if count}, amount
+
+
+def closed_reduction(d: BowDiagram) -> tuple:
+    """``susy._closed_reduction`` on ``d``, as lists, with zero nets dropped."""
+
+    xpos = [pos for pos in range(d.k) if d.nodes[pos].kind == NodeKind.XPOINT]
+    v_arr, v_x, arrow_ids, x_ids, net, amount = _closed_reduction(d, xpos)
+    nets = {pair: count for pair, count in net.items() if count}
+    return list(v_arr), list(v_x), list(arrow_ids), list(x_ids), nets, amount
+
+
+def reduction_sweep():
+    """The k <= 5, dims 0..4 affine sweep (103,300 diagrams), then every
+    finite diagram with k <= 5, both kinds, dims 0..2 and the cut on any
+    zero segment, ids in storage order."""
+
+    for k in range(2, 6):
+        for kinds in itertools.product("ox", repeat=k):
+            if "o" not in kinds or "x" not in kinds:
+                continue
+            for dims in itertools.product(range(5), repeat=k):
+                yield parse_diagram("( " + " ".join(f"{v} {c}" for v, c in zip(dims, kinds)) + " )")
+    for k in range(2, 6):
+        for kinds in itertools.product((NodeKind.ARROW, NodeKind.XPOINT), repeat=k):
+            if len(set(kinds)) < 2:
+                continue
+            nodes = tuple(Node(i, kind) for i, kind in enumerate(kinds))
+            for dims in itertools.product(range(3), repeat=k):
+                for cut in range(k):
+                    if dims[cut] == 0:
+                        yield BowDiagram(nodes, dims, cut)
+
+
+def test_closed_reduction_matches_the_decide_sweep():
+    # on every positive the closed form reaches decide's layout, with its
+    # ids, and the pipeline's nets and subtraction; on every negative
+    # synthesis refuses
+    positives = negatives = 0
+    for d in reduction_sweep():
+        cert, fin = _decide_full(d)
+        if not cert.verdict:
+            try:
+                synthesize(d)
+            except ValueError:
+                negatives += 1
+                continue
+            raise AssertionError(f"synthesize accepted {d}, which decide refutes")
+        nets, amount = pipeline_nets(cert, fin)
+        want = (list(fin.v_arr), list(fin.v_x), list(fin.arrow_ids), list(fin.x_ids), nets, amount)
+        assert closed_reduction(d) == want, d
+        positives += 1
+    assert (positives, negatives) == (79520 + 11800, 23780 + 2036)

@@ -9,6 +9,7 @@ from bowforge import branes, cli
 from bowforge.cli import main
 from bowforge.diagram import parse_diagram, render_diagram
 from bowforge.momentmap import construct_solution, solution_to_json
+from bowforge.susy import certificate_to_json, decide_supersymmetry
 from test_rewrite import run_optimized
 
 
@@ -119,9 +120,12 @@ def test_synth_emits_ledger(capsys, tmp_path):
 
 
 def test_synth_refuses_non_susy(capsys):
-    code, payload = run(capsys, "synth", "--json", "[ 0 o 2 x 0 ]")
-    assert code == 1
-    assert payload["susy"] is False
+    # a refused synthesis prints decide's negative certificate
+    for text in ("[ 0 o 2 x 0 ]", "( 2 o 5 x )", "( -1 o 2 x )"):
+        code, payload = run(capsys, "synth", "--json", text)
+        assert code == 1
+        assert payload == certificate_to_json(decide_supersymmetry(parse_diagram(text)))
+        assert payload["susy"] is False
 
 
 def test_synth_self_check_raises_under_optimize():
@@ -143,9 +147,15 @@ def test_synth_self_check_raises_under_optimize():
     assert err == f"error: {message}\n"
 
 
+def _refuse(*args):
+    raise ValueError("planted refusal")
+
+
 INTERNAL_FAULTS = {
     "self-check": (cli, "check_ledger", lambda ledger: ["planted problem"], "failed its check"),
     "crossing": (branes, "_crossed", lambda held, net: [7], "on the dims"),
+    # decide, run only on a refusal, says supersymmetric
+    "refusal": (branes, "_finite_branes", _refuse, "synthesis refused a diagram that decide calls supersymmetric"),
 }
 
 
@@ -301,6 +311,21 @@ MALFORMED = {
         ["check", '{"shape": "affine", "nodes": ["o", "x"], "dims": [null, 1]}'],
         None,
     ),
+    # JSON integer fields take ints only: no rounding, no overflow
+    "diagram-json-overflowing-dim": (["check", '{"shape": "affine", "nodes": ["o", "x"], "dims": [1e400, 1]}'], None),
+    "diagram-json-infinite-dim": (["check", '{"shape": "affine", "nodes": ["o", "x"], "dims": [Infinity, 1]}'], None),
+    "diagram-json-fractional-dim": (["check", '{"shape": "affine", "nodes": ["o", "x"], "dims": [1.7, 1]}'], None),
+    "diagram-json-bool-dim": (["check", '{"shape": "affine", "nodes": ["o", "x"], "dims": [true, 1]}'], None),
+    "diagram-json-fractional-id": (
+        ["check", '{"shape": "affine", "nodes": ["o", "x"], "dims": [1, 1], "ids": [0.5, 1]}'],
+        None,
+    ),
+    "solution-overflowing-dim": (
+        ["verify", "--sol", "{file}"],
+        '{"diagram": {"shape": "affine", "nodes": ["o", "x"], "dims": [1e400, 1]}}',
+    ),
+    "move-fractional-left": (["hw", "--replay", "{file}", "( 1 x 1 o )"], '[{"op": "hw", "left": 1.9, "right": 0}]'),
+    "move-bool-amount": (["hw", "--replay", "{file}", "( 1 x 1 o )"], '[{"op": "subtract_arrow_arc", "amount": true}]'),
     "diagram-json-scalar-ids": (
         ["check", '{"shape": "affine", "nodes": ["o", "x"], "dims": [1, 1], "ids": 5}'],
         None,

@@ -178,6 +178,20 @@ def test_finite_json_round_trip():
     assert diagram_from_json(data) == d
 
 
+@pytest.mark.parametrize("value", [1.7, 1.0, float("inf"), float("nan"), True, "1", None])
+def test_json_integer_fields_take_ints_only(value):
+    # no rounding, no overflow: every decoder names the field it refuses
+    diagram = {"shape": "affine", "nodes": ["o", "x"], "dims": [1, 1]}
+    with pytest.raises(ValueError, match="dimension must be an integer"):
+        diagram_from_json({**diagram, "dims": [value, 1]})
+    with pytest.raises(ValueError, match="node id must be an integer"):
+        diagram_from_json({**diagram, "ids": [0, value]})
+    with pytest.raises(ValueError, match="move field 'right' must be an integer"):
+        entry_from_json({"op": "hw", "left": 0, "right": value})
+    with pytest.raises(ValueError, match="move field 'segment' must be an integer"):
+        entry_from_json({"op": "cut_at", "segment": value})
+
+
 # ---------------------------------------------------------------------------
 # validation
 

@@ -3,9 +3,10 @@ the in-place ledger walker against the per-move ledger transport it
 replaced, kept here as the oracle, the walker's carried coverage and
 fixed-slot count against a from-scratch audit after every move, and the
 tuple-keyed walker against the ``Brane``-keyed walker it replaced, also
-kept here as the oracle, and synthesis by crossing counts against the
+kept here as the oracle, synthesis by crossing counts against the
 walker replay of the reversed pipeline that it replaced, kept here as the
-oracle."""
+oracle, and synthesis from the closed-form reduction against the netting
+of a decide's pipeline that it replaced, also kept here as the oracle."""
 
 import json
 from itertools import accumulate
@@ -21,10 +22,13 @@ from bowforge.branes import (
     Brane,
     BraneLedger,
     _audit,
+    _crossed,
+    _finite_branes,
     _finite_walk,
     _keyed,
     _one_kind_branes,
     _Walk,
+    check_ledger,
     coverage,
     ledger_apply_move,
     ledger_to_json,
@@ -44,7 +48,7 @@ from bowforge.diagram import (
 )
 from bowforge.rewrite import _index, _swap, apply_entry, arc_increment, legal_swaps
 from bowforge.susy import _decide_full
-from test_branes import ledger_is_susy
+from test_branes import ledger_is_susy, pipeline_nets
 
 CW, ACW = Direction.CW, Direction.ACW
 ARROW, XPOINT = NodeKind.ARROW, NodeKind.XPOINT
@@ -740,3 +744,63 @@ def test_synthesize_matches_the_walker_replay(d):
     assert got.diagram == want.diagram == d
     assert got.branes == want.branes
     assert _canonical(got) == _canonical(want)
+
+
+# ---------------------------------------------------------------------------
+# synthesis from the closed-form reduction against the pipeline netting
+
+
+def netted_ledger(d: BowDiagram) -> BraneLedger:
+    """``synthesize`` as it was: a decide, then the finite layout's ledger
+    carried back to ``d`` by the nets of the certificate's pipeline, with
+    the x-to-x brane of an undone arc subtraction put back.  Raises
+    ValueError where decide says no."""
+
+    cert, fin = _decide_full(d)
+    if not cert.verdict:
+        raise ValueError("diagram is not supersymmetric; no brane ledger exists")
+    if fin is None:
+        branes = _one_kind_branes(d)
+    else:
+        branes = _finite_branes(fin.v_arr, fin.v_x, fin.arrow_ids, fin.x_ids)
+        net, amount = pipeline_nets(cert, fin)
+        if amount:
+            key = (fin.x_ids[0], fin.x_ids[-1], False, int(fin.w == 1))
+            branes[key] = branes.get(key, 0) + amount
+        for (u, x), count in net.items():
+            held = 1 if branes.pop((u, x, True, 0), 0) else 0
+            for z in _crossed(held, count):
+                branes[(u, x, True, z - 1) if z > 0 else (u, x, False, -z)] = 1
+    ledger = BraneLedger(d, {Brane(s, e, ACW if acw else CW, laps): m for (s, e, acw, laps), m in branes.items()})
+    assert check_ledger(ledger) == []
+    return ledger
+
+
+@st.composite
+def drawn_diagrams(draw):
+    """Affine or finite diagrams with k <= 16, shuffled ids and dims up to
+    a drawn ceiling of at most 200, of either verdict; a finite one has
+    its cut on a drawn segment, set to 0."""
+
+    k = draw(st.integers(2, 16))
+    kinds = draw(st.lists(st.sampled_from([ARROW, XPOINT]), min_size=k, max_size=k))
+    ids = draw(st.permutations(range(k)))
+    top = draw(st.sampled_from([3, 12, 60, 200]))
+    dims = draw(st.lists(st.integers(0, top), min_size=k, max_size=k))
+    cut = draw(st.none() | st.integers(0, k - 1))
+    if cut is not None:
+        dims[cut] = 0
+    return BowDiagram(tuple(Node(i, kind) for i, kind in zip(ids, kinds)), tuple(dims), cut)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(drawn_diagrams(), certified_diagrams()))
+def test_synthesize_matches_the_pipeline_netting(d):
+    try:
+        want = netted_ledger(d)
+    except ValueError as refusal:
+        with pytest.raises(ValueError) as got:
+            synthesize(d)
+        assert str(got.value) == str(refusal)
+        return
+    assert _canonical(synthesize(d)) == _canonical(want)
