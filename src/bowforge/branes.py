@@ -26,8 +26,10 @@ before, and each of the pair's branes covers every segment alike.  So a
 swap adds the pair's uniform change to the coverage, updates the
 pair's charges and the count of over-full fixed slots, and reads the
 swapped segment off the identity, in O(1 + the pair's branes).
-``ledger_apply_move`` and the staging of ``momentmap.construct_solution``
-walk; their ledgers may crowd a slot or hold a fixed brane x-point first.
+``ledger_apply_move`` walks; its ledger may crowd a slot or hold a
+fixed brane x-point first.  The staging of
+``momentmap.construct_solution`` audits its layout's ledger once and
+then moves a plain host, since it reads the branes only for their keys.
 
 Synthesis does not walk, and it does not decide.  Write a fixed brane
 between arrow u and x-point x as its *winding* z: l + 1 when
@@ -82,7 +84,8 @@ The from-scratch audit computes the coverage (each brane's laps plus
 its arc as a cyclic range in a difference array) and the fixed-slot
 occupancy in one pass from the index, in O(k + branes).  The public
 checks use it, a walker runs it once, on the ledger it starts from,
-and synthesis runs it once, on the ledger it returns;
+synthesis runs it once, on the ledger it returns, and construction's
+staging once, on its layout's ledger;
 :func:`synthesize_finite` starts a walker on the tuple keys it builds,
 so that one audit serves both.
 """

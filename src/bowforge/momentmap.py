@@ -18,7 +18,9 @@ locus; only stable zeros count.
 supersymmetric diagram, with one node kind or both, by carrying a zero
 (``_Zero``) through the moves of its brane ledger: exact transport
 across swaps, exact extension along increments, a whole multiplicity
-at once.  The Levenberg-Marquardt solver, which steps in the complex
+at once.  The moves that stage the ledger away run on a plain move
+host, not on the ledger walker, and an increment visits only the nodes
+of its arc.  The Levenberg-Marquardt solver, which steps in the complex
 unknowns themselves, is used only by ``solve_numeric``, which serves
 non-zero levels alone.
 
@@ -30,7 +32,10 @@ no array with their argument.
 Construction reads no spectrum and runs no QR: the shifts that keep
 each x-arc unit's B - c invertible are counted off a spiral (see
 ``_construct_decided``), and the finished zero is written in one
-closed-form unitary basis per dimension (``_generic_basis``).
+closed-form unitary basis per dimension (``_generic_basis``).  A map or
+a side with no entries takes no numpy call it does not need: an empty
+end block takes no inverse, an empty map no change of basis, and a
+0-dimensional side of an x point no closure.
 
 All computations use dense complex128 arrays; diagram dimensions stay
 small enough that dense linear algebra is the honest choice.  numpy is
@@ -307,8 +312,9 @@ def stability_report(sol: Solution) -> StabilityReport:
         v_in = t.B_in.shape[0]
         v_out = t.B_out.shape[0]
         cond_a = float(np.linalg.norm(triangle))
-        chain_dim = v_in - _closure_dim(t.B_in.conj().T, np.concatenate([t.A, t.b]).conj().T)
-        krylov_rank = _closure_dim(t.B_out, np.concatenate([t.A, t.a], axis=1))
+        # a 0-dimensional side closes on nothing, so it takes no closure
+        chain_dim = v_in - _closure_dim(t.B_in.conj().T, np.concatenate([t.A, t.b]).conj().T) if v_in else 0
+        krylov_rank = _closure_dim(t.B_out, np.concatenate([t.A, t.a], axis=1)) if v_out else 0
         entries[node_id] = XStability(
             cond_a=cond_a,
             s1=chain_dim == 0,
@@ -547,10 +553,11 @@ def _kernel_with_dim(mat: np.ndarray, want: int) -> np.ndarray:
             raise ValueError("empty map cannot have full rank")
         return np.eye(cols, dtype=complex)
     u, s, vh = np.linalg.svd(mat, full_matrices=True)
-    scale = max(float(s[0]) if s.size else 0.0, 1.0)
-    if rank > 0 and (s.size < rank or s[rank - 1] <= 1e-9 * scale):
+    s = s.tolist()
+    scale = max(s[0] if s else 0.0, 1.0)
+    if rank > 0 and (len(s) < rank or s[rank - 1] <= 1e-9 * scale):
         raise ValueError("stacked map lost full rank; not a stable zero")
-    if s.size > rank and s[rank] > 1e-5 * scale:
+    if len(s) > rank and s[rank] > 1e-5 * scale:
         raise ValueError("stacked map kernel larger than the swap allows")
     return vh[rank:].conj().T
 
@@ -609,17 +616,18 @@ class _Zero(_Host):
             # of [A | D | a], which is onto by the spanning rank condition
             t = triangles[left]
             ad = arrows[right]
+            neg_c = -ad.C
             basis = _kernel_with_dim(np.concatenate([t.A, ad.D, t.a], axis=1), v_new)
             k_minus = basis[:v_minus]
             k_tail = basis[v_minus + v_plus :]
-            stack = np.concatenate([-t.B_in, -ad.C @ t.A, t.b])
+            stack = np.concatenate([-t.B_in, neg_c @ t.A, t.b])
             c_new = basis.conj().T @ stack
             arrows[right] = ArrowData(C=c_new, D=k_minus)
             triangles[left] = TriangleData(
                 A=basis[v_minus : v_minus + v_plus],
                 B_in=-c_new @ k_minus,
-                B_out=-ad.C @ ad.D,
-                a=-ad.C @ t.a,
+                B_out=neg_c @ ad.D,
+                a=neg_c @ t.a,
                 b=k_tail,
             )
         else:
@@ -658,6 +666,11 @@ class _Zero(_Host):
         segment grows gains the A row b (B_in - c_j)^-1 and the a entry 1.
         A full loop from an x point to itself does both at that point, one
         unit at a time, since each of its rows reads the grown B_in.
+
+        Only the nodes that bound the arc or sit inside it are visited,
+        and each block's I, diag(c) and diag(-c) are built once.  An end
+        whose B block is 0x0 gains an empty row or column of A, so it
+        takes no inverse.
         """
 
         segs = _Host.increment(self, entry, delta)
@@ -665,21 +678,23 @@ class _Zero(_Host):
             raise ValueError("exact extension cannot shrink an arc")
         x_arc = isinstance(entry, IncrementX)
         shifts = np.array([next(self.shifts) if x_arc else 0j for _ in range(delta)], dtype=complex)
-        covered = set(segs)
-        k = len(self.nodes)
-        grown = [(node, (pos - 1) % k in covered, pos in covered) for pos, node in enumerate(self.nodes)]
+        nodes, k, span = self.nodes, len(self.nodes), len(segs)
+        if span == k:
+            grown = [(node, True, True) for node in nodes]
+        else:
+            # the arc runs from the node at segs[0] to the one after segs[-1]
+            grown = [(nodes[(segs[0] + step) % k], step > 0, step < span) for step in range(span + 1)]
         triangles, arrows = self.triangles, self.arrows
         for c in shifts.reshape(-1, 1) if x_arc and entry.start == entry.end else shifts.reshape(1, -1):
             m = len(c)
+            eye, diag, neg_diag = np.eye(m), np.diag(c), np.diag(-c)
             for node, grow_in, grow_out in grown:
-                if not (grow_in or grow_out):
-                    continue
                 if node.kind == NodeKind.ARROW:
                     ad = arrows[node.id]
                     # head rows track the outgoing segment, tail columns the incoming
                     both = grow_in and grow_out
-                    C = _extend_block(ad.C, m * grow_out, m * grow_in, np.eye(m) if both else None)
-                    D = _extend_block(ad.D, m * grow_in, m * grow_out, np.diag(-c) if both else None)
+                    C = _extend_block(ad.C, m * grow_out, m * grow_in, eye if both else None)
+                    D = _extend_block(ad.D, m * grow_in, m * grow_out, neg_diag if both else None)
                     arrows[node.id] = ArrowData(C=C, D=D)
                     continue
                 t = triangles[node.id]
@@ -687,21 +702,27 @@ class _Zero(_Host):
                 if grow_in and grow_out:
                     # a full loop is its own outgoing end: b feeds the new row
                     loop = node.id == entry.start == entry.end
-                    A = _extend_block(A, m, m, np.eye(m))
-                    if loop:
+                    A = _extend_block(A, m, m, eye)
+                    if loop and len(B_in):
                         A[-m:, :-m] = (b @ _shifted_inv(B_in, c))[:, 0]
                     a = np.concatenate([a, np.full((m, 1), 1.0 if loop else 0.0)])
                     b = _extend_block(b, 0, m)
                 elif grow_out:
-                    A = np.concatenate([A, (b @ _shifted_inv(B_in, c))[:, 0]])
+                    if len(B_in):
+                        A = np.concatenate([A, (b @ _shifted_inv(B_in, c))[:, 0]])
+                    else:
+                        A = _extend_block(A, m, 0)
                     a = np.concatenate([a, np.ones((m, 1))])
                 else:
-                    A = np.concatenate([A, (-_shifted_inv(B_out, c) @ a)[:, :, 0].T], axis=1)
+                    if len(B_out):
+                        A = np.concatenate([A, (-_shifted_inv(B_out, c) @ a)[:, :, 0].T], axis=1)
+                    else:
+                        A = _extend_block(A, 0, m)
                     b = np.concatenate([b, np.ones((1, m))], axis=1)
                 if grow_in:
-                    B_in = _extend_block(B_in, m, m, np.diag(c))
+                    B_in = _extend_block(B_in, m, m, diag)
                 if grow_out:
-                    B_out = _extend_block(B_out, m, m, np.diag(c))
+                    B_out = _extend_block(B_out, m, m, diag)
                 triangles[node.id] = TriangleData(A=A, B_in=B_in, B_out=B_out, a=a, b=b)
         return segs
 
@@ -780,20 +801,24 @@ def _generic_basis(sol: Solution) -> Solution:
         g.flags.writeable = h.flags.writeable = False
         _BASES[m] = (g, h)
     sides = {node.id: (_BASES[d.dims[pos - 1]], _BASES[d.dims[pos]]) for pos, node in enumerate(d.nodes)}
+    # a map with no entries reads the same in every basis: it passes through
     triangles = {}
     for nid, t in sol.triangles.items():
         (g_in, h_in), (g_out, h_out) = sides[nid]
         triangles[nid] = TriangleData(
-            A=g_out @ t.A @ h_in,
-            B_in=g_in @ t.B_in @ h_in,
-            B_out=g_out @ t.B_out @ h_out,
-            a=g_out @ t.a,
-            b=t.b @ h_in,
+            A=g_out @ t.A @ h_in if t.A.size else t.A,
+            B_in=g_in @ t.B_in @ h_in if t.B_in.size else t.B_in,
+            B_out=g_out @ t.B_out @ h_out if t.B_out.size else t.B_out,
+            a=g_out @ t.a if t.a.size else t.a,
+            b=t.b @ h_in if t.b.size else t.b,
         )
     arrows = {}
     for nid, ad in sol.arrows.items():
         (g_in, h_in), (g_out, h_out) = sides[nid]
-        arrows[nid] = ArrowData(C=g_out @ ad.C @ h_in, D=g_in @ ad.D @ h_out)
+        arrows[nid] = ArrowData(
+            C=g_out @ ad.C @ h_in if ad.C.size else ad.C,
+            D=g_in @ ad.D @ h_out if ad.D.size else ad.D,
+        )
     return Solution(d, triangles, arrows, sol.lam, sol.seed, sol.residual, sol.converged, sol.stable)
 
 
@@ -820,6 +845,15 @@ def _construct_decided(d: BowDiagram, cert, fin, seed: int) -> Solution:
     """:func:`construct_solution` from the certificate and the layout that
     ``susy._decide_full`` returned for ``d``.
 
+    The zero starts where the layout's ledger (``branes._finite_branes``,
+    or ``branes._one_kind_branes`` when ``d`` has one node kind) is
+    staged away.  That ledger is audited once, against the layout's dims,
+    and is read only for its keys: its unfixed branes are peeled off as
+    increments and each fixed brane is annihilated by one swap, on a
+    plain ``rewrite._Host`` that carries no brane along.  The zero then
+    grows back through the staging, the increments and the inverted
+    pipeline to ``d``.
+
     Every x-arc unit takes the next point of ``_spiral(N)``: N counts
     the units of the unfixed x-to-x branes, and the units of an undone
     arc subtraction, replayed after them, go on just outside the
@@ -827,42 +861,50 @@ def _construct_decided(d: BowDiagram, cert, fin, seed: int) -> Solution:
     which the spiral keeps apart, so no spectrum is read.
     """
 
-    from .branes import _brane, _finite_walk, _one_kind_branes, _Walk
+    from .branes import _audit, _brane, _finite_branes, _one_kind_branes
 
     if not cert.verdict:
         raise ValueError("diagram is not supersymmetric; no stable zero exists")
     # a one-kind diagram has no fixed brane, and its skeleton is all zero
-    walk = _Walk(d, _one_kind_branes(d)) if fin is None else _finite_walk(fin)
-    kind = {node_id: node_kind for node_id, (_, node_kind) in walk.index.items()}
+    if fin is None:
+        layout, branes = d, _one_kind_branes(d)
+    else:
+        layout, branes = fin.diagram, _finite_branes(fin.v_arr, fin.v_x, fin.arrow_ids, fin.x_ids)
+    host = _Host(layout)
+    cover, crowd = _audit(layout.k, host.index, branes)
+    if cover != layout.dims or crowd:
+        raise RuntimeError(f"layout ledger covers {cover} on the dims {layout.dims}, with {crowd} over-full fixed slots")
+    kind = {node_id: node_kind for node_id, (_, node_kind) in host.index.items()}
 
     # unfixed branes are increments on top of the fixed skeleton, which
-    # peeling them off the ledger leaves: a brane whose ends coincide is
+    # peeling them off the layout leaves: a brane whose ends coincide is
     # one full loop, any other one has no lap; keys sort as branes do
-    increments = []
-    for key in sorted(walk.branes, key=lambda key: (key[0], key[1], not key[2], key[3])):
+    increments, fixed_ends = [], []
+    for key in sorted(branes, key=lambda key: (key[0], key[1], not key[2], key[3])):
         start, end, acw, laps = key
         if kind[start] != kind[end]:
+            fixed_ends.append(end)
             continue
         if laps != (start == end):
             raise RuntimeError(f"brane {_brane(*key)} is neither an open arc nor one full loop")
         increment = IncrementArrows if kind[start] == NodeKind.ARROW else IncrementX
-        increments.append(increment(start, end, Direction.ACW if acw else Direction.CW, walk.branes[key]))
+        increments.append(increment(start, end, Direction.ACW if acw else Direction.CW, branes[key]))
     for entry in increments:
-        walk.move(entry, inverse=True)
+        host.move(entry, inverse=True)
 
     # march every x point, x_1 first, clockwise through the arrows its
     # fixed branes (arrow to x, one each) attach to; each crossing
-    # annihilates one brane, ending at nothing (a one-kind walk is empty)
+    # annihilates one brane, ending at nothing (a one-kind layout has none)
     staging = []
-    for _, end, _, _ in sorted(walk.branes, key=lambda key: fin.x_ids.index(key[1])):
-        entry = HwMove(left=walk.nodes[walk.index[end][0] - 1].id, right=end)
-        walk.move(entry)
+    for end in sorted(fixed_ends, key=lambda end: fin.x_ids.index(end)):
+        entry = HwMove(left=host.nodes[host.index[end][0] - 1].id, right=end)
+        host.swap(entry.left, end)
         staging.append(entry)
-    if walk.branes:
+    if any(host.dims):
         raise RuntimeError("staging did not empty the layout")
 
     shifts = _spiral(sum(entry.amount for entry in increments if isinstance(entry, IncrementX)))
-    zero = _Zero(zero_solution(walk.diagram()), shifts)
+    zero = _Zero(zero_solution(host.diagram()), shifts)
     steps = [(entry, True) for entry in reversed(staging)] + [(entry, False) for entry in increments]
     for entry, inverse in steps + [(entry, True) for entry in reversed(cert.pipeline)]:
         try:
@@ -921,14 +963,19 @@ def solution_from_json(data: dict) -> Solution:
     """The solution ``solution_to_json`` wrote.
 
     Every node needs its maps, each of the shape its segments give, and
-    every level an arrow; every number must be finite (``json`` reads
-    ``NaN`` and ``Infinity``).  Anything else raises ValueError.
+    every level an arrow, keyed by the id as ``str`` writes it, so that
+    ``"01"``, ``" 1"`` and ``"+1"`` cannot name node 1 a second time;
+    every number must be finite (``json`` reads ``NaN`` and
+    ``Infinity``).  Anything else raises ValueError.
     """
 
     d = diagram_from_json(data["diagram"])
-    lam = {
-        int(nid): complex(pair[0], pair[1]) for nid, pair in data.get("lambda", {}).items()
-    }
+    lam = {}
+    for key, pair in data.get("lambda", {}).items():
+        nid = int(key)
+        if str(nid) != key:
+            raise ValueError(f"level key {key!r} is not a node id as str writes it")
+        lam[nid] = complex(pair[0], pair[1])
     if strays := sorted(nid for nid, v in lam.items() if not cmath.isfinite(v)):
         raise ValueError(f"levels must be finite; those of nodes {strays} are not")
     sol = zero_solution(d, lam)

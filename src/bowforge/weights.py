@@ -157,18 +157,18 @@ def _gyd_candidates(rows: int, level: int, total: int):
     """Weakly decreasing level-bounded vectors with the given sum,
     first entry inside the canonical window, descending lexicographic.
 
-    Lazy by first entry: each block of candidates sharing a first entry
-    is built only when the one before it has been used up.
+    Lazy: each candidate is built only when the one before it has been
+    used, so a search that stops at its first accepted candidate builds
+    no other.
     """
 
     lo1 = -(-total // rows)
     hi1 = total // rows + level
-    results: list[tuple[int, ...]] = []
 
-    def rec(prefix: list[int], remaining: int, target: int) -> None:
+    def rec(prefix: list[int], remaining: int, target: int):
         if remaining == 0:
             if target == 0:
-                results.append(tuple(prefix))
+                yield tuple(prefix)
             return
         low = prefix[0] - level
         high = min(prefix[-1], target - (remaining - 1) * low)
@@ -176,13 +176,11 @@ def _gyd_candidates(rows: int, level: int, total: int):
             if val * remaining < target:
                 break
             prefix.append(val)
-            rec(prefix, remaining - 1, target - val)
+            yield from rec(prefix, remaining - 1, target - val)
             prefix.pop()
 
     for first in range(hi1, lo1 - 1, -1):
-        rec([first], rows - 1, total - first)
-        yield from results
-        results.clear()
+        yield from rec([first], rows - 1, total - first)
 
 
 def stratum_check_affine(sep: SeparatedForm):
@@ -192,9 +190,9 @@ def stratum_check_affine(sep: SeparatedForm):
     Requires the arrow-arc overhang to be normalized into [0, w).
     Returns the first candidate weight in descending lexicographic
     order, or None when every candidate fails; failure coincides with
-    the diagram not being supersymmetric.  Candidates are built one
-    first-entry block at a time, so the search stops at the first
-    accepted weight; a negative verdict still tries every candidate.
+    the diagram not being supersymmetric.  Candidates are built one at
+    a time, so the search stops at the first accepted weight; a
+    negative verdict still tries every candidate.
     """
 
     d = sep.diagram

@@ -393,6 +393,12 @@ BROKEN_SOLUTIONS = {
     # json reads NaN and Infinity; they would print a NaN residual, not JSON
     "nan-level": lambda data: data.update({"lambda": {"1": [math.nan, 0]}}),
     "infinite-map-entry": lambda data: data["triangles"]["0"]["A"][0][0].__setitem__(0, math.inf),
+    # int() reads each of these keys as the arrow, node 1, and the last of
+    # two keys for one node once won silently
+    "level-key-leading-zero": lambda data: data.update({"lambda": {"01": [5, 0]}}),
+    "level-key-leading-space": lambda data: data.update({"lambda": {" 1": [5, 0]}}),
+    "level-key-plus-sign": lambda data: data.update({"lambda": {"+1": [5, 0]}}),
+    "level-key-twice": lambda data: data.update({"lambda": {"1": [0, 0], "01": [5, 0]}}),
 }
 
 

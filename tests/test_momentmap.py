@@ -599,6 +599,60 @@ def test_block_construction_matches_unit_oracle(monkeypatch):
     assert any(x_arc and loop for x_arc, loop, _ in increments)
 
 
+@pytest.mark.parametrize("amount", [1, 3])
+def test_increment_at_empty_end_blocks_takes_no_inverse(amount, monkeypatch):
+    # on ( 1 x 0 x 2 o ) the x arc from x 1 through arrow 2 to x 0 ends
+    # at two empty segments, so each end gains an empty row or column of A
+    base = construct_solution(parse_diagram("( 1 x 0 x 2 o )"))
+    assert base.triangles[1].B_in.shape == base.triangles[0].B_out.shape == (0, 0)
+    entry = IncrementX(start=1, end=0, direction=ACW, amount=amount)
+    with monkeypatch.context() as patch:
+        calls = _count_calls(patch, np.linalg, ["inv"])
+        got = extend_increment(base, entry)
+    assert calls == {"inv": 0}
+    with monkeypatch.context() as patch:
+        patch.setattr(momentmap, "_Zero", UnitZero)
+        want = extend_increment(base, entry)
+    assert got.diagram == want.diagram == apply_entry(base.diagram, entry)
+    assert _bytes(got) == _bytes(want)
+    assert moment_residual(got) < 1e-10
+
+
+def test_construct_builds_no_ledger_walker(monkeypatch):
+    # staging runs on a plain move host that carries no brane; checked
+    # on every eighth supersymmetric affine diagram with k <= 4, dims 0..3
+    from bowforge import branes
+
+    calls = _count_calls(monkeypatch, branes._Walk, ["__init__"])
+    for d in susy_sweep()[::8]:
+        construct_solution(d)
+    assert calls == {"__init__": 0}
+    # the counter sees a walker
+    branes._Walk(parse_diagram("( 0 x 0 o )"), {})
+    assert calls == {"__init__": 1}
+
+
+def test_construct_audits_the_layout_ledger(monkeypatch):
+    # a layout ledger short of one fixed brane fails the one audit, as a
+    # fault of the construction, not as a negative verdict
+    from bowforge import branes
+
+    real = branes._finite_branes
+    dropped = []
+
+    def planted(v_arr, v_x, arrow_ids, x_ids):
+        out = real(v_arr, v_x, arrow_ids, x_ids)
+        key = next(key for key in out if key[0] in arrow_ids and key[1] in x_ids)
+        dropped.append(key)
+        del out[key]
+        return out
+
+    monkeypatch.setattr(branes, "_finite_branes", planted)
+    with pytest.raises(RuntimeError, match="layout ledger covers"):
+        construct_solution(parse_diagram(K10_REGRESSIONS[0]))
+    assert len(dropped) == 1
+
+
 # ---------------------------------------------------------------------------
 # exact transport across a swap
 

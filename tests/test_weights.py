@@ -379,6 +379,42 @@ def test_gyd_candidates_lazy_matches_eager():
                 assert list(_gyd_candidates(rows, level, total)) == _gyd_candidates_eager(rows, level, total)
 
 
+def _gyd_candidates_blocks(rows: int, level: int, total: int):
+    """Candidates one first-entry block at a time, as the affine search
+    built them before it yielded each one as it was made: the oracle of
+    the fully lazy order."""
+
+    lo1 = -(-total // rows)
+    hi1 = total // rows + level
+    results: list[tuple[int, ...]] = []
+
+    def rec(prefix: list[int], remaining: int, target: int) -> None:
+        if remaining == 0:
+            if target == 0:
+                results.append(tuple(prefix))
+            return
+        low = prefix[0] - level
+        high = min(prefix[-1], target - (remaining - 1) * low)
+        for val in range(high, low - 1, -1):
+            if val * remaining < target:
+                break
+            prefix.append(val)
+            rec(prefix, remaining - 1, target - val)
+            prefix.pop()
+
+    for first in range(hi1, lo1 - 1, -1):
+        rec([first], rows - 1, total - first)
+        yield from results
+        results.clear()
+
+
+def test_gyd_candidates_lazy_matches_blocks():
+    for rows in range(1, 7):
+        for level in range(7):
+            for total in range(-rows, rows * (level + 1)):
+                assert list(_gyd_candidates(rows, level, total)) == list(_gyd_candidates_blocks(rows, level, total))
+
+
 def test_stratum_affine_requires_normalized():
     with pytest.raises(ValueError):
         stratum_check_affine(separated_view(parse_diagram("( 2 o 5 x )")))
