@@ -38,6 +38,7 @@ from .diagram import (
 from .momentmap import (
     _accept_threshold,
     _construct_decided,
+    _level_acts,
     settle,
     solution_from_json,
     solution_to_json,
@@ -293,20 +294,26 @@ def _cmd_solve(args) -> int:
     d = _load_diagram(args.diagram)
     lam = _parse_level(getattr(args, "level", None), d)
     seed = args.seed if args.seed is not None else _default_seed()
-    if any(v != 0 for v in lam.values()):
-        sol = solve_numeric(d, lam=lam, seed=seed)
-    else:
+    # levels that change no equation leave the level-zero zero exact
+    exact = not _level_acts(d, lam)
+    if exact:
         cert, fin = _decide_full(d)
-        if not cert.verdict:
+        if not cert.verdict and not any(lam.values()):
             _emit(
                 args,
                 certificate_to_json(cert),
                 "no level-zero solution: diagram is not supersymmetric",
             )
             return EXIT_NEGATIVE
+        exact = cert.verdict
+    if exact:
         sol = _construct_decided(d, cert, fin, seed)
-    if args.tol is not None:
+        sol.lam = lam
         settle(sol, args.tol)
+    else:
+        sol = solve_numeric(d, lam=lam, seed=seed)
+        if args.tol is not None:
+            settle(sol, args.tol)
     payload = solution_to_json(sol)
     _write_out(args, payload)
     _emit(

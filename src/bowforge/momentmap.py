@@ -32,10 +32,16 @@ no array with their argument.
 Construction reads no spectrum and runs no QR: the shifts that keep
 each x-arc unit's B - c invertible are counted off a spiral (see
 ``_construct_decided``), and the finished zero is written in one
-closed-form unitary basis per dimension (``_generic_basis``).  A map or
-a side with no entries takes no numpy call it does not need: an empty
-end block takes no inverse, an empty map no change of basis, and a
-0-dimensional side of an x point no closure.
+closed-form unitary basis per dimension (``_generic_basis``).  No numpy
+call is made whose result the shapes already fix.  A product through a
+0-dimensional space, or with no entries, is the zero block of its shape
+(``_product``), and every 0-sized map is one shared read-only empty
+(``_zeros``).  A swap whose disappearing segment is empty stacks
+nothing, since a map with no rows has the identity as its kernel, and a
+swap into an empty segment asks the stacked map for its singular values
+alone.  A closure whose generators already span takes no singular
+vectors.  An empty end block takes no inverse, an empty map no change
+of basis, and a 0-dimensional side of an x point no closure.
 
 All computations use dense complex128 arrays; diagram dimensions stay
 small enough that dense linear algebra is the honest choice.  numpy is
@@ -80,6 +86,35 @@ class _LazyNumpy:
 
 
 np = _LazyNumpy()
+
+# ---------------------------------------------------------------------------
+# blocks whose shape fixes them
+
+# one read-only zero block per 0-sized shape, shared by every map of that
+# shape: it has no entry to write, so no solution needs its own
+_EMPTY: dict[tuple[int, int], np.ndarray] = {}
+
+
+def _zeros(rows: int, cols: int) -> np.ndarray:
+    """The complex zero block of this shape; a 0-sized one is shared."""
+
+    if rows and cols:
+        return np.zeros((rows, cols), dtype=complex)
+    empty = _EMPTY.get((rows, cols))
+    if empty is None:
+        empty = _EMPTY[rows, cols] = np.zeros((rows, cols), dtype=complex)
+        empty.flags.writeable = False
+    return empty
+
+
+def _product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``x @ y``.  A product through a 0-dimensional space, or one with no
+    entries, is the zero block of its shape, so it takes no matrix product."""
+
+    rows, inner = x.shape
+    cols = y.shape[1]
+    return x @ y if rows and inner and cols else _zeros(rows, cols)
+
 
 # ---------------------------------------------------------------------------
 # data model
@@ -147,17 +182,14 @@ def zero_solution(d: BowDiagram, lam: dict[int, complex] | None = None) -> Solut
         v_in, v_out = d.dims[pos - 1], d.dims[pos]
         if node.kind == NodeKind.XPOINT:
             triangles[node.id] = TriangleData(
-                A=np.zeros((v_out, v_in), dtype=complex),
-                B_in=np.zeros((v_in, v_in), dtype=complex),
-                B_out=np.zeros((v_out, v_out), dtype=complex),
-                a=np.zeros((v_out, 1), dtype=complex),
-                b=np.zeros((1, v_in), dtype=complex),
+                A=_zeros(v_out, v_in),
+                B_in=_zeros(v_in, v_in),
+                B_out=_zeros(v_out, v_out),
+                a=_zeros(v_out, 1),
+                b=_zeros(1, v_in),
             )
         else:
-            arrows[node.id] = ArrowData(
-                C=np.zeros((v_out, v_in), dtype=complex),
-                D=np.zeros((v_in, v_out), dtype=complex),
-            )
+            arrows[node.id] = ArrowData(C=_zeros(v_out, v_in), D=_zeros(v_in, v_out))
     lam = dict(lam or {})
     if strays := sorted(lam.keys() - arrows.keys()):
         raise ValueError(f"levels sit on arrows only; nodes {strays} are not arrows of the diagram")
@@ -209,8 +241,12 @@ def _evaluate(sol: Solution, blocks: list) -> list[np.ndarray]:
         block = None
         for sign, (x_id, x_field), y in terms:
             x = getattr(owners[x_id], x_field)
-            prod = x if y is None else x @ getattr(owners[y[0]], y[1])
+            prod = x if y is None else _product(x, getattr(owners[y[0]], y[1]))
             if block is None:
+                if not prod.size:
+                    # a block with no entries is the empty its first term gave
+                    block = prod
+                    break
                 block = prod if sign > 0 else -prod
                 if level is not None and (lam := complex(sol.lam.get(level, 0.0))):
                     block = block - lam * np.eye(block.shape[0])
@@ -229,7 +265,8 @@ def residual_blocks(sol: Solution) -> list[np.ndarray]:
 def moment_residual(sol: Solution) -> float:
     total = 0.0
     for block in residual_blocks(sol):
-        total += np.vdot(block, block).real
+        if block.size:
+            total += np.vdot(block, block).real
     return float(np.sqrt(total))
 
 
@@ -248,13 +285,17 @@ def _closure_dim(op: np.ndarray, gens: np.ndarray) -> int:
     Grows an orthonormal basis: an SVD of ``gens``, then ``op`` applied
     to the newest columns, orthogonalized twice against the basis so far,
     keeping the directions above tolerance, until nothing new appears or
-    the basis is full (the controllability staircase).
+    the basis is full (the controllability staircase).  Generators at
+    least as many as the dimension are first asked for their singular
+    values alone: when those already span, no vector is computed.
     """
 
     n = op.shape[0]
     if n == 0:
         return 0
     tol = _RANK_RTOL * max(float(np.linalg.norm(op)), 1.0)
+    if gens.shape[1] >= n and np.linalg.svd(gens, compute_uv=False)[-1] > tol:
+        return n
     u, s, _ = np.linalg.svd(gens, full_matrices=False)
     basis = new = u[:, s > tol]
     while new.shape[1] and basis.shape[1] < n:
@@ -311,10 +352,15 @@ def stability_report(sol: Solution) -> StabilityReport:
         t = sol.triangles[node_id]
         v_in = t.B_in.shape[0]
         v_out = t.B_out.shape[0]
-        cond_a = float(np.linalg.norm(triangle))
-        # a 0-dimensional side closes on nothing, so it takes no closure
-        chain_dim = v_in - _closure_dim(t.B_in.conj().T, np.concatenate([t.A, t.b]).conj().T) if v_in else 0
-        krylov_rank = _closure_dim(t.B_out, np.concatenate([t.A, t.a], axis=1)) if v_out else 0
+        cond_a = float(np.linalg.norm(triangle)) if triangle.size else 0.0
+        # a 0-dimensional side closes on nothing, so it takes no closure,
+        # and facing one, A has no entries: the tail alone generates
+        chain_dim = krylov_rank = 0
+        if v_in:
+            rows = np.concatenate([t.A, t.b]) if v_out else t.b
+            chain_dim = v_in - _closure_dim(t.B_in.conj().T, rows.conj().T)
+        if v_out:
+            krylov_rank = _closure_dim(t.B_out, np.concatenate([t.A, t.a], axis=1) if v_in else t.a)
         entries[node_id] = XStability(
             cond_a=cond_a,
             s1=chain_dim == 0,
@@ -434,6 +480,16 @@ def solve_lm(jr, x0):
 # numerical search
 
 
+def _level_acts(d: BowDiagram, lam: dict[int, complex]) -> bool:
+    """Whether some non-zero level of ``lam`` changes an equation of ``d``.
+
+    A level comes off the block of its arrow's outgoing segment (see
+    ``_equations``), so on a 0-dimensional segment it changes nothing.
+    """
+
+    return any(lam.get(node.id) and d.dims[pos] for pos, node in enumerate(d.nodes))
+
+
 def _accept_threshold(lam: dict[int, complex]) -> float:
     level = sum(abs(complex(v)) ** 2 for v in lam.values())
     return 1e-8 * (1.0 + level)
@@ -495,13 +551,18 @@ def solve_numeric(d: BowDiagram, lam: dict[int, complex] | None = None, seed: in
 # exact steps: a zero carried through moves
 
 
-def _extend_block(mat: np.ndarray, rows: int, cols: int, corner: np.ndarray | None = None) -> np.ndarray:
-    """``mat`` padded by ``rows`` zero rows and ``cols`` zero columns, ``corner`` where they meet."""
+def _extend_block(mat: np.ndarray, rows: int, cols: int, diagonal=None) -> np.ndarray:
+    """``mat`` padded by ``rows`` zero rows and ``cols`` zero columns, with
+    ``diagonal`` (a value, or one per new row) down the square corner
+    where they meet.  A 0-sized result is the shared empty of its shape."""
 
-    out = np.zeros((mat.shape[0] + rows, mat.shape[1] + cols), dtype=complex)
-    out[: mat.shape[0], : mat.shape[1]] = mat
-    if corner is not None:
-        out[mat.shape[0] :, mat.shape[1] :] = corner
+    old_rows, old_cols = mat.shape
+    out = _zeros(old_rows + rows, old_cols + cols)
+    if mat.size:
+        out[:old_rows, :old_cols] = mat
+    if diagonal is not None:
+        # the corner's diagonal, read through the flat row-major entries
+        out.reshape(-1)[old_rows * out.shape[1] + old_cols :: out.shape[1] + 1] = diagonal
     return out
 
 
@@ -538,28 +599,28 @@ def _shifted_inv(mat: np.ndarray, c: np.ndarray) -> np.ndarray:
 def _kernel_with_dim(mat: np.ndarray, want: int) -> np.ndarray:
     """Orthonormal kernel basis whose dimension is known in advance.
 
-    Raises when the singular spectrum shows no clean gap at the
-    expected rank; that means the input was not a stable zero.
+    ``mat`` has rows and columns: a map with no rows has every vector in
+    its kernel, which its caller writes as the identity.  Raises when the
+    singular spectrum shows no clean gap at the expected rank; that means
+    the input was not a stable zero.  An expected kernel of 0 needs the
+    singular values alone, for the rank check.
     """
 
     cols = mat.shape[1]
     rank = cols - want
     if rank < 0:
         raise ValueError("kernel cannot exceed the ambient dimension")
-    if cols == 0:
-        return np.zeros((0, 0), dtype=complex)
-    if mat.shape[0] == 0:
-        if rank != 0:
-            raise ValueError("empty map cannot have full rank")
-        return np.eye(cols, dtype=complex)
-    u, s, vh = np.linalg.svd(mat, full_matrices=True)
+    if want:
+        _, s, vh = np.linalg.svd(mat, full_matrices=True)
+    else:
+        s = np.linalg.svd(mat, compute_uv=False)
     s = s.tolist()
     scale = max(s[0] if s else 0.0, 1.0)
     if rank > 0 and (len(s) < rank or s[rank - 1] <= 1e-9 * scale):
         raise ValueError("stacked map lost full rank; not a stable zero")
     if len(s) > rank and s[rank] > 1e-5 * scale:
         raise ValueError("stacked map kernel larger than the swap allows")
-    return vh[rank:].conj().T
+    return vh[rank:].conj().T if want else _zeros(cols, 0)
 
 
 class _Zero(_Host):
@@ -604,11 +665,17 @@ class _Zero(_Host):
         three maps stacked over the disappearing segment, so no numerical
         search is involved and the residual stays at level zero.  Only
         the two swapped nodes get new maps.
+
+        An empty old segment gives the stacked map no rows, so its kernel
+        is the identity and nothing is stacked; an empty new segment
+        needs the stacked map's singular values alone.
         """
 
         pos = _Host.swap(self, left, right)
         dims = self.dims
         v_minus, v_plus, v_new = dims[pos - 1], dims[(pos + 1) % len(dims)], dims[pos]
+        # the disappearing segment: the swap's dim rule is an involution
+        v_old = v_minus + v_plus + 1 - v_new
         triangles, arrows = self.triangles, self.arrows
 
         if self.index[left][1] == NodeKind.XPOINT:
@@ -617,38 +684,47 @@ class _Zero(_Host):
             t = triangles[left]
             ad = arrows[right]
             neg_c = -ad.C
-            basis = _kernel_with_dim(np.concatenate([t.A, ad.D, t.a], axis=1), v_new)
+            if v_old:
+                basis = _kernel_with_dim(np.concatenate([t.A, ad.D, t.a], axis=1), v_new)
+            else:
+                basis = np.eye(v_new, dtype=complex)
             k_minus = basis[:v_minus]
-            k_tail = basis[v_minus + v_plus :]
-            stack = np.concatenate([-t.B_in, neg_c @ t.A, t.b])
-            c_new = basis.conj().T @ stack
+            if v_minus and v_new:
+                c_new = basis.conj().T @ np.concatenate([-t.B_in, _product(neg_c, t.A), t.b])
+            else:
+                c_new = _zeros(v_new, v_minus)
             arrows[right] = ArrowData(C=c_new, D=k_minus)
             triangles[left] = TriangleData(
                 A=basis[v_minus : v_minus + v_plus],
-                B_in=-c_new @ k_minus,
-                B_out=neg_c @ ad.D,
-                a=neg_c @ t.a,
-                b=k_tail,
+                B_in=_product(-c_new, k_minus),
+                B_out=_product(neg_c, ad.D),
+                a=_product(neg_c, t.a),
+                b=basis[v_minus + v_plus :],
             )
         else:
             # arrow moves right past the x; the new segment is the cokernel
             # of stacked [D; A; b], injective by the kernel rank condition
             ad = arrows[left]
             t = triangles[right]
-            theta = np.concatenate([ad.D, t.A, t.b])
-            basis = _kernel_with_dim(theta.conj().T, v_new)
+            if v_old:
+                basis = _kernel_with_dim(np.concatenate([ad.D, t.A, t.b]).conj().T, v_new)
+            else:
+                basis = np.eye(v_new, dtype=complex)
             q_minus = basis[:v_minus]
             q_plus = basis[v_minus : v_minus + v_plus]
             q_tail = basis[v_minus + v_plus :]
-            c_new = -t.A @ ad.C @ q_minus - t.B_out @ q_plus - t.a @ q_tail
+            if v_plus and v_new:
+                c_new = _product(_product(-t.A, ad.C), q_minus) - t.B_out @ q_plus - t.a @ q_tail
+            else:
+                c_new = _zeros(v_plus, v_new)
             d_new = q_plus.conj().T
             arrows[left] = ArrowData(C=c_new, D=d_new)
             triangles[right] = TriangleData(
                 A=q_minus.conj().T,
-                B_in=-ad.D @ ad.C,
-                B_out=-d_new @ c_new,
+                B_in=_product(-ad.D, ad.C),
+                B_out=_product(-d_new, c_new),
                 a=q_tail.conj().T,
-                b=t.b @ ad.C,
+                b=_product(t.b, ad.C),
             )
         return pos
 
@@ -667,10 +743,12 @@ class _Zero(_Host):
         A full loop from an x point to itself does both at that point, one
         unit at a time, since each of its rows reads the grown B_in.
 
-        Only the nodes that bound the arc or sit inside it are visited,
-        and each block's I, diag(c) and diag(-c) are built once.  An end
-        whose B block is 0x0 gains an empty row or column of A, so it
-        takes no inverse.
+        Only the nodes that bound the arc or sit inside it are visited.
+        The units' 1, c_j and -c_j go straight onto the diagonal of each
+        grown block's new corner, so no I, diag(c) or diag(-c) is built.
+        An end whose B block is 0x0 gains an empty row or column of A, so
+        it takes no inverse, and a map that stays 0-sized takes no new
+        array.
         """
 
         segs = _Host.increment(self, entry, delta)
@@ -687,14 +765,13 @@ class _Zero(_Host):
         triangles, arrows = self.triangles, self.arrows
         for c in shifts.reshape(-1, 1) if x_arc and entry.start == entry.end else shifts.reshape(1, -1):
             m = len(c)
-            eye, diag, neg_diag = np.eye(m), np.diag(c), np.diag(-c)
             for node, grow_in, grow_out in grown:
                 if node.kind == NodeKind.ARROW:
                     ad = arrows[node.id]
                     # head rows track the outgoing segment, tail columns the incoming
                     both = grow_in and grow_out
-                    C = _extend_block(ad.C, m * grow_out, m * grow_in, eye if both else None)
-                    D = _extend_block(ad.D, m * grow_in, m * grow_out, neg_diag if both else None)
+                    C = _extend_block(ad.C, m * grow_out, m * grow_in, 1.0 if both else None)
+                    D = _extend_block(ad.D, m * grow_in, m * grow_out, -c if both else None)
                     arrows[node.id] = ArrowData(C=C, D=D)
                     continue
                 t = triangles[node.id]
@@ -702,10 +779,12 @@ class _Zero(_Host):
                 if grow_in and grow_out:
                     # a full loop is its own outgoing end: b feeds the new row
                     loop = node.id == entry.start == entry.end
-                    A = _extend_block(A, m, m, eye)
+                    A = _extend_block(A, m, m, 1.0)
                     if loop and len(B_in):
                         A[-m:, :-m] = (b @ _shifted_inv(B_in, c))[:, 0]
-                    a = np.concatenate([a, np.full((m, 1), 1.0 if loop else 0.0)])
+                    a = _extend_block(a, m, 0)
+                    if loop:
+                        a[-m:] = 1.0
                     b = _extend_block(b, 0, m)
                 elif grow_out:
                     if len(B_in):
@@ -720,9 +799,9 @@ class _Zero(_Host):
                         A = _extend_block(A, 0, m)
                     b = np.concatenate([b, np.ones((1, m))], axis=1)
                 if grow_in:
-                    B_in = _extend_block(B_in, m, m, diag)
+                    B_in = _extend_block(B_in, m, m, c)
                 if grow_out:
-                    B_out = _extend_block(B_out, m, m, diag)
+                    B_out = _extend_block(B_out, m, m, c)
                 triangles[node.id] = TriangleData(A=A, B_in=B_in, B_out=B_out, a=a, b=b)
         return segs
 
@@ -838,12 +917,15 @@ def construct_solution(d: BowDiagram, seed: int = 0) -> Solution:
     from .susy import _decide_full
 
     cert, fin = _decide_full(d)
-    return _construct_decided(d, cert, fin, seed)
+    sol = _construct_decided(d, cert, fin, seed)
+    settle(sol)
+    return sol
 
 
 def _construct_decided(d: BowDiagram, cert, fin, seed: int) -> Solution:
     """:func:`construct_solution` from the certificate and the layout that
-    ``susy._decide_full`` returned for ``d``.
+    ``susy._decide_full`` returned for ``d``, not yet settled: the caller
+    runs ``settle`` once, with its own levels and threshold.
 
     The zero starts where the layout's ledger (``branes._finite_branes``,
     or ``branes._one_kind_branes`` when ``d`` has one node kind) is
@@ -916,7 +998,6 @@ def _construct_decided(d: BowDiagram, cert, fin, seed: int) -> Solution:
 
     sol = _generic_basis(zero.solution())
     sol.seed = seed
-    settle(sol)
     return sol
 
 

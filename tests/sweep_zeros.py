@@ -10,6 +10,12 @@ shape and bytes in node-id order, the residual's ``float.hex`` and every
 stability entry (``cond_a`` as hex, s1, s2, ``chain_dim``,
 ``krylov_rank``).  Prints the count, the sha256 and the CPU time.
 
+    PYTHONPATH=src python tests/sweep_zeros.py --dump zeros.txt
+
+also writes one line per zero, its diagram text and the sha256 of that
+zero's bytes alone, so ``diff`` of two dumps names the first diagram
+whose zero changed.
+
 No digest is pinned: the float bytes depend on the BLAS build, so two
 digests compare only when one host made both.  Run it on a change to
 construction before and after, on one host, to show that the change
@@ -18,6 +24,7 @@ kept every zero byte for byte.  pytest does not collect it.
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import itertools
 import sys
@@ -43,27 +50,46 @@ def sweep_texts() -> list[str]:
     return texts + list(K10_REGRESSIONS)
 
 
-def zero_digest() -> tuple[int, str]:
+def zero_bytes(sol) -> bytes:
+    """What the digest reads of one zero."""
+
+    parts = []
+    for _, owner in sorted((sol.triangles | sol.arrows).items()):
+        for mat in vars(owner).values():
+            parts.append(repr(mat.shape).encode() + mat.tobytes())
+    parts.append(sol.residual.hex().encode())
+    for nid, e in stability_report(sol).entries.items():
+        parts.append(repr((nid, e.cond_a.hex(), e.s1, e.s2, e.chain_dim, e.krylov_rank)).encode())
+    return b"".join(parts)
+
+
+def zero_digest(dump=None) -> tuple[int, str]:
+    """The count and sha256 of every zero; each zero's own line goes to ``dump``."""
+
     digest = hashlib.sha256()
     count = 0
     for text in sweep_texts():
         d = parse_diagram(text)
         if not decide_supersymmetry(d).verdict:
             continue
-        sol = construct_solution(d)
-        for _, owner in sorted((sol.triangles | sol.arrows).items()):
-            for mat in vars(owner).values():
-                digest.update(repr(mat.shape).encode() + mat.tobytes())
-        digest.update(sol.residual.hex().encode())
-        for nid, e in stability_report(sol).entries.items():
-            digest.update(repr((nid, e.cond_a.hex(), e.s1, e.s2, e.chain_dim, e.krylov_rank)).encode())
+        data = zero_bytes(construct_solution(d))
+        digest.update(data)
+        if dump is not None:
+            dump.write(f"{text}\t{hashlib.sha256(data).hexdigest()}\n")
         count += 1
     return count, digest.hexdigest()
 
 
 def main() -> int:
+    parser = argparse.ArgumentParser(description="digest of construct_solution's zeros")
+    parser.add_argument("--dump", help="write each zero's diagram and sha256 to this file, one line each")
+    args = parser.parse_args()
     start = time.process_time()
-    count, sha = zero_digest()
+    if args.dump is None:
+        count, sha = zero_digest()
+    else:
+        with open(args.dump, "w") as dump:
+            count, sha = zero_digest(dump)
     cpu = time.process_time() - start
     print(f"count {count}")
     print(f"sha256 {sha}")

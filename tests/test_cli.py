@@ -231,6 +231,45 @@ def test_solve_refuses_non_susy_at_level_zero(capsys):
     assert payload["susy"] is False
 
 
+def test_solve_level_on_an_empty_segment_constructs_exactly(capsys, tmp_path):
+    # arrow 1's outgoing segment is empty, so its level comes off a 0x0
+    # block and changes no equation: the exact level-zero zero answers at
+    # the default seed, which the LM search once missed (exit 3)
+    sol_file = tmp_path / "sol.json"
+    code, payload = run(capsys, "solve", "--json", "--lambda", "0.5,0", "--out", str(sol_file), "( 3 x 2 o 0 o 3 x )")
+    assert code == 0
+    assert payload["lambda"] == {"1": [0.5, 0.0], "2": [0.0, 0.0]}
+    assert payload["meta"]["converged"] is True and payload["meta"]["stable"] is True
+
+    code, report = run(capsys, "verify", "--json", "--sol", str(sol_file))
+    assert code == 0
+    assert report["accepted"] is True and report["threshold"] == 1.25e-8
+
+
+def test_solve_inert_level_on_a_non_susy_diagram_searches(capsys):
+    # no exact zero exists, so a non-zero level keeps the numerical search
+    code, payload = run(capsys, "solve", "--json", "--lambda", "0.5", "( 2 o 0 x )")
+    assert code == 3
+    assert payload["meta"]["converged"] is False
+
+
+def test_solve_tol_settles_a_constructed_zero_once(capsys, monkeypatch):
+    from bowforge import momentmap
+
+    calls = []
+    real = momentmap.stability_report
+
+    def counted(sol):
+        calls.append(sol)
+        return real(sol)
+
+    monkeypatch.setattr(momentmap, "stability_report", counted)
+    code, payload = run(capsys, "solve", "--json", "--tol", "1e-6", "( 2 x 2 o )")
+    assert code == 0
+    assert payload["meta"]["converged"] is True
+    assert len(calls) == 1
+
+
 def test_solve_honors_env_seed(capsys, monkeypatch):
     monkeypatch.setenv("BOWFORGE_SEED", "7")
     code, payload = run(capsys, "solve", "--json", "( 1 x 1 o )")

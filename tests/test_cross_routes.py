@@ -28,7 +28,7 @@ MAX_DIM = 60
 PINNED = ("( 31 x 48 o 58 x )", "( 53 x 29 o 37 x )")
 # a swap that loses rank, and a stable zero whose residual is 2.6e-8
 KNOWN_FAILURES = ("( 138 o 110 o 121 x 129 x )", "( 182 x 169 o 187 o 182 o 187 x 180 x )")
-CONDITIONING = "ill-conditioned exact construction at large dims (ROADMAP item 1)"
+CONDITIONING = "ill-conditioned exact construction at large dims (ROADMAP item 2)"
 
 
 def drawn(seed: int, count: int, max_dim: int, verdict: bool, max_nodes: int = 5, min_nodes: int = 2) -> list[str]:

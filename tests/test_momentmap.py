@@ -247,7 +247,7 @@ def test_scaled_stable_zero_stays_stable():
     assert stability_report(sol).ok
 
 
-# the k = 40 diagram of ROADMAP item 4: unbounded shift sequences (the
+# the k = 40 diagram of ROADMAP item 8: unbounded shift sequences (the
 # integers, or sqrt(j) exp(2 pi i 0.618034 j)) lose rank at one of its swaps
 K40 = (
     "( 11 x 12 o 12 x 12 x 12 o 11 x 10 o 12 o 10 o 10 o 10 x 11 o 11 x 10 x 11 o 12 o 12 x 10 o "
@@ -719,6 +719,146 @@ def test_bad_swaps_are_refused_alike(text, left, right, reason):
     assert reason in want[1]
     assert refusal(lambda: ledger_apply_move(synthesize(d), HwMove(left, right))) == want
     assert refusal(lambda: transport_hw_solution(zero_solution(d), left, right)) == want
+
+
+def _general_kernel(mat, want):
+    # one full SVD on every stacked map; one with no rows keeps every vector
+    if mat.shape[0] == 0:
+        return np.eye(mat.shape[1], dtype=complex)
+    _, _, vh = np.linalg.svd(mat, full_matrices=True)
+    return vh[mat.shape[1] - want :].conj().T
+
+
+class GeneralZero(momentmap._Zero):
+    """The zero with the swap that stacks, takes a kernel and multiplies
+    whatever the shapes; ``_Zero.swap`` skips the calls whose result the
+    shapes fix, and this is its oracle."""
+
+    __slots__ = ()
+
+    def swap(self, left, right):
+        pos = _Host.swap(self, left, right)
+        dims = self.dims
+        v_minus, v_plus, v_new = dims[pos - 1], dims[(pos + 1) % len(dims)], dims[pos]
+        if self.index[left][1] == NodeKind.XPOINT:
+            t, ad = self.triangles[left], self.arrows[right]
+            neg_c = -ad.C
+            basis = _general_kernel(np.concatenate([t.A, ad.D, t.a], axis=1), v_new)
+            k_minus = basis[:v_minus]
+            c_new = basis.conj().T @ np.concatenate([-t.B_in, neg_c @ t.A, t.b])
+            self.arrows[right] = momentmap.ArrowData(C=c_new, D=k_minus)
+            self.triangles[left] = momentmap.TriangleData(
+                A=basis[v_minus : v_minus + v_plus],
+                B_in=-c_new @ k_minus,
+                B_out=neg_c @ ad.D,
+                a=neg_c @ t.a,
+                b=basis[v_minus + v_plus :],
+            )
+        else:
+            ad, t = self.arrows[left], self.triangles[right]
+            basis = _general_kernel(np.concatenate([ad.D, t.A, t.b]).conj().T, v_new)
+            q_minus, q_plus, q_tail = basis[:v_minus], basis[v_minus : v_minus + v_plus], basis[v_minus + v_plus :]
+            c_new = -t.A @ ad.C @ q_minus - t.B_out @ q_plus - t.a @ q_tail
+            d_new = q_plus.conj().T
+            self.arrows[left] = momentmap.ArrowData(C=c_new, D=d_new)
+            self.triangles[right] = momentmap.TriangleData(
+                A=q_minus.conj().T, B_in=-ad.D @ ad.C, B_out=-d_new @ c_new, a=q_tail.conj().T, b=t.b @ ad.C
+            )
+        return pos
+
+
+def general_closure(op, gens):
+    """``_closure_dim`` with singular vectors from the first SVD on; its oracle."""
+
+    n = op.shape[0]
+    if n == 0:
+        return 0
+    tol = momentmap._RANK_RTOL * max(float(np.linalg.norm(op)), 1.0)
+    u, s, _ = np.linalg.svd(gens, full_matrices=False)
+    basis = new = u[:, s > tol]
+    while new.shape[1] and basis.shape[1] < n:
+        grown = op @ new
+        for _ in range(2):
+            grown = grown - basis @ (basis.conj().T @ grown)
+        u, s, _ = np.linalg.svd(grown, full_matrices=False)
+        new = u[:, s > tol]
+        basis = np.concatenate([basis, new], axis=1)
+    return basis.shape[1]
+
+
+def _entries(report):
+    return [(nid, e.cond_a.hex(), e.s1, e.s2, e.chain_dim, e.krylov_rank) for nid, e in report.entries.items()]
+
+
+def _count_svd(monkeypatch):
+    # one entry per np.linalg.svd call: whether it computed singular vectors
+    calls = []
+    real = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("compute_uv", True))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    return calls
+
+
+def test_swap_between_empty_outer_segments_stacks_nothing(monkeypatch):
+    # x 0 passes arrow 1 with the segments on both sides and between them
+    # empty: the stacked map has no rows, so its kernel is the identity
+    sol = zero_solution(parse_diagram("( 0 x 0 o 0 x 1 o )"))
+    got, want = momentmap._Zero(sol), GeneralZero(sol)
+    with monkeypatch.context() as patch:
+        calls = _count_calls(patch, np, ["concatenate"])
+        svds = _count_svd(patch)
+        got.swap(0, 1)
+    assert calls == {"concatenate": 0} and svds == []
+    want.swap(0, 1)
+    assert got.dims[0] == 1
+    assert _bytes(got.solution()) == _bytes(want.solution())
+
+
+def test_arrow_past_x_into_an_empty_segment_checks_rank_only(monkeypatch):
+    # arrow 2 passes x 0 from dims (1, 2, 0) to an empty middle segment:
+    # the kernel is 0-dimensional, so the one SVD is the rank check
+    base = construct_solution(parse_diagram("( 2 x 0 x 1 o )"))
+    got, want = momentmap._Zero(base), GeneralZero(base)
+    with monkeypatch.context() as patch:
+        svds = _count_svd(patch)
+        got.swap(2, 0)
+    assert svds == [False]
+    want.swap(2, 0)
+    assert got.dims[2] == 0
+    assert _bytes(got.solution()) == _bytes(want.solution())
+    assert moment_residual(got.solution()) < 1e-12
+
+
+def test_spanning_closure_takes_singular_values_only(monkeypatch):
+    op = np.diag([1.0, 2.0, 3.0]).astype(complex)
+    spanning = np.eye(3, 4, dtype=complex) + 0.5
+    with monkeypatch.context() as patch:
+        svds = _count_svd(patch)
+        assert momentmap._closure_dim(op, spanning) == 3
+    assert svds == [False]
+    # generators that do not span grow the staircase as before
+    for gens in (np.ones((3, 4), dtype=complex), np.ones((3, 1), dtype=complex), np.zeros((3, 3), dtype=complex)):
+        assert momentmap._closure_dim(op, gens) == general_closure(op, gens)
+
+
+def test_shape_fixed_paths_match_the_general_formulas(monkeypatch):
+    # every zero of the k <= 4, dims 0..3 sweep: the maps, residual and
+    # stability evidence equal those of the general swap, products and closure
+    for d in susy_sweep():
+        got = construct_solution(d)
+        with monkeypatch.context() as patch:
+            patch.setattr(momentmap, "_Zero", GeneralZero)
+            patch.setattr(momentmap, "_closure_dim", general_closure)
+            patch.setattr(momentmap, "_product", lambda x, y: x @ y)
+            want = construct_solution(d)
+            want_entries = _entries(stability_report(want))
+        assert _bytes(got) == _bytes(want), d
+        assert (got.residual.hex(), got.converged, got.stable) == (want.residual.hex(), want.converged, want.stable), d
+        assert _entries(stability_report(got)) == want_entries, d
 
 
 def test_transport_detects_rank_collapse():
