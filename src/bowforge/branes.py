@@ -11,27 +11,17 @@ its endpoints and cannot be deformed away.  The ledger certifies a
 supersymmetric diagram precisely when no fixed slot (ordered endpoint
 pair, sense, lap count) is occupied more than once.
 
-A ledger is carried through a move log in place by one private walker,
-:class:`_Walk`: a ``rewrite._Host``, which holds the host diagram as
-mutable node and dimension lists with an ``{id: (position, kind)}``
-index and checks and applies every move, plus one brane dict mutated
-throughout.  Coverage and the fixed-slot occupancy are carried, not
-recomputed.  A node's *charge* is the multiplicity of anticlockwise arcs
-that start at it minus those that end there; it depends on the branes
-only, not on positions, and it links neighbouring segments:
-``cover[p] = cover[p - 1] + charge(node at p)``, cyclically.  A
-Hanany-Witten swap only rewrites the branes between the swapped pair.
-Off the swapped segment every other brane covers what it covered
-before, and each of the pair's branes covers every segment alike.  So a
-swap adds the pair's uniform change to the coverage, updates the
-pair's charges and the count of over-full fixed slots, and reads the
-swapped segment off the identity, in O(1 + the pair's branes).
-``ledger_apply_move`` walks; its ledger may crowd a slot or hold a
-fixed brane x-point first.  The staging of
-``momentmap.construct_solution`` audits its layout's ledger once and
-then moves a plain host, since it reads the branes only for their keys.
+One audit from scratch computes the coverage (each brane's laps plus
+its arc as a cyclic range in a difference array) and the fixed-slot
+occupancy in one pass over an ``{id: (position, kind)}`` index, in
+O(k + branes).  The public checks use it, :func:`synthesize` and
+:func:`synthesize_finite` run it once on the ledger they return,
+construction's staging once on its layout's ledger, and
+:func:`ledger_apply_move` once on either side of its move, which
+:class:`_Carry` makes, a ``rewrite._Host`` that rewrites only the
+swapped pair's branes.
 
-Synthesis does not walk, and it does not decide.  Write a fixed brane
+Synthesis makes no move, and it does not decide.  Write a fixed brane
 between arrow u and x-point x as its *winding* z: l + 1 when
 anticlockwise with l laps, −l when clockwise.  A swap with u on the
 left, before x, *shrinks* the pair, mapping its windings S to
@@ -69,7 +59,7 @@ input checks for faults, not for the verdict: a coverage other than
 the dims or an over-full fixed slot there is a bug of this module and
 raises RuntimeError, never ValueError.
 
-The walker, the audit and synthesis key branes by plain tuples
+The audit, the moves and synthesis key branes by plain tuples
 ``(start, end, anticlockwise, laps)``, far cheaper to build and hash.  A
 :class:`Brane` exists only in a :class:`BraneLedger`: keyed where a
 ledger comes in, and taken back in the same order where one goes out
@@ -79,15 +69,6 @@ pays a cache lookup per brane, not a construction, where its keys came
 up before.  Keys repeat across ledgers where node ids do, as the
 0..k−1 of :func:`~bowforge.diagram.parse_diagram` do; on ids that never
 repeat every brane misses, and a miss costs more than a construction.
-
-The from-scratch audit computes the coverage (each brane's laps plus
-its arc as a cyclic range in a difference array) and the fixed-slot
-occupancy in one pass from the index, in O(k + branes).  The public
-checks use it, a walker runs it once, on the ledger it starts from,
-synthesis runs it once, on the ledger it returns, and construction's
-staging once, on its layout's ledger;
-:func:`synthesize_finite` starts a walker on the tuple keys it builds,
-so that one audit serves both.
 """
 
 from __future__ import annotations
@@ -288,107 +269,28 @@ def _put(branes: dict, key, mult: int) -> None:
         branes.pop(key, None)
 
 
-def _remove(branes: dict[tuple, int], key: tuple, mult: int) -> None:
-    have = branes.get(key, 0)
-    if have < mult:
-        raise ValueError(f"ledger holds {have} of {_brane(*key)}, cannot remove {mult}")
-    if have == mult:
-        del branes[key]
-    else:
-        branes[key] = have - mult
+class _Carry(_Host):
+    """A ``rewrite._Host`` that moves a ledger's tuple-keyed branes along
+    and carries nothing else.
 
-
-class _Walk(_Host):
-    """A ledger carried through moves in place, its branes as tuple keys.
-
-    The host half is a ``rewrite._Host``: its :meth:`move` checks and
-    applies each entry, with the same errors as ``rewrite.apply_entry``.
-    The walker extends the host's swap and increment to move the branes
-    along, as ``momentmap._Zero`` extends them to move a zero's maps,
-    and checks the coverage against the host dims after every move.  It
-    calls the host's methods by name, not through ``super()``, which
-    builds a proxy object on every call of the per-move path.  It
-    carries what that check and the fixed-slot verdict need: the
-    coverage list, a charge per position (see the module docstring),
-    the count of over-full fixed slots, and the fixed branes grouped by
-    (arrow id, x-point id) in the dict's order.
-
-    ``_Walk(d, branes)`` starts from tuple keys on the host ``d`` and
-    audits them once: a node id the host lacks raises KeyError, a
-    negative multiplicity, negative laps or a coverage other than the
-    host dims raises ValueError, and zero-multiplicity entries are
-    dropped.  The carried state starts from that audit.
-
-    A swap takes the pair's group out of the dict and puts the
-    rewritten branes back at its end, so the dict keeps the order that
-    rewriting the pair's branes in a scan of the whole dict would give.
-    An increment puts or removes its brane, which is not fixed and
-    covers exactly the segments it raises, so the coverage and the
-    charges take that change.
+    A swap rewrites the swapped pair's fixed branes and puts them back
+    at the end of the dict; an increment puts or removes its brane,
+    which is not fixed.
     """
 
-    __slots__ = ("branes", "groups", "cover", "charge", "crowd")
-
-    def __init__(self, d: BowDiagram, branes: dict[tuple, int]):
-        super().__init__(d)
-        index = self.index
-        got, self.crowd = _audit(d.k, index, branes)
-        self.branes: dict[tuple, int] = {}
-        self.groups: dict[tuple[int, int], list[tuple]] = {}
-        for key, mult in branes.items():
-            if mult < 0:
-                raise ValueError(f"brane {_brane(*key)} has multiplicity {mult}")
-            if key[3] < 0:
-                raise ValueError(f"brane {_brane(*key)} has negative laps")
-            if not mult:
-                continue
-            self.branes[key] = mult
-            start, end = index[key[0]][1], index[key[1]][1]
-            if start != end:
-                pair = key[:2] if start == NodeKind.ARROW else (key[1], key[0])
-                self.groups.setdefault(pair, []).append(key)
-        self.cover = list(got)
-        self.charge = [got[p] - got[p - 1] for p in range(d.k)]
-        self._check_cover()
-
-    def ledger(self) -> BraneLedger:
-        return BraneLedger(diagram=self.diagram(), branes={_brane(*key): mult for key, mult in self.branes.items()})
-
-    def move(self, entry: MoveEntry, inverse: bool = False) -> bool:
-        """:func:`ledger_apply_move` in place; returns the fixed-slot verdict."""
-
-        _Host.move(self, entry, inverse)
-        self._check_cover()
-        return not self.crowd
-
-    def _check_cover(self) -> None:
-        if self.cover != self.dims:
-            raise ValueError(
-                f"brane coverage {tuple(self.cover)} lost track of the host dims {tuple(self.dims)}; "
-                "the ledger did not match its host"
-            )
+    __slots__ = ("branes",)
 
     def swap(self, left: int, right: int) -> int:
         pos = _Host.swap(self, left, right)
-        after = (pos + 1) % len(self.nodes)
-
-        # Every brane of the pair runs from pos to after or from after to
-        # pos, so off segment pos it covers uniformly: its laps, plus one
-        # when its anticlockwise arc starts at the node that is not at pos.
-        # A brane keeps its sense; anticlockwise shrinks when the arrow is left.
-        u, xp = (left, right) if self.nodes[after].kind == NodeKind.ARROW else (right, left)
+        u, xp = (left, right) if self.index[left][1] == NodeKind.ARROW else (right, left)
+        # a brane keeps its sense; anticlockwise shrinks when the arrow is left
         shrink = u == left
         branes = self.branes
-        uniform = flux = crowd = 0
         annihilated = False
         moved: dict[tuple, int] = {}
-        for key in self.groups.get((u, xp), ()):
+        for key in [key for key in branes if (key[0], key[1]) in ((u, xp), (xp, u))]:
             mult = branes.pop(key)
             start, end, acw, laps = key
-            first = (start if acw else end) == left
-            uniform -= mult * (laps + (not first))
-            flux -= mult if first else -mult
-            crowd -= mult > 1
             if acw == shrink and start == u and laps == 0:
                 annihilated = True
                 mult -= 1
@@ -397,35 +299,24 @@ class _Walk(_Host):
         if not annihilated:
             _put(moved, (u, xp, not shrink, 0), 1)
         branes.update(moved)
-        self.groups[(u, xp)] = list(moved)
-        for (start, end, acw, laps), mult in moved.items():
-            first = (start if acw else end) == left
-            uniform += mult * (laps + first)
-            flux += mult if first else -mult
-            crowd += mult > 1
-        charge, cover = self.charge, self.cover
-        charge[pos], charge[after] = charge[after] - flux, charge[pos] + flux
-        if uniform:
-            cover[:] = [value + uniform for value in cover]
-        cover[pos] = cover[pos - 1] + charge[pos]
-        self.crowd += crowd
         return pos
 
     def increment(self, entry: IncrementArrows | IncrementX, delta: int) -> range | list[int]:
         segs = _Host.increment(self, entry, delta)
-        # the brane is not fixed and covers exactly segs, anticlockwise
-        # from its arc's start to its end; a full loop starts and ends at
-        # segs[0], so its charges cancel
-        for seg in segs:
-            self.cover[seg] += delta
-        self.charge[segs[0]] += delta
-        self.charge[(segs[-1] + 1) % len(self.nodes)] -= delta
         key = (entry.start, entry.end, entry.direction == Direction.ACW, int(entry.start == entry.end))
-        if delta > 0:
-            _put(self.branes, key, delta)
-        elif delta:
-            _remove(self.branes, key, -delta)
+        have = self.branes.get(key, 0)
+        if have + delta < 0:
+            raise ValueError(f"ledger holds {have} of {_brane(*key)}, cannot remove {-delta}")
+        _put(self.branes, key, delta)
         return segs
+
+
+def _require_cover(cover: tuple, dims) -> None:
+    if cover != tuple(dims):
+        raise ValueError(
+            f"brane coverage {cover} lost track of the host dims {tuple(dims)}; "
+            "the ledger did not match its host"
+        )
 
 
 def ledger_apply_move(
@@ -433,14 +324,29 @@ def ledger_apply_move(
 ) -> BraneLedger:
     """Advance host and branes together through one move.
 
-    The coverage identity is checked before and after the move and
-    raises ValueError when it fails, which means the ledger did not
-    match its host.
+    The ledger is audited before the move: a node id the host lacks
+    raises KeyError, and a negative multiplicity, negative laps or a
+    coverage other than the host dims ValueError; zero-multiplicity
+    entries are dropped.  It may crowd a fixed slot or hold an x-first
+    fixed brane.  The move raises as ``rewrite.apply_entry`` does, and a
+    second audit raises ValueError when the moved coverage lost track of
+    the moved dims.
     """
 
-    walk = _Walk(ledger.diagram, _keyed(ledger.branes))
-    walk.move(entry, inverse)
-    return walk.ledger()
+    d = ledger.diagram
+    host = _Carry(d)
+    keyed = _keyed(ledger.branes)
+    cover = _audit(d.k, host.index, keyed)[0]
+    for key, mult in keyed.items():
+        if mult < 0:
+            raise ValueError(f"brane {_brane(*key)} has multiplicity {mult}")
+        if key[3] < 0:
+            raise ValueError(f"brane {_brane(*key)} has negative laps")
+    host.branes = {key: mult for key, mult in keyed.items() if mult}
+    _require_cover(cover, d.dims)
+    host.move(entry, inverse)
+    _require_cover(_audit(d.k, host.index, host.branes)[0], host.dims)
+    return BraneLedger(diagram=host.diagram(), branes={_brane(*key): mult for key, mult in host.branes.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -513,26 +419,17 @@ def synthesize_finite(fin) -> BraneLedger:
     Raises ValueError unless the input is a supersymmetric separated
     finite layout.  A negative dimension, an x-side budget left at either
     end of the arrow arc or an overshot arrow-arc dimension is caught on
-    the way; the final audit catches anything else.
+    the way; one audit catches anything else.
     """
-
-    return _finite_walk(fin).ledger()
-
-
-def _finite_walk(fin) -> _Walk:
-    """The ledger of :func:`synthesize_finite`, held by a walker whose
-    starting audit is the final check."""
 
     if not fin.is_finite_layout:
         raise ValueError("synthesis needs a separated finite layout")
+    d = fin.diagram
     branes = _finite_branes(fin.v_arr, fin.v_x, fin.arrow_ids, fin.x_ids)
-    try:
-        walk = _Walk(fin.diagram, branes)
-    except ValueError:
-        raise ValueError(_NOT_SUSY) from None
-    if walk.crowd:
+    cover, crowd = _audit(d.k, _index(d), branes)
+    if cover != d.dims or crowd:
         raise ValueError(_NOT_SUSY)
-    return walk
+    return BraneLedger(diagram=d, branes={_brane(*key): mult for key, mult in branes.items()})
 
 
 def _finite_branes(v_arr, v_x, arrow_ids, x_ids) -> dict[tuple, int]:

@@ -327,7 +327,7 @@ def _cmd_solve(args) -> int:
 def _cmd_verify(args) -> int:
     tol = _check_tol(args.tol)
     sol = _load_json_file(args.sol, solution_from_json, "solution")
-    threshold = tol if tol is not None else _accept_threshold(sol.lam)
+    threshold = tol if tol is not None else _accept_threshold(sol.diagram, sol.lam)
     report = settle(sol, threshold)
     payload = {
         "residual": sol.residual,

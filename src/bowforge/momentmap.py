@@ -19,7 +19,7 @@ supersymmetric diagram, with one node kind or both, by carrying a zero
 (``_Zero``) through the moves of its brane ledger: exact transport
 across swaps, exact extension along increments, a whole multiplicity
 at once.  The moves that stage the ledger away run on a plain move
-host, not on the ledger walker, and an increment visits only the nodes
+host, which carries no brane, and an increment visits only the nodes
 of its arc.  The Levenberg-Marquardt solver, which steps in the complex
 unknowns themselves, is used only by ``solve_numeric``, which serves
 non-zero levels alone.
@@ -490,8 +490,11 @@ def _level_acts(d: BowDiagram, lam: dict[int, complex]) -> bool:
     return any(lam.get(node.id) and d.dims[pos] for pos, node in enumerate(d.nodes))
 
 
-def _accept_threshold(lam: dict[int, complex]) -> float:
-    level = sum(abs(complex(v)) ** 2 for v in lam.values())
+def _accept_threshold(d: BowDiagram, lam: dict[int, complex]) -> float:
+    """1e-8 scaled by the squared size of the levels that act on ``d``,
+    by :func:`_level_acts`'s rule: a level on an empty block counts none."""
+
+    level = sum(abs(complex(lam[node.id])) ** 2 for pos, node in enumerate(d.nodes) if node.id in lam and d.dims[pos])
     return 1e-8 * (1.0 + level)
 
 
@@ -506,7 +509,7 @@ def settle(sol: Solution, tol: float | None = None) -> StabilityReport:
     report = stability_report(sol)
     sol.residual = moment_residual(sol)
     sol.stable = report.ok
-    threshold = _accept_threshold(sol.lam) if tol is None else tol
+    threshold = _accept_threshold(sol.diagram, sol.lam) if tol is None else tol
     sol.converged = sol.residual <= threshold and sol.stable
     return report
 
@@ -624,8 +627,7 @@ def _kernel_with_dim(mat: np.ndarray, want: int) -> np.ndarray:
 
 
 class _Zero(_Host):
-    """A level-zero zero carried through moves in place, as
-    ``branes._Walk`` carries a ledger.
+    """A level-zero zero carried through moves in place.
 
     The host half is a ``rewrite._Host``: its :meth:`move` checks and
     applies each entry, with the errors of ``rewrite.apply_entry``.  The

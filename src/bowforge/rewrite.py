@@ -12,12 +12,12 @@ One private host, :class:`_Host`, holds a diagram as mutable node and
 dimension lists with an id index; its ``move`` is the one routine that
 checks and applies a move-log entry.  ``apply_hw`` and ``apply_entry``
 are a host and one call, and ``replay`` runs a whole log on one host.
-Two hosts carry more along: the ledger walker ``branes._Walk`` its
-branes, the moment-map zero ``momentmap._Zero`` its maps.
+Two hosts move more along: ``branes._Carry`` a ledger's branes, the
+moment-map zero ``momentmap._Zero`` its maps.
 
 Validation happens once, at the public entry points (``apply_hw``,
 ``apply_entry``, ``replay``, ``separate``, ``normalize_gap``,
-``arc_increment``, ``enumerate_equivalent``), and what they call
+``enumerate_equivalent``), and what they call
 trusts its input: a move of a valid diagram is valid.  ``separate`` is
 a check and a call of the unchecked core ``_separate``, and gap
 normalization is the list-level core ``_gap_passes``; ``susy``'s
@@ -142,21 +142,14 @@ def legal_swaps(d: BowDiagram) -> list[tuple[int, int]]:
 # uniform arc raises
 
 
-def arc_increment(d: BowDiagram, entry: SubtractArrowArc) -> IncrementX:
-    """The increment that undoes an arc subtraction on ``d``.
+def _arc_increment(nodes, cut: int | None, entry: SubtractArrowArc) -> IncrementX:
+    """The increment that undoes an arc subtraction on the nodes and cut
+    of a valid diagram, found by one run-start scan of its nodes.
 
     The arrow arc v_0 .. v_n of a separated diagram is the clockwise arc
     from x_1 to x_w (a full loop when w = 1), so adding the subtracted
-    branes back raises exactly that x-to-x arc.  ``d`` is validated first.
+    branes back raises exactly that x-to-x arc.
     """
-
-    _require_valid(d)
-    return _arc_increment(d.nodes, d.cut, entry)
-
-
-def _arc_increment(nodes, cut: int | None, entry: SubtractArrowArc) -> IncrementX:
-    """:func:`arc_increment` on the nodes and cut of a valid diagram, by
-    one run-start scan of its nodes."""
 
     k = len(nodes)
     start = _run_start(nodes)
@@ -187,13 +180,13 @@ class _Host:
     entry, so a whole log runs on one host.  A swap names adjacent
     nodes in that order (:meth:`swap`); an increment raises its arc, and
     its inverse lowers it (:meth:`increment`); an arc subtraction is the
-    inverse of the increment :func:`arc_increment` gives; a cut goes on
+    inverse of the increment :func:`_arc_increment` gives; a cut goes on
     a zero segment and comes off where it sits.  A node id the host
     lacks raises KeyError, any other refusal ValueError.  The host
     trusts its diagram to be valid: the public entries validate it, and
     a move keeps a valid diagram valid.
-    ``branes._Walk`` and ``momentmap._Zero`` extend :meth:`swap` and
-    :meth:`increment` to carry a ledger's branes or a zero's maps along,
+    ``branes._Carry`` and ``momentmap._Zero`` extend :meth:`swap` and
+    :meth:`increment` to move a ledger's branes or a zero's maps along,
     so no other code dispatches on an entry's type.
     """
 

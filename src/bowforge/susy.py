@@ -188,40 +188,6 @@ def check_finite_separated(sep: SeparatedForm) -> Certificate:
 
 
 # ---------------------------------------------------------------------------
-# arc subtraction
-
-
-def subtract_arrow_arc(sep: SeparatedForm, a: int) -> SeparatedForm:
-    """Lower every arrow-arc label v_0..v_n by a, keeping the x interior.
-
-    Requires the gap condition 0 <= v_0 - v_{-w} < w and 0 <= a <= min
-    of the arrow-arc labels, under which the supersymmetry verdict is
-    unchanged in both directions.  The input's diagram is validated
-    first; the result is the diagram ``apply_entry`` gives for
-    ``SubtractArrowArc(a)``.
-    """
-
-    d = sep.diagram
-    _require_valid(d)
-    if d.is_finite:
-        raise ValueError("arc subtraction applies to affine diagrams")
-    if sep.n < 1 or sep.w < 1:
-        raise ValueError("arc subtraction needs both node kinds")
-    if not 0 <= sep.gap < sep.w:
-        raise ValueError(f"gap {sep.gap} outside [0, {sep.w})")
-    if not 0 <= a <= min(sep.v_arr):
-        raise ValueError(f"amount {a} outside 0..min(v_arr)")
-    dims = list(d.dims)
-    for seg in sep.seg_arr:
-        dims[seg] -= a
-    # the lowering moves no node, so the x run still starts where it did
-    view = _label(BowDiagram(nodes=d.nodes, dims=tuple(dims), cut=None), sep.seg_x[1], sep.w)
-    if view is None:
-        raise RuntimeError("arc subtraction left the x points apart")
-    return view
-
-
-# ---------------------------------------------------------------------------
 # reduction to a finite separated layout
 
 

@@ -42,10 +42,6 @@ from test_rewrite import run_optimized
 CW, ACW = Direction.CW, Direction.ACW
 
 
-def walker(ledger: BraneLedger) -> branes._Walk:
-    return branes._Walk(ledger.diagram, branes._keyed(ledger.branes))
-
-
 # oracles for the fixed-slot bound, read off node kinds brane by brane
 
 
@@ -369,11 +365,14 @@ def test_interning_keeps_equal_keys_of_other_types_apart():
     want_ledger = json.dumps(ledger_to_json(synthesize(d)))
     want_cert = json.dumps(certificate_to_json(decide_supersymmetry(d)))
     floats = BraneLedger(d, {Brane(b.start, b.end, b.direction, float(b.laps)): m for b, m in synthesize(d).branes.items()})
+    # a zero increment moves no brane, so every key goes out as it came in
+    arrow = next(node.id for node in d.nodes if node.kind == NodeKind.ARROW)
+    still = IncrementArrows(start=arrow, end=arrow, direction=ACW, amount=0)
     branes._brane.cache_clear()
-    out = walker(floats).ledger()
+    out = ledger_apply_move(floats, still)
     assert out.branes == floats.branes and all(type(b.laps) is float for b in out.branes)
     assert json.dumps(ledger_to_json(synthesize(d))) == want_ledger
-    assert all(type(b.laps) is float for b in walker(floats).ledger().branes)
+    assert all(type(b.laps) is float for b in ledger_apply_move(floats, still).branes)
 
     d_float = BowDiagram(tuple(Node(float(n.id), n.kind) for n in d.nodes), d.dims, d.cut)
     _hw_move.cache_clear()
@@ -385,8 +384,8 @@ def test_interning_keeps_equal_keys_of_other_types_apart():
 @pytest.mark.parametrize("text", ["( 1 x 2 o 2 x 1 o )", "( 3 o 2 x 4 x 1 o 2 x )", "[ 1 x 2 o 3 o 1 x 0 ]"])
 def test_one_audit_per_ledger_walk(text, monkeypatch):
     # synthesis audits the ledger it counted once, on d; construction
-    # audits its starting ledger once, when its walker is built, and
-    # carries the coverage from there
+    # audits its layout's ledger once and then stages on a plain move
+    # host, which carries no brane
     from bowforge.momentmap import construct_solution
 
     calls = []
@@ -407,7 +406,7 @@ def test_walker_refuses_a_flawed_start():
     with pytest.raises(ValueError, match=r"brane coverage \(0, 0, 0, 0\) lost track of the host dims \(2, 1, 1, 1\)"):
         ledger_apply_move(BraneLedger(d, {}), swap)
     with pytest.raises(ValueError, match="has multiplicity -1"):
-        walker(BraneLedger(parse_diagram("( 0 o 0 x )"), {Brane(0, 1, ACW, 0): -1}))
+        ledger_apply_move(BraneLedger(parse_diagram("( 0 o 0 x )"), {Brane(0, 1, ACW, 0): -1}), HwMove(0, 1))
 
 
 def test_walker_refuses_negative_laps():
@@ -447,10 +446,10 @@ def ledger_built(k: int, seed: int) -> BowDiagram:
 
 @pytest.mark.parametrize("k, seed", [(8, 1), (8, 2), (14, 1), (14, 2)])
 def test_branes_are_built_only_at_the_ledger_boundary(k, seed, monkeypatch):
-    # the walker and synthesis carry tuple keys: synthesis builds at most
+    # the audit and synthesis carry tuple keys: synthesis builds at most
     # one Brane per ledger entry, whatever its pipeline length, and none
     # for an entry already interned; a construction, whose ledger never
-    # leaves the walker, builds none
+    # leaves the module, builds none
     from bowforge.momentmap import construct_solution
 
     d = ledger_built(k, seed)
@@ -475,32 +474,31 @@ def test_branes_are_built_only_at_the_ledger_boundary(k, seed, monkeypatch):
 
 
 def test_walker_empties_a_crowded_slot_on_a_carried_swap():
-    # the starting audit finds the doubled slot; the swap of its pair
-    # annihilates one brane of it, with coverage still matched
+    # a move keeps the doubled slot; the swap of its pair annihilates one
+    # brane of it, with coverage still matched, and leaves the x-first brane
     ledger = BraneLedger(parse_diagram("( 1 o 2 x 1 o 1 x )"), {Brane(1, 0, ACW, 0): 1, Brane(0, 1, ACW, 0): 2})
-    walk = walker(ledger)
-    assert walk.move(HwMove(2, 3)) is False
-    assert walk.crowd == 1
-    assert walk.move(HwMove(0, 1)) is True
-    assert walk.crowd == 0
-    assert walk.ledger().branes == {Brane(2, 3, CW, 0): 1, Brane(1, 0, ACW, 0): 1, Brane(0, 1, ACW, 0): 1}
+    x_first = f"fixed brane {Brane(1, 0, ACW, 0)} not stored arrow-first"
+    moved = ledger_apply_move(ledger, HwMove(2, 3))
+    assert check_ledger(moved) == [x_first, f"fixed slot {Brane(0, 1, ACW, 0)} occupied 2 times"]
+    moved = ledger_apply_move(moved, HwMove(0, 1))
+    assert check_ledger(moved) == [x_first]
+    assert moved.branes == {Brane(2, 3, CW, 0): 1, Brane(1, 0, ACW, 0): 1, Brane(0, 1, ACW, 0): 1}
 
 
-# An x-first fixed brane keeps coverage and dims equal for three swaps, so
-# the walker carries them; the fourth swap breaks the identity.
+# An x-first fixed brane keeps coverage and dims equal for three swaps, each
+# moved by its own call; the fourth swap breaks the identity.
 LOSES_TRACK = """
 import json
-from bowforge.branes import Brane, BraneLedger, _keyed, _Walk
+from bowforge.branes import Brane, BraneLedger, ledger_apply_move
 from bowforge.diagram import Direction, HwMove, parse_diagram
 
 ledger = BraneLedger(
     parse_diagram("( 3 o 2 o 1 x 3 x )"),
     {Brane(0, 2, Direction.CW, 1): 1, Brane(2, 1, Direction.ACW, 0): 1},
 )
-walk = _Walk(ledger.diagram, _keyed(ledger.branes))
 for step, (left, right) in enumerate([(3, 0), (2, 0), (3, 1), (2, 1)]):
     try:
-        walk.move(HwMove(left, right))
+        ledger = ledger_apply_move(ledger, HwMove(left, right))
     except ValueError as exc:
         print(json.dumps([step, str(exc)]))
         break
@@ -677,8 +675,8 @@ def test_synthesize_finite_ledger_guard():
 
 def test_synthesize_walks_no_move(monkeypatch):
     # synthesis computes its layout and crossings: it decides nothing,
-    # makes no swap or pass, builds no walker and sends no move through
-    # a host, however long the pipeline of a decide would be
+    # makes no swap or pass, builds no brane-carrying host and sends no
+    # move through a host, however long the pipeline of a decide would be
     from bowforge import rewrite, susy
 
     calls = []
@@ -687,7 +685,7 @@ def test_synthesize_walks_no_move(monkeypatch):
         original = getattr(owner, name)
         monkeypatch.setattr(owner, name, lambda *args: calls.append(label) or original(*args))
 
-    counted(branes._Walk, "__init__", "walk")
+    counted(branes._Carry, "__init__", "carry")
     counted(rewrite._Host, "move", "move")
     counted(susy, "_decide_full", "decide")
     # a decide's reduction calls the pass it imported, its passes the swap
@@ -702,9 +700,9 @@ def test_synthesize_walks_no_move(monkeypatch):
     ledger = synthesize(d)
     assert calls == []
     assert check_ledger(ledger) == []
-    # the counters see a walker and its move where there is one
+    # the counters see a brane-carrying host and its move where there is one
     ledger_apply_move(ledger, HwMove(*rewrite.legal_swaps(d)[0]))
-    assert calls == ["walk", "move", "swap"]
+    assert calls == ["carry", "move", "swap"]
 
 
 # ---------------------------------------------------------------------------

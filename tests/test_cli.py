@@ -243,7 +243,38 @@ def test_solve_level_on_an_empty_segment_constructs_exactly(capsys, tmp_path):
 
     code, report = run(capsys, "verify", "--json", "--sol", str(sol_file))
     assert code == 0
-    assert report["accepted"] is True and report["threshold"] == 1.25e-8
+    assert report["accepted"] is True and report["threshold"] == 1e-8
+
+
+def test_verify_threshold_ignores_a_level_that_changes_no_equation(capsys, tmp_path):
+    # a level of 1000 on arrow 1, whose outgoing block is 0x0, once raised
+    # the threshold to 1e-2, and this zero, broken by 1e-3, was accepted
+    # at residual 3.4e-4
+    sol_file = tmp_path / "sol.json"
+    code, _ = run(capsys, "solve", "--json", "--lambda", "1000,0", "--out", str(sol_file), "( 3 x 2 o 0 o 3 x )")
+    assert code == 0
+    data = json.loads(sol_file.read_text())
+    data["triangles"]["0"]["A"][0][0][0] += 1e-3
+    sol_file.write_text(json.dumps(data))
+    code, report = run(capsys, "verify", "--json", "--sol", str(sol_file))
+    assert code == 1
+    assert report["accepted"] is False
+    assert report["threshold"] == 1e-8 and report["residual"] > 1e-4
+
+
+def test_verify_threshold_counts_an_acting_level(capsys, tmp_path):
+    # arrow 2's outgoing segment has dim 3, so its level counts in full,
+    # alone or beside arrow 1's, whose outgoing segment is empty
+    sol_file = tmp_path / "sol.json"
+    assert main(["solve", "--out", str(sol_file), "( 3 x 2 o 0 o 3 x )"]) == 0
+    data = json.loads(sol_file.read_text())
+    for lam in ({"2": [0.0, 0.5]}, {"1": [1000.0, 0.0], "2": [0.0, 0.5]}):
+        data["lambda"] = lam
+        sol_file.write_text(json.dumps(data))
+        capsys.readouterr()
+        code, report = run(capsys, "verify", "--json", "--sol", str(sol_file))
+        assert code == 1
+        assert report["threshold"] == 1e-8 * (1.0 + 0.5**2)
 
 
 def test_solve_inert_level_on_a_non_susy_diagram_searches(capsys):

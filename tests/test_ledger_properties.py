@@ -1,12 +1,11 @@
 """Property tests for brane ledgers: coverage arithmetic, move round trips,
-the in-place ledger walker against the per-move ledger transport it
-replaced, kept here as the oracle, the walker's carried coverage and
-fixed-slot count against a from-scratch audit after every move, and the
-tuple-keyed walker against the ``Brane``-keyed walker it replaced, also
-kept here as the oracle, synthesis by crossing counts against the
-walker replay of the reversed pipeline that it replaced, kept here as the
-oracle, and synthesis from the closed-form reduction against the netting
-of a decide's pipeline that it replaced, also kept here as the oracle."""
+``ledger_apply_move`` called in a chain against the per-move ledger
+transport, kept here as an oracle, and against the ``Brane``-keyed ledger
+walker that carried coverage, charges and the fixed-slot count through
+its moves, also kept here as an oracle, synthesis by crossing counts
+against that walker's replay of the reversed pipeline, and synthesis
+from the closed-form reduction against the netting of a decide's
+pipeline that it replaced, also kept here as the oracle."""
 
 import json
 from itertools import accumulate
@@ -21,18 +20,15 @@ from hypothesis import strategies as st
 from bowforge.branes import (
     Brane,
     BraneLedger,
-    _audit,
     _crossed,
     _finite_branes,
-    _finite_walk,
-    _keyed,
     _one_kind_branes,
-    _Walk,
     check_ledger,
     coverage,
     ledger_apply_move,
     ledger_to_json,
     synthesize,
+    synthesize_finite,
 )
 from bowforge.diagram import (
     BowDiagram,
@@ -46,7 +42,7 @@ from bowforge.diagram import (
     SubtractArrowArc,
     separated_view,
 )
-from bowforge.rewrite import _index, _swap, apply_entry, arc_increment, legal_swaps
+from bowforge.rewrite import _index, _swap, apply_entry, legal_swaps
 from bowforge.susy import _decide_full
 from test_branes import ledger_is_susy, pipeline_nets
 
@@ -208,6 +204,17 @@ def oracle_transport_hw(branes: dict, index: dict, left: int, right: int) -> dic
     return out
 
 
+def arc_increment(d: BowDiagram, entry: SubtractArrowArc) -> IncrementX:
+    """The increment that undoes an arc subtraction on ``d``, read off its
+    separated view: the clockwise x-to-x arc from x_1 to x_w, a full loop
+    when w = 1."""
+
+    sep = None if d.cut is not None else separated_view(d)
+    if sep is None or not sep.n or not sep.w:
+        raise ValueError("arc subtraction needs an affine separated diagram")
+    return IncrementX(sep.x_ids[0], sep.x_ids[-1], CW, entry.amount)
+
+
 def oracle_move(ledger: BraneLedger, entry, inverse: bool) -> tuple[BraneLedger, bool]:
     """One move: a new host from ``apply_entry``, a new brane dict, a full audit."""
 
@@ -242,8 +249,9 @@ def _matched(ledger: BraneLedger) -> BraneLedger:
 
 
 def oracle_start(ledger: BraneLedger) -> BraneLedger:
-    """The audit a walker makes of the ledger it starts from: every id on
-    the host and the coverage equal to the dims; zero entries dropped."""
+    """The audit ``ledger_apply_move`` makes of the ledger it is given:
+    every id on the host and the coverage equal to the dims; zero entries
+    dropped."""
 
     _matched(ledger)
     return BraneLedger(ledger.diagram, {key: mult for key, mult in ledger.branes.items() if mult})
@@ -254,20 +262,6 @@ def _outcome(call):
         return "ok", call()
     except (KeyError, ValueError, TypeError) as exc:
         return "raised", (type(exc), str(exc))
-
-
-def _started(ledger: BraneLedger):
-    """The oracle's and a walker's start on ``ledger``: both raise alike,
-    or the checked ledger comes back with the walker."""
-
-    want = _outcome(lambda: oracle_start(ledger))
-    got = _outcome(lambda: _Walk(ledger.diagram, _keyed(ledger.branes)))
-    assert got[0] == want[0], (got, want)
-    if want[0] == "raised":
-        assert got[1] == want[1]
-        return None, None
-    assert list(got[1].ledger().branes.items()) == list(want[1].branes.items())
-    return want[1], got[1]
 
 
 @st.composite
@@ -332,29 +326,46 @@ def _draw_entry(data, ledger: BraneLedger, inverse: bool):
     )
 
 
+def _crowd_free(ledger: BraneLedger) -> bool:
+    """The fixed-slot verdict ``check_ledger`` reports."""
+
+    return not any("occupied" in problem for problem in check_ledger(ledger))
+
+
+def _chained(ledger: BraneLedger, entry, inverse: bool):
+    """One link of a chain: ``ledger_apply_move`` against the oracle's
+    audit of the ledger it is given and its move.  Both raise alike, or
+    both come back with the same diagram and branes in the same order,
+    and ``check_ledger`` reads the oracle's fixed-slot verdict; the moved
+    ledger comes back, or None after a refusal."""
+
+    want = _outcome(lambda: oracle_move(oracle_start(ledger), entry, inverse))
+    got = _outcome(lambda: ledger_apply_move(ledger, entry, inverse))
+    assert got[0] == want[0], (entry, inverse, got, want)
+    if want[0] == "raised":
+        assert got[1] == want[1]
+        return None
+    moved, (oracle, susy) = got[1], want[1]
+    assert moved.diagram == oracle.diagram
+    assert list(moved.branes.items()) == list(oracle.branes.items())
+    assert _crowd_free(moved) == susy
+    return moved
+
+
 @settings(max_examples=300, deadline=None)
 @given(walk_ledgers(), st.data())
 def test_walker_matches_per_move_transport(ledger, data):
-    ledger, walk = _started(ledger)
-    if walk is None:
-        return
+    # ledger_apply_move called in a chain against the per-move transport;
+    # the first call meets the drawn ledger's flaws, if it has any
     for _ in range(data.draw(st.integers(1, 16))):
         inverse = data.draw(st.booleans())
-        entry = _draw_entry(data, ledger, inverse)
-        want = _outcome(lambda: oracle_move(ledger, entry, inverse))
-        got = _outcome(lambda: walk.move(entry, inverse))
-        assert got[0] == want[0], (entry, inverse, got, want)
-        if want[0] == "raised":
-            assert got[1] == want[1]
+        ledger = _chained(ledger, _draw_entry(data, ledger, inverse), inverse)
+        if ledger is None:
             return
-        ledger, susy = want[1]
-        assert got[1] == susy
-        assert walk.diagram() == ledger.diagram
-        assert list(walk.ledger().branes.items()) == list(ledger.branes.items())
 
 
 # ---------------------------------------------------------------------------
-# the walker's carried state against a from-scratch audit
+# long chains of moves against the per-move transport
 
 
 @st.composite
@@ -394,10 +405,11 @@ def carried_ledgers(draw):
 
 
 def _draw_walk_entry(data, ledger: BraneLedger):
-    """A move and its sense, mostly one the walker accepts so that words run
-    long: a swap, an increment or the undoing of a held one, a cut or its
-    undoing, an arc subtraction on a separated affine host (undone, or
-    taking back branes the ledger holds); now and then any entry at all."""
+    """A move and its sense, mostly one that ``ledger_apply_move`` accepts,
+    so that words run long: a swap, an increment or the undoing of a held
+    one, a cut or its undoing, an arc subtraction on a separated affine
+    host (undone, or taking back branes the ledger holds); now and then
+    any entry at all."""
 
     d = ledger.diagram
     pick = data.draw(st.sampled_from(["swap"] * 12 + ["increment"] * 2 + ["cut", "subtract", "subtract", "other"]))
@@ -440,28 +452,17 @@ def _draw_walk_entry(data, ledger: BraneLedger):
 @settings(max_examples=300, deadline=None)
 @given(carried_ledgers(), st.data())
 def test_walker_carries_what_a_full_audit_computes(ledger, data):
-    ledger, walk = _started(ledger)
-    if walk is None:
-        return
+    # chains of up to 64 calls, through crowded slots and x-first fixed
+    # branes, against the per-move transport
     for _ in range(data.draw(st.integers(1, 64))):
         entry, inverse = _draw_walk_entry(data, ledger)
-        want = _outcome(lambda: oracle_move(ledger, entry, inverse))
-        got = _outcome(lambda: walk.move(entry, inverse))
-        assert got[0] == want[0], (entry, inverse, got, want)
-        if want[0] == "raised":
-            assert got[1] == want[1]
+        ledger = _chained(ledger, entry, inverse)
+        if ledger is None:
             return
-        ledger = want[1][0]
-        cover, crowd = _audit(len(walk.nodes), walk.index, walk.branes)
-        assert tuple(walk.cover) == cover
-        assert walk.charge == [cover[p] - cover[p - 1] for p in range(len(cover))]
-        assert walk.crowd == crowd
-        assert got[1] == (crowd == 0) == want[1][1]
-        assert list(walk.ledger().branes.items()) == list(ledger.branes.items())
 
 
 # ---------------------------------------------------------------------------
-# the tuple-keyed walker against the Brane-keyed walker it replaced
+# chained moves against the Brane-keyed walker
 
 
 def brane_audit(k: int, index: dict, branes: dict[Brane, int]) -> tuple[tuple[int, ...], int]:
@@ -522,8 +523,12 @@ def _cut_after(cut, dims, entry, inverse):
 
 
 class BraneWalk:
-    """The ledger walker as it was with a ``Brane``-keyed dict: same carried
-    coverage, charges, crowd count and fixed-brane groups."""
+    """A ledger carried through moves in place with a ``Brane``-keyed dict:
+    a coverage list, a charge per position (anticlockwise arcs that start
+    at the node there minus those that end there, so that
+    ``cover[p] = cover[p - 1] + charge[p]``), the count of over-full fixed
+    slots and the fixed branes grouped by (arrow id, x-point id), all
+    carried, not recomputed, and the coverage checked after every move."""
 
     def __init__(self, ledger: BraneLedger):
         d = ledger.diagram
@@ -657,7 +662,7 @@ class BraneWalk:
 @st.composite
 def negative_lap_ledgers(draw):
     """Ledgers on their coverage whose branes may wind negative laps, which
-    both walkers refuse when they start."""
+    the walker and ``ledger_apply_move`` refuse."""
 
     d = draw(hosts())
     ids = [node.id for node in d.nodes]
@@ -666,34 +671,37 @@ def negative_lap_ledgers(draw):
     return BraneLedger(BowDiagram(d.nodes, coverage(BraneLedger(d, branes))), branes)
 
 
-def _walk_state(walk) -> tuple:
-    ledger = walk.ledger()
-    return list(ledger.branes.items()), ledger.diagram, list(walk.cover), list(walk.charge), walk.crowd
-
-
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(carried_ledgers(), walk_ledgers(), negative_lap_ledgers()), st.data())
 def test_walker_matches_the_brane_keyed_walker(ledger, data):
-    want = _outcome(lambda: BraneWalk(ledger))
-    got = _outcome(lambda: _Walk(ledger.diagram, _keyed(ledger.branes)))
-    assert got[0] == want[0], (got, want)
-    if want[0] == "raised":
-        assert got[1] == want[1]
+    # the walker refuses a flawed start when it is built, and
+    # ledger_apply_move at its first call, with the same error
+    oracle = _outcome(lambda: BraneWalk(ledger))
+    if oracle[0] == "raised":
+        entry, inverse = _draw_walk_entry(data, ledger)
+        assert _outcome(lambda: ledger_apply_move(ledger, entry, inverse)) == oracle
         return
-    oracle, walk = want[1], got[1]
-    assert _walk_state(walk) == _walk_state(oracle)
+    walk = oracle[1]
     for _ in range(data.draw(st.integers(1, 64))):
-        entry, inverse = _draw_walk_entry(data, oracle.ledger())
-        want = _outcome(lambda: oracle.move(entry, inverse))
-        got = _outcome(lambda: walk.move(entry, inverse))
-        assert got == want, (entry, inverse)
+        entry, inverse = _draw_walk_entry(data, ledger)
+        want = _outcome(lambda: walk.move(entry, inverse))
+        got = _outcome(lambda: ledger_apply_move(ledger, entry, inverse))
         if want[0] == "raised":
+            assert got == want, (entry, inverse)
             return
-        assert _walk_state(walk) == _walk_state(oracle)
+        assert got[0] == "ok", (entry, inverse, got)
+        ledger = got[1]
+        assert ledger.diagram == walk.host()
+        assert list(ledger.branes.items()) == list(walk.branes.items())
+        assert _crowd_free(ledger) == want[1]
 
 
 # ---------------------------------------------------------------------------
 # synthesis by crossing counts against the walker replay
+
+
+def _brane_keyed(branes: dict[tuple, int]) -> dict[Brane, int]:
+    return {Brane(s, e, ACW if acw else CW, laps): m for (s, e, acw, laps), m in branes.items()}
 
 
 def replayed_ledger(d: BowDiagram) -> BraneLedger:
@@ -704,8 +712,8 @@ def replayed_ledger(d: BowDiagram) -> BraneLedger:
     cert, fin = _decide_full(d)
     assert cert.verdict
     if fin is None:
-        return _Walk(d, _one_kind_branes(d)).ledger()
-    walk = _finite_walk(fin)
+        return BraneWalk(BraneLedger(d, _brane_keyed(_one_kind_branes(d)))).ledger()
+    walk = BraneWalk(synthesize_finite(fin))
     for entry in reversed(cert.pipeline):
         assert walk.move(entry, inverse=True), entry
     ledger = walk.ledger()
@@ -771,7 +779,7 @@ def netted_ledger(d: BowDiagram) -> BraneLedger:
             held = 1 if branes.pop((u, x, True, 0), 0) else 0
             for z in _crossed(held, count):
                 branes[(u, x, True, z - 1) if z > 0 else (u, x, False, -z)] = 1
-    ledger = BraneLedger(d, {Brane(s, e, ACW if acw else CW, laps): m for (s, e, acw, laps), m in branes.items()})
+    ledger = BraneLedger(d, _brane_keyed(branes))
     assert check_ledger(ledger) == []
     return ledger
 

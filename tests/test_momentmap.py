@@ -623,12 +623,12 @@ def test_construct_builds_no_ledger_walker(monkeypatch):
     # on every eighth supersymmetric affine diagram with k <= 4, dims 0..3
     from bowforge import branes
 
-    calls = _count_calls(monkeypatch, branes._Walk, ["__init__"])
+    calls = _count_calls(monkeypatch, branes._Carry, ["__init__"])
     for d in susy_sweep()[::8]:
         construct_solution(d)
     assert calls == {"__init__": 0}
-    # the counter sees a walker
-    branes._Walk(parse_diagram("( 0 x 0 o )"), {})
+    # the counter sees a host that carries branes
+    branes._Carry(parse_diagram("( 0 x 0 o )"))
     assert calls == {"__init__": 1}
 
 

@@ -24,7 +24,6 @@ from bowforge.rewrite import (
     NegativeWitness,
     apply_entry,
     apply_hw,
-    arc_increment,
     canonical_encoding,
     enumerate_equivalent,
     full_pass,
@@ -273,15 +272,16 @@ def test_arc_increment_undoes_subtraction():
     for text, laps in [("( 4 x 3 x 2 o 4 o )", False), ("( 3 x 2 o 4 o )", True)]:
         d = parse_diagram(text)
         sep = separated_view(d)
-        entry = arc_increment(d, SubtractArrowArc(amount=2))
-        assert entry == IncrementX(sep.x_ids[0], sep.x_ids[-1], Direction.CW, 2)
+        entry = IncrementX(sep.x_ids[0], sep.x_ids[-1], Direction.CW, 2)
         assert (entry.start == entry.end) == laps
         out = apply_entry(d, SubtractArrowArc(amount=2))
+        assert apply_entry(d, entry, inverse=True) == out
         assert apply_entry(out, entry) == d
+        assert apply_entry(out, SubtractArrowArc(amount=2), inverse=True) == d
     # finite, x points in two runs, or one kind only
     for text in ["[ 0 o 2 x 0 ]", "( 1 x 1 o 1 x 1 o )", "( 1 x 1 x )", "( 1 o 1 o )"]:
         with pytest.raises(ValueError, match="affine separated"):
-            arc_increment(parse_diagram(text), SubtractArrowArc(amount=1))
+            apply_entry(parse_diagram(text), SubtractArrowArc(amount=1))
 
 
 def test_cut_entry_round_trip():

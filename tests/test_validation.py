@@ -21,12 +21,11 @@ from bowforge.momentmap import construct_solution
 from bowforge.rewrite import (
     apply_entry,
     apply_hw,
-    arc_increment,
     normalize_gap,
     replay,
     separate,
 )
-from bowforge.susy import decide_supersymmetry, reduce_to_finite, subtract_arrow_arc
+from bowforge.susy import decide_supersymmetry, reduce_to_finite
 
 # ---------------------------------------------------------------------------
 # one validation per route
@@ -135,8 +134,6 @@ STAGES = {
     "separate": separate,
     "normalize_gap": lambda d: normalize_gap(_view(d)),
     "reduce_to_finite": lambda d: reduce_to_finite(_view(d)),
-    "subtract_arrow_arc": lambda d: subtract_arrow_arc(_view(d), 1),
-    "arc_increment": lambda d: arc_increment(d, SubtractArrowArc(1)),
     "separated_view": separated_view,
     "apply_hw": lambda d: apply_hw(d, 1, 2),
     "apply_entry": lambda d: apply_entry(d, HwMove(1, 2)),
