@@ -277,21 +277,19 @@ def _token_kind(token: str) -> NodeKind:
 def render_diagram(d: BowDiagram) -> str:
     """Inverse of :func:`parse_diagram` on valid diagrams."""
 
-    _require_valid(d)
-    k = d.k
-    if d.cut is None:
-        parts = []
-        for j in range(k):
-            parts.append(str(d.dims[(j - 1) % k]))
-            parts.append(d.nodes[j].kind.value)
-        return "( " + " ".join(parts) + " )"
-    start = (d.cut + 1) % k
-    parts = [str(d.dims[d.cut])]
-    for i in range(k):
-        pos = (start + i) % k
-        parts.append(d.nodes[pos].kind.value)
-        parts.append(str(d.dims[pos]))
-    return "[ " + " ".join(parts) + " ]"
+    data = diagram_to_json(d)
+    return _grammar_text(data["shape"], data["nodes"], data["dims"])
+
+
+def _grammar_text(shape: str, tokens: list, dims: list) -> str:
+    """The text grammar of a JSON mirror's shape, node tokens and dims:
+    each dimension before its node, and a finite line's last one after
+    its last node."""
+
+    parts = [f"{dim} {token}" for dim, token in zip(dims, tokens)]
+    if shape == "affine":
+        return f"( {' '.join(parts)} )"
+    return f"[ {' '.join(parts)} {dims[-1]} ]"
 
 
 # ---------------------------------------------------------------------------
@@ -345,22 +343,15 @@ def _restore_ids(base: BowDiagram, ids) -> BowDiagram:
 
 def diagram_from_json(data: dict) -> BowDiagram:
     shape = data.get("shape")
-    kinds = [_token_kind(tok) for tok in data.get("nodes", [])]
+    tokens = [_token_kind(tok).value for tok in data.get("nodes", [])]
     dims = [_json_int(v, "dimension") for v in data.get("dims", [])]
-    if shape == "affine":
-        body = " ".join(f"{d} {kd.value}" for d, kd in zip(dims, kinds, strict=True))
-        base = parse_diagram(f"( {body} )")
-    elif shape == "finite":
-        if len(dims) != len(kinds) + 1:
-            raise ValueError("finite diagram needs one more dim than nodes")
-        parts = []
-        for i, kd in enumerate(kinds):
-            parts.append(str(dims[i]))
-            parts.append(kd.value)
-        parts.append(str(dims[-1]))
-        base = parse_diagram("[ " + " ".join(parts) + " ]")
-    else:
+    if shape not in ("affine", "finite"):
         raise ValueError(f"unknown diagram shape {shape!r}")
+    if shape == "affine" and len(dims) != len(tokens):
+        raise ValueError(f"affine diagram needs as many dims as nodes, got {len(dims)} and {len(tokens)}")
+    if shape == "finite" and len(dims) != len(tokens) + 1:
+        raise ValueError("finite diagram needs one more dim than nodes")
+    base = parse_diagram(_grammar_text(shape, tokens, dims))
     if "ids" in data:
         return _restore_ids(base, data["ids"])
     return base

@@ -19,18 +19,21 @@ Validation happens once, at the public entry points (``apply_hw``,
 ``apply_entry``, ``replay``, ``separate``, ``normalize_gap``,
 ``enumerate_equivalent``), and what they call
 trusts its input: a move of a valid diagram is valid.  ``separate`` is
-a check and a call of the unchecked core ``_separate``, and gap
-normalization is the list-level core ``_gap_passes``; ``susy``'s
-decision procedure calls both directly after validating its own input
-once.  Inside a word the diagram is held as mutable node and dimension
-lists with tracked positions; every pass of a node through its
-neighbours is the one routine ``_pass`` on those lists, which logs each
-swap as the interned entry that ``diagram._hw_move`` hands out, one
-``HwMove`` per id pair, not as a fresh object.  A word or a whole phase
-of passes builds one ``BowDiagram`` at its end and labels its view with
-the unchecked ``diagram._label`` at the x-run start it tracked, with no
-run-start scan; a swap of a valid diagram is valid, and a refused
-labelling raises RuntimeError.
+a check and a call of the unchecked core ``_separate``, which gathers in
+the frame ``_gather`` gives; ``susy``'s decision procedure calls it
+directly after validating its own input once, and its closed form
+reads the same frame.  Inside a word the diagram is held as mutable
+node and dimension lists with tracked positions; every pass of a node
+through its neighbours is the one routine ``_pass`` on those lists,
+which logs each swap as the interned entry that ``diagram._hw_move``
+hands out, one ``HwMove`` per id pair, not as a fresh object.  The
+reduction's arrow passes, gap normalization's q = gap // w and the
+pushes onto the cut, are one counted loop, ``_run_passes``, that the
+closed form ``susy._passes`` follows by arithmetic.  A word or a whole
+phase of passes builds one ``BowDiagram`` at its end and labels its
+view with the unchecked ``diagram._label`` at the x-run start it
+tracked, with no run-start scan; a swap of a valid diagram is valid,
+and a refused labelling raises RuntimeError.
 """
 
 from __future__ import annotations
@@ -208,11 +211,11 @@ class _Host:
             else:
                 self.swap(entry.left, entry.right)
             return
+        if isinstance(entry, (IncrementArrows, IncrementX, SubtractArrowArc)) and entry.amount < 0:
+            raise ValueError(f"move amount must be nonnegative, got {entry.amount}")
         if isinstance(entry, SubtractArrowArc):
             entry, inverse = _arc_increment(self.nodes, self.cut, entry), not inverse
         if isinstance(entry, (IncrementArrows, IncrementX)):
-            if not inverse and entry.amount < 0:
-                raise ValueError("increment amount must be nonnegative")
             self.increment(entry, -entry.amount if inverse else entry.amount)
         elif isinstance(entry, CutAt):
             if not 0 <= entry.segment < len(self.dims):
@@ -335,21 +338,10 @@ def _separate(d: BowDiagram, xpos: list[int]) -> tuple[SeparatedForm, MoveLog] |
     nodes, dims = list(d.nodes), list(d.dims)
     if len(xpos) in (0, k):
         return _separated_view(d), ()
-    anchor = min(xpos, key=lambda pos: nodes[pos].id)
-    if d.cut is None:
-        start = anchor
-        while nodes[start % k].kind == NodeKind.XPOINT:
-            start += 1
-    else:
-        start = d.cut + 1
+    start, first, last = _gather(nodes, d.cut, xpos)
     # x-points as indices along the line of positions start, start + 1, ...
     line = sorted((pos - start) % k for pos in xpos)
-    lo = hi = line.index((anchor - start) % k)
-    while lo > 0 and line[lo - 1] == line[lo] - 1:
-        lo -= 1
-    while hi + 1 < len(line) and line[hi + 1] == line[hi] + 1:
-        hi += 1
-    first, last = line[lo], line[hi]
+    lo, hi = line.index(first), line.index(last)
     log: list[MoveEntry] = []
     for i in reversed(line[:lo]):
         if witness := _pass(nodes, dims, d.cut, (start + i) % k, True, first - 1 - i, log):
@@ -363,6 +355,33 @@ def _separate(d: BowDiagram, xpos: list[int]) -> tuple[SeparatedForm, MoveLog] |
     if view is None:
         raise RuntimeError("separation left the x points apart")
     return view, tuple(log)
+
+
+def _gather(nodes, cut: int | None, xpos: list[int]) -> tuple[int, int, int]:
+    """The gather frame of a valid diagram with both node kinds, whose x
+    points sit at the ascending positions ``xpos``: the position ``start``
+    that its line of positions start, start + 1, ... opens at, and the
+    line indices ``first`` and ``last`` of the anchor run, the run that
+    holds the lowest-id x point.
+
+    An affine line opens just after the anchor run, a finite one just
+    after the cut.
+    """
+
+    k = len(nodes)
+    anchor = min(xpos, key=lambda pos: nodes[pos].id)
+    if cut is None:
+        start = anchor
+        while nodes[start % k].kind == NodeKind.XPOINT:
+            start += 1
+    else:
+        start = cut + 1
+    first = last = (anchor - start) % k
+    while first > 0 and nodes[(start + first - 1) % k].kind == NodeKind.XPOINT:
+        first -= 1
+    while last + 1 < k and nodes[(start + last + 1) % k].kind == NodeKind.XPOINT:
+        last += 1
+    return start % k, first, last
 
 
 # ---------------------------------------------------------------------------
@@ -416,10 +435,11 @@ def full_pass(
 def normalize_gap(sep: SeparatedForm) -> tuple[SeparatedForm, MoveLog] | NegativeWitness:
     """Drive the gap v_0 − v_{−w} into [0, w) by full arrow passes.
 
-    The passes are :func:`_gap_passes` on one pair of node and dim lists,
-    and one unchecked view is labelled at the end, at the x-run start
-    they tracked.  Aborts with a NegativeWitness on the first negative
-    dimension.  The input's diagram is validated once, on entry.
+    The passes are gap // w counted :func:`_run_passes` on one pair of
+    node and dim lists, and one unchecked view is labelled at the end,
+    at the x-run start they tracked.  Aborts with a NegativeWitness on
+    the first negative dimension.  The input's diagram is validated once,
+    on entry.
     """
 
     d = sep.diagram
@@ -430,7 +450,7 @@ def normalize_gap(sep: SeparatedForm) -> tuple[SeparatedForm, MoveLog] | Negativ
         raise ValueError("gap normalization needs both node kinds")
     nodes, dims = list(d.nodes), list(d.dims)
     log: list[MoveEntry] = []
-    p1 = _gap_passes(nodes, dims, sep.seg_x[1], sep.w, log)
+    p1 = _run_passes(nodes, dims, None, sep.seg_x[1], sep.w, sep.gap // sep.w, log)
     if isinstance(p1, NegativeWitness):
         return p1
     if not log:
@@ -441,35 +461,34 @@ def normalize_gap(sep: SeparatedForm) -> tuple[SeparatedForm, MoveLog] | Negativ
     return view, tuple(log)
 
 
-def _gap_passes(nodes: list, dims: list, p1: int, w: int, log: list[MoveEntry]) -> int | NegativeWitness:
-    """Gap normalization in place on the node and dim lists of an affine
-    separated diagram with both kinds, whose x-run of w points starts at
-    p1; return the run's new start.
+def _run_passes(
+    nodes: list,
+    dims: list,
+    cut: int | None,
+    p1: int,
+    w: int,
+    q: int,
+    log: list[MoveEntry],
+) -> int | NegativeWitness:
+    """Move e_1 anticlockwise through the x-run q times for q > 0, or e_n
+    clockwise through it −q times for q < 0, in place on the node and dim
+    lists of a separated diagram whose run of w x points starts at p1;
+    return the run's new start.
 
-    A pass of e_1 anticlockwise through every x-point lowers the gap by
-    w and p1 by one; a pass of e_n clockwise raises the gap by w and p1
-    by one.  The gap is read as dims[p1 − 1] − dims[p1 + w − 1].  Each
-    swap is appended to ``log``; the first negative dimension returns its
-    NegativeWitness.
+    Each pass is :func:`_pass`: e_1 sits just before the run and leaves
+    p1 one lower, e_n just after it and leaves p1 one higher.  An
+    anticlockwise pass lowers the gap v_0 − v_{−w} by exactly w and a
+    clockwise one raises it by w (``susy._passes``), so gap normalization
+    is q = gap // w, and the pushes onto a cut c are
+    q = −((c − p1 − w + 1) mod k).  The first negative dimension returns
+    its NegativeWitness.
     """
 
-    k = len(nodes)
-    gap = dims[p1 - 1] - dims[(p1 + w - 1) % k]
-    guard = abs(gap) // w + 3
-    while not 0 <= gap < w:
-        if guard <= 0:
-            raise RuntimeError("gap normalization failed to terminate")
-        guard -= 1
-        # e_1 sits at p1 - 1, e_n at p1 + w
-        if gap >= w:
-            witness = _pass(nodes, dims, None, (p1 - 1) % k, True, w, log)
-            p1 = (p1 - 1) % k
-        else:
-            witness = _pass(nodes, dims, None, (p1 + w) % k, False, w, log)
-            p1 = (p1 + 1) % k
-        if witness:
+    k, acw = len(nodes), q > 0
+    for _ in range(abs(q)):
+        if witness := _pass(nodes, dims, cut, (p1 - 1 if acw else p1 + w) % k, acw, w, log):
             return witness
-        gap = dims[p1 - 1] - dims[(p1 + w - 1) % k]
+        p1 = (p1 - 1 if acw else p1 + 1) % k
     return p1
 
 

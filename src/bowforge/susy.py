@@ -37,7 +37,7 @@ from .diagram import (
     _Value,
     entry_to_json,
 )
-from .rewrite import NegativeWitness, _gap_passes, _pass, _separate
+from .rewrite import NegativeWitness, _gather, _run_passes, _separate
 
 # ---------------------------------------------------------------------------
 # certificates
@@ -212,13 +212,13 @@ def _reduce_to_finite(sep: SeparatedForm) -> tuple[SeparatedForm, MoveLog] | Neg
     be valid.
 
     Every stage runs on one pair of node and dim lists and tracks the
-    x-run start p1: the gap passes of ``rewrite._gap_passes``; the
-    lowering and the cut, written straight onto the dim list and logged
-    as the ``SubtractArrowArc`` and ``CutAt`` entries that replay them;
-    and the pushes, each of which moves e_n clockwise through the run
-    and p1 up by one, until the cut is the segment p1 + w − 1.  No view
-    is taken between stages: one unchecked view is labelled at the end,
-    at the tracked p1.
+    x-run start p1: gap // w counted passes of ``rewrite._run_passes``;
+    the lowering and the cut, written straight onto the dim list and
+    logged as the ``SubtractArrowArc`` and ``CutAt`` entries that replay
+    them; and the pushes, the same loop's (c − p1 − w + 1) mod k
+    clockwise passes of e_n, which bring the run's end p1 + w − 1 onto
+    the cut c.  No view is taken between stages: one unchecked view is
+    labelled at the end, at the tracked p1.
     """
 
     if sep.n < 1 or sep.w < 1:
@@ -230,7 +230,7 @@ def _reduce_to_finite(sep: SeparatedForm) -> tuple[SeparatedForm, MoveLog] | Neg
     nodes, dims = list(d.nodes), list(d.dims)
     log: list[MoveEntry] = []
     if cut is None:
-        p1 = _gap_passes(nodes, dims, p1, w, log)
+        p1 = _run_passes(nodes, dims, None, p1, w, sep.gap // w, log)
         if isinstance(p1, NegativeWitness):
             return p1
         # the arrow arc v_0 .. v_n; lowering it by its minimum moves no
@@ -244,15 +244,9 @@ def _reduce_to_finite(sep: SeparatedForm) -> tuple[SeparatedForm, MoveLog] | Neg
         if a > 0:
             log.append(SubtractArrowArc(amount=a))
         log.append(CutAt(segment=cut))
-    guard = k + 2
-    while cut != (p1 + w - 1) % k:
-        if guard <= 0:
-            raise RuntimeError("layout pushes failed to terminate")
-        guard -= 1
-        # e_n sits at p1 + w
-        if witness := _pass(nodes, dims, cut, (p1 + w) % k, False, w, log):
-            return witness
-        p1 = (p1 + 1) % k
+    p1 = _run_passes(nodes, dims, cut, p1, w, -((cut - p1 - w + 1) % k), log)
+    if isinstance(p1, NegativeWitness):
+        return p1
     view = _label(BowDiagram(nodes=tuple(nodes), dims=tuple(dims), cut=cut), p1, w)
     if view is None or not view.is_finite_layout:
         raise RuntimeError("the reduction did not reach the finite layout")
@@ -281,11 +275,11 @@ def _closed_reduction(d: BowDiagram, xpos: list[int]) -> tuple[list, list, list,
       the gathered order.  An x point below the anchor run passes each
       arrow between itself and the run anticlockwise; one above it
       (finite input) is passed by each arrow between the run and itself.
-    - Passes.  Gap passes and pushes are :func:`_passes`: lowering on the
-      arc (v_0, …, v_n) and its arrows e_1 .. e_n, raising and pushing on
-      both reversed.  There are |gap // w| gap passes, and n − c pushes
-      with c the index of the cut label: the first minimal label of
-      affine input, the count of arrows below the run for finite input.
+    - Passes.  Gap passes and pushes are :func:`_passes` with the signed
+      counts of ``rewrite._run_passes``: q = gap // w gap passes, then
+      −(n − c) pushes, with c the index of the cut label: the first
+      minimal label of affine input, the count of arrows below the run
+      for finite input.
     - The x interior.  Each pass moves every x point's jump by one, and
       the subtraction moves x_1's up by a, so v_−j gains
       (v_0' − v_0 + a) + (lowering − raising − pushes)·j, with v_0' the
@@ -296,20 +290,9 @@ def _closed_reduction(d: BowDiagram, xpos: list[int]) -> tuple[list, list, list,
     k, w = len(nodes), len(xpos)
     n = k - w
     xpoint = NodeKind.XPOINT
-    anchor = min(xpos, key=lambda pos: nodes[pos].id)
-    if cut is None:
-        start = anchor
-        while nodes[start % k].kind == xpoint:
-            start += 1
-    else:
-        start = cut + 1
+    start, first, last = _gather(nodes, cut, xpos)
     line = [nodes[(start + i) % k] for i in range(k)]
     jump = [dims[(start + i) % k] - dims[(start + i - 1) % k] for i in range(k)]
-    first = last = (anchor - start) % k
-    while first > 0 and line[first - 1].kind == xpoint:
-        first -= 1
-    while last + 1 < k and line[last + 1].kind == xpoint:
-        last += 1
     net: dict[tuple[int, int], int] = {}
     # arrows passed so far by the x points below the run, then above it
     for span, sign in ((range(first - 1, -1, -1), 1), (range(last + 1, k), -1)):
@@ -338,18 +321,12 @@ def _closed_reduction(d: BowDiagram, xpos: list[int]) -> tuple[list, list, list,
     cut_label = below
     if cut is None:
         q = (v_arr[0] - v_arr[n]) // w
-        if q > 0:
-            v_arr, arrow_ids = _passes(v_arr, arrow_ids, q, w, -1, moved)
-        elif q < 0:
-            v_arr, arrow_ids = _passes(v_arr[::-1], arrow_ids[::-1], -q, w, 1, moved)
-            v_arr, arrow_ids = v_arr[::-1], arrow_ids[::-1]
+        v_arr, arrow_ids = _passes(v_arr, arrow_ids, q, w, moved)
         a = min(v_arr)
         cut_label = v_arr.index(a)
         v_arr = [v - a for v in v_arr]
     pushes = n - cut_label
-    if pushes:
-        v_arr, arrow_ids = _passes(v_arr[::-1], arrow_ids[::-1], pushes, w, 1, moved)
-        v_arr, arrow_ids = v_arr[::-1], arrow_ids[::-1]
+    v_arr, arrow_ids = _passes(v_arr, arrow_ids, -pushes, w, moved)
     shift, turns = v_arr[0] - v0 + a, q - pushes
     v_x = [v_arr[0], *[v + shift + turns * j for j, v in enumerate(interior, 1)], v_arr[n]]
     for u in arrow_ids:
@@ -359,20 +336,25 @@ def _closed_reduction(d: BowDiagram, xpos: list[int]) -> tuple[list, list, list,
     return v_arr, v_x, arrow_ids, x_ids, net, a
 
 
-def _passes(arc: list, ids: list, q: int, w: int, sign: int, moved: dict) -> tuple[list, list]:
-    """The arc and its arrow ids after q ≥ 0 lowering passes, each moving
-    the first arrow through all w x points to the far end; raising passes
-    and pushes are this on both reversed.
+def _passes(arc: list, ids: list, q: int, w: int, moved: dict) -> tuple[list, list]:
+    """The arc and its arrow ids after q lowering passes for q ≥ 0, each
+    moving the first arrow through all w x points to the far end, or −q
+    raising passes or pushes for q < 0, which are lowering passes on both
+    reversed; the signed count of :func:`rewrite._run_passes`.
 
     One pass maps the labels (s_0, …, s_n) to (s_1, …, s_n,
-    s_1 − s_0 + s_n + w), so the sequence they run along obeys
-    s[t + n] = s[t] + s[n] − s[0] + t·w, and for 0 ≤ t < n
-    s[t + mn] = s[t] + m(s[n] − s[0]) + w(m·t + n·m(m − 1)/2): after q
-    passes the arc is s[q .. q + n], in O(n) whatever q is.  Pass j moves
-    the arrow at index j mod n, so ``moved`` adds ``sign`` to an arrow's
-    count once per pass it makes.
+    s_1 − s_0 + s_n + w), so the gap s_0 − s_n falls by exactly w and the
+    sequence they run along obeys s[t + n] = s[t] + s[n] − s[0] + t·w,
+    and for 0 ≤ t < n s[t + mn] = s[t] + m(s[n] − s[0]) +
+    w(m·t + n·m(m − 1)/2): after q passes the arc is s[q .. q + n], in
+    O(n) whatever q is.  Pass j moves the arrow at index j mod n, so
+    ``moved`` adds one to an arrow's count per raising pass or push it
+    makes and takes one per lowering pass.
     """
 
+    back = q < 0
+    if back:
+        arc, ids, q = arc[::-1], ids[::-1], -q
     n = len(ids)
     step = arc[n] - arc[0]
     out = []
@@ -380,9 +362,10 @@ def _passes(arc: list, ids: list, q: int, w: int, sign: int, moved: dict) -> tup
         m, t = divmod(u, n)
         out.append(arc[t] + m * step + w * (m * t + n * m * (m - 1) // 2))
     for i, u in enumerate(ids):
-        moved[u] = moved.get(u, 0) + sign * ((q - i + n - 1) // n)
+        moved[u] = moved.get(u, 0) + (1 if back else -1) * ((q - i + n - 1) // n)
     r = q % n
-    return out, ids[r:] + ids[:r]
+    ids = ids[r:] + ids[:r]
+    return (out[::-1], ids[::-1]) if back else (out, ids)
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,8 @@ from bowforge.diagram import (
     parse_diagram,
     separated_view,
 )
-from bowforge.susy import _closed_reduction, _decide_full, check_finite_separated, decide_supersymmetry
+from bowforge.rewrite import separate
+from bowforge.susy import _closed_reduction, _decide_full, _passes, check_finite_separated, decide_supersymmetry
 from test_rewrite import run_optimized
 
 CW, ACW = Direction.CW, Direction.ACW
@@ -688,9 +689,9 @@ def test_synthesize_walks_no_move(monkeypatch):
     counted(branes._Carry, "__init__", "carry")
     counted(rewrite._Host, "move", "move")
     counted(susy, "_decide_full", "decide")
-    # a decide's reduction calls the pass it imported, its passes the swap
-    for module in (rewrite, susy):
-        counted(module, "_pass", "pass")
+    # every pass of a decide, separation's and the reduction's counted
+    # ones alike, is rewrite's, and every swap of a pass too
+    counted(rewrite, "_pass", "pass")
     counted(rewrite, "_swap", "swap")
     d = ledger_built(14, 1)
     # the counters see a decide, its passes and their swaps
@@ -745,6 +746,19 @@ def closed_reduction(d: BowDiagram) -> tuple:
     return list(v_arr), list(v_x), list(arrow_ids), list(x_ids), nets, amount
 
 
+def closed_counts(sep) -> tuple[int, int]:
+    """The closed form's signed gap passes q and its pushes from a
+    separated view: q = gap // w for affine input, then n − c pushes with
+    c the index of the cut label, the first minimal label after the gap
+    passes or the label the finite input's cut sits on."""
+
+    if sep.diagram.cut is not None:
+        return 0, sep.n - sep.seg_arr.index(sep.diagram.cut)
+    q = sep.gap // sep.w
+    arc, _ = _passes(list(sep.v_arr), list(sep.arrow_ids), q, sep.w, {})
+    return q, sep.n - arc.index(min(arc))
+
+
 def reduction_sweep():
     """The k <= 5, dims 0..4 affine sweep (103,300 diagrams), then every
     finite diagram with k <= 5, both kinds, dims 0..2 and the cut on any
@@ -784,5 +798,12 @@ def test_closed_reduction_matches_the_decide_sweep():
         nets, amount = pipeline_nets(cert, fin)
         want = (list(fin.v_arr), list(fin.v_x), list(fin.arrow_ids), list(fin.x_ids), nets, amount)
         assert closed_reduction(d) == want, d
+        # past the separation prefix, the reduction makes the closed
+        # form's counted passes of w swaps each and no other swap
+        sep, prefix = separate(d)
+        q, pushes = closed_counts(sep)
+        assert cert.pipeline[:len(prefix)] == prefix
+        swaps = sum(isinstance(entry, HwMove) for entry in cert.pipeline[len(prefix):])
+        assert swaps == sep.w * (abs(q) + pushes), d
         positives += 1
     assert (positives, negatives) == (79520 + 11800, 23780 + 2036)

@@ -447,6 +447,16 @@ def test_malformed_input_is_a_usage_error(capsys, tmp_path, argv, content):
         assert captured.err == "error: replay failed: no node with id 5\n"
 
 
+def test_replayed_negative_subtraction_is_a_usage_error(capsys, tmp_path):
+    # a negative amount would raise the arrow arc instead of lowering it
+    log_file = tmp_path / "log.json"
+    log_file.write_text('[{"op": "subtract_arrow_arc", "amount": -1}]')
+    code = main(["hw", "--replay", str(log_file), "( 4 x 3 x 2 o 4 o )"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "error: replay failed: move amount must be nonnegative, got -1\n"
+
+
 def _shift_a(data):
     data["triangles"]["0"]["A"][0][0][0] += 0.5
 

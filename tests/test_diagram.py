@@ -192,6 +192,22 @@ def test_json_integer_fields_take_ints_only(value):
         entry_from_json({"op": "cut_at", "segment": value})
 
 
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ({"shape": "ring", "nodes": ["o", "y"], "dims": [1.5]}, "expected node token"),
+        ({"shape": "ring", "nodes": ["o", "x"], "dims": [1.5]}, "dimension must be an integer"),
+        ({"shape": "ring", "nodes": ["o", "x"], "dims": [1]}, "unknown diagram shape 'ring'"),
+        ({"shape": "affine", "nodes": ["o", "x"], "dims": [1]}, "affine diagram needs as many dims as nodes"),
+        ({"shape": "finite", "nodes": ["o", "x"], "dims": [0, 1]}, "finite diagram needs one more dim than nodes"),
+    ],
+)
+def test_json_diagram_refusals_keep_their_order(data, message):
+    # node tokens first, then integers, then the shape, then the lengths
+    with pytest.raises(ValueError, match=message):
+        diagram_from_json(data)
+
+
 # ---------------------------------------------------------------------------
 # validation
 

@@ -570,6 +570,8 @@ class BraneWalk:
             left, right = (entry.right, entry.left) if inverse else (entry.left, entry.right)
             self._swap_pair(left, right)
         else:
+            if not isinstance(entry, CutAt) and entry.amount < 0:
+                raise ValueError(f"move amount must be nonnegative, got {entry.amount}")
             if isinstance(entry, SubtractArrowArc):
                 entry, inverse = arc_increment(self.host(), entry), not inverse
             if isinstance(entry, (IncrementArrows, IncrementX)):
@@ -644,8 +646,6 @@ class BraneWalk:
         self.crowd += crowd
 
     def _increment(self, entry, inverse: bool) -> None:
-        if not inverse and entry.amount < 0:
-            raise ValueError("increment amount must be nonnegative")
         segs = _increment_segments(self.nodes, self.cut, self._position, entry)
         delta = -entry.amount if inverse else entry.amount
         for seg in segs:

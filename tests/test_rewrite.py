@@ -155,6 +155,27 @@ def test_normalize_gap_two_passes():
     assert replay(d, log) == out.diagram
 
 
+GAP_CASES = [(w, gap) for w in (1, 2, 3) for gap in range(-3 * w, 4 * w)] + [(2, 2001), (3, -3000)]
+
+
+@pytest.mark.parametrize("w, gap", GAP_CASES, ids=[f"w{w}-gap{gap}" for w, gap in GAP_CASES])
+def test_normalize_gap_makes_gap_over_w_passes(w, gap):
+    # v_0 = base + gap and every other dim base, with base above what the
+    # passes take off, so none goes negative: each pass moves the gap by
+    # exactly w, so there are |gap // w| passes of w swaps each
+    base = gap * gap + 3 * w
+    dims = [base + gap] + [base] * (w + 1)
+    d = parse_diagram("( " + " ".join(f"{v} {c}" for v, c in zip(dims, "x" * w + "oo")) + " )")
+    sep = separated_view(d)
+    assert sep.gap == gap
+    res = normalize_gap(sep)
+    assert not isinstance(res, NegativeWitness)
+    out, log = res
+    assert len(log) == w * abs(gap // w)
+    assert 0 <= out.gap < w
+    assert replay(d, log) == out.diagram
+
+
 def test_full_pass_checks_every_swap():
     # the second swap of the pass would exchange two arrows
     d = parse_diagram("( 1 o 2 x 3 o 4 x )")
@@ -282,6 +303,22 @@ def test_arc_increment_undoes_subtraction():
     for text in ["[ 0 o 2 x 0 ]", "( 1 x 1 o 1 x 1 o )", "( 1 x 1 x )", "( 1 o 1 o )"]:
         with pytest.raises(ValueError, match="affine separated"):
             apply_entry(parse_diagram(text), SubtractArrowArc(amount=1))
+
+
+@pytest.mark.parametrize("inverse", [False, True], ids=["forward", "inverse"])
+def test_negative_move_amounts_are_refused(inverse):
+    # a negative subtraction would raise the arc and a negative inverse
+    # increment would raise its arc: every amount is refused below zero,
+    # whichever the direction, before the arc is looked for
+    d = parse_diagram("( 4 x 3 x 2 o 4 o )")
+    entries = [SubtractArrowArc(-1), IncrementX(0, 1, Direction.CW, -2), IncrementArrows(2, 3, Direction.ACW, -1)]
+    for entry in entries:
+        with pytest.raises(ValueError, match="amount must be nonnegative, got -"):
+            apply_entry(d, entry, inverse=inverse)
+    with pytest.raises(ValueError, match="amount must be nonnegative"):
+        apply_entry(parse_diagram("[ 0 o 2 x 0 ]"), SubtractArrowArc(-1), inverse=inverse)
+    # a zero amount moves nothing either way
+    assert apply_entry(d, SubtractArrowArc(0), inverse=inverse) == d
 
 
 def test_cut_entry_round_trip():
